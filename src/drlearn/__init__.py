@@ -10,7 +10,7 @@ whole flow as the `drlearn` command.
 
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",

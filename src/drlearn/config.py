@@ -246,6 +246,10 @@ def parse_config(document: dict | None) -> RunConfig:
         raise ConfigError(f"training.learning_rate: must be > 0, got {training.learning_rate}")
     if training.gradient_clip_norm <= 0 or training.epsilon <= 0:
         raise ConfigError("training.gradient_clip_norm: clip norm and epsilon must be > 0")
+    for key in ("beta1", "beta2"):
+        value = getattr(training, key)
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"training.{key}: must be in [0, 1), got {value}")
 
     b = _Section("benchmark", _require_mapping(document.get("benchmark"), "benchmark"))
     f = BenchmarkBlock()

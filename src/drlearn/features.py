@@ -196,15 +196,26 @@ def build_direct_dataset(ts: TimeSeriesDataset, cfg: StateConfig) -> SupervisedS
 
 
 def sequence_step_inputs(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig) -> np.ndarray:
-    """Step input rows for intervals [start, stop); start must be >= 1."""
+    """Step input rows for intervals [start, stop); start must be >= 1.
+
+    Row t - start holds what direct_feature_row gives at order 1: the price
+    and consumption at t - 1, the time feature of hour t, and the price at t.
+    """
     if start < 1:
         raise ValueError("sequence steps need a previous observation; start must be >= 1")
-    lag_cfg = replace(cfg, order=1)
+    if stop > len(ts):
+        raise ValueError(f"sequence steps up to {stop} need that many intervals, got {len(ts)}")
     rows = np.empty((stop - start, 2 + cfg.time_dim + 1))
-    for t in range(start, stop):
-        rows[t - start] = direct_feature_row(
-            ts.prices, ts.consumptions, int(ts.hours[t]), float(ts.prices[t]), t, lag_cfg
-        )
+    rows[:, 0] = ts.prices[start - 1 : stop - 1]
+    rows[:, 1] = ts.consumptions[start - 1 : stop - 1]
+    hours = np.asarray(ts.hours[start:stop]).astype(np.int64)
+    if cfg.time_encoding == "scalar":
+        rows[:, 2] = hours / cfg.intervals_per_day
+    elif cfg.time_encoding == "one_hot":
+        one_hot = rows[:, 2:-1]
+        one_hot[:] = 0.0
+        one_hot[np.arange(len(hours)), hours] = 1.0
+    rows[:, -1] = ts.prices[start:stop]
     return rows
 
 

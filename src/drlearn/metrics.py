@@ -145,7 +145,7 @@ def write_report_document(reports: list[EvalReport], path: str) -> None:
         },
         "records": [report_record(r) for r in reports],
     }
-    atomic_write_text(path, json.dumps(document, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(document, indent=1, allow_nan=False) + "\n")
 
 
 def format_error_table(

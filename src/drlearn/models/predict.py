@@ -111,11 +111,8 @@ def rollout(
 
     if start < 1:
         raise ValueError("recurrent prediction needs at least one preceding interval")
-    state = model.initial_state(1)
-    if start > 1:
-        prefix = model.scaler.transform_inputs(sequence_step_inputs(history, 1, start, cfg))
-        for u in range(start - 1):
-            _, state = model.step(prefix[u : u + 1], state)
+    prefix = model.scaler.transform_inputs(sequence_step_inputs(history, 1, start, cfg))
+    _, state = model.run(prefix[None], model.initial_state(1))
     prev_price = float(history.prices[start - 1])
     prev_consumption = float(history.consumptions[start - 1])
     for k in range(horizon):

@@ -12,14 +12,98 @@ from .common import TrainConfig, check_finite_loss, glorot_uniform, minibatch_in
 
 RNN_ARRAYS_PER_LAYER = 3  # w_h, w_x, b
 LSTM_ARRAYS_PER_LAYER = 12  # (w_h, w_x, b) for forget, input, output, candidate
+RUN_BLOCK_STEPS = 256  # steps whose input projection run holds at once
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _input_projection(x: np.ndarray, w_x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b + sum_k x[..., k] * w_x[k] for time-major (steps, batch, fan_in) inputs.
+
+    The sum runs column by column in a fixed order with elementwise numpy,
+    not a BLAS matmul, whose rounding of a row depends on how many rows go
+    in. So every entry is the same whether a series is projected at once or
+    one step at a time.
+    """
+    proj = np.multiply(x[..., :1], w_x[0])
+    proj += b
+    term = np.empty_like(proj)
+    for k in range(1, x.shape[-1]):
+        np.multiply(x[..., k : k + 1], w_x[k], out=term)
+        proj += term
+    return proj
+
+
+class _Recurrent:
+    """Stacked recurrent layers served through one core, run.
+
+    Invariant: step, forward and run give bit-identical outputs and states
+    for the same inputs, however a series is split between calls. Per layer
+    and block of steps, run hoists the input projection out of the time
+    loop (elementwise, see _input_projection); each step then does one
+    (batch, units) @ (units, gates * units) matmul, the cell update, and
+    the readout matmul, on arrays of the same shapes whether the call holds
+    one step or many. The readout bias is added elementwise per block.
+    Batched prediction, one-step serving and rollouts all rely on this.
+
+    Subclasses provide _layers() -> [(w_h, w_x, b)] with the gate blocks
+    side by side, _hidden(layer_state) -> h, and _cell(z, layer_state) ->
+    (h, new layer_state) for the gate pre-activations z.
+    """
+
+    def run(self, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
+        """Standardized predictions (batch, steps) for (batch, steps, features)
+        inputs continuing from state, and the state after the last step.
+
+        Long series run in blocks of RUN_BLOCK_STEPS steps, which bounds the
+        memory of the hoisted projection; by the invariant above the split
+        changes no bit.
+        """
+        inputs = np.asarray(inputs, dtype=float)
+        layers = self._layers()
+        outputs = np.empty(inputs.shape[:2])
+        for start in range(0, inputs.shape[1], RUN_BLOCK_STEPS):
+            block = slice(start, start + RUN_BLOCK_STEPS)
+            outputs[:, block], state = self._run_block(layers, inputs[:, block], state)
+        return outputs, state
+
+    def _run_block(self, layers: list, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
+        batch, steps, _ = inputs.shape
+        outputs = np.empty((steps, batch))
+        layer_in = inputs.transpose(1, 0, 2)  # time-major: layer_in[t] is one step
+        new_state = []
+        for l, ((w_h, w_x, b), layer_state) in enumerate(zip(layers, state)):
+            proj = _input_projection(layer_in, w_x, b)
+            top = l == len(layers) - 1
+            if not top:
+                layer_in = np.empty((steps, batch, w_h.shape[0]))
+            h = self._hidden(layer_state)
+            for t in range(steps):
+                z = h @ w_h
+                z += proj[t]
+                h, layer_state = self._cell(z, layer_state)
+                if top:
+                    np.matmul(h, self.out_weight, out=outputs[t])
+                else:
+                    layer_in[t] = h
+            new_state.append(layer_state)
+        outputs += self.out_bias
+        return outputs.T, new_state
+
+    def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
+        """One time step for a (batch, features) input; returns (y, new state)."""
+        outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
+        return outputs[:, 0], new_state
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Standardized predictions for (batch, steps, features) windows from zero state."""
+        return self.run(inputs, self.initial_state(len(inputs)))[0]
+
+
 @dataclass
-class RnnModel:
+class RnnModel(_Recurrent):
     """Stacked tanh recurrence with a scalar linear readout on the top layer."""
 
     kind = "rnn"
@@ -33,36 +117,29 @@ class RnnModel:
     scaler: Scaler
     state_config: StateConfig
 
+    step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
+
     def hidden_sizes(self) -> list[int]:
         return [w.shape[0] for w in self.w_h]
 
     def initial_state(self, batch: int) -> list[np.ndarray]:
         return [np.zeros((batch, w.shape[0])) for w in self.w_h]
 
-    def step(
-        self, x: np.ndarray, state: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """One time step for a (batch, features) input; returns (y, new state)."""
-        layer_in = x
-        new_state = []
-        for w_h, w_x, b, h_prev in zip(self.w_h, self.w_x, self.b, state):
-            h = np.tanh(h_prev @ w_h.T + layer_in @ w_x.T + b)
-            new_state.append(h)
-            layer_in = h
-        return layer_in @ self.out_weight + self.out_bias, new_state
+    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return [(w_h.T, w_x.T, b) for w_h, w_x, b in zip(self.w_h, self.w_x, self.b)]
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Standardized predictions for (batch, steps, features) windows."""
-        batch, steps, _ = inputs.shape
-        state = self.initial_state(batch)
-        outputs = np.empty((batch, steps))
-        for t in range(steps):
-            outputs[:, t], state = self.step(inputs[:, t], state)
-        return outputs
+    @staticmethod
+    def _hidden(layer_state: np.ndarray) -> np.ndarray:
+        return layer_state
+
+    @staticmethod
+    def _cell(z: np.ndarray, layer_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = np.tanh(z)
+        return h, h
 
 
 @dataclass
-class LstmModel:
+class LstmModel(_Recurrent):
     """Stacked LSTM with one weight matrix pair and bias per gate per layer."""
 
     kind = "lstm"
@@ -85,6 +162,8 @@ class LstmModel:
     scaler: Scaler
     state_config: StateConfig
 
+    step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
+
     def hidden_sizes(self) -> list[int]:
         return [w.shape[0] for w in self.w_fh]
 
@@ -95,31 +174,38 @@ class LstmModel:
             for w in self.w_fh
         ]
 
-    def step(
-        self, x: np.ndarray, state: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        layer_in = x
-        new_state = []
-        for l, (h_prev, c_prev) in enumerate(state):
-            f = sigmoid(h_prev @ self.w_fh[l].T + layer_in @ self.w_fx[l].T + self.b_f[l])
-            i = sigmoid(h_prev @ self.w_ih[l].T + layer_in @ self.w_ix[l].T + self.b_i[l])
-            o = sigmoid(h_prev @ self.w_oh[l].T + layer_in @ self.w_ox[l].T + self.b_o[l])
-            cand = np.tanh(
-                h_prev @ self.w_ch[l].T + layer_in @ self.w_cx[l].T + self.b_c[l]
+    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per layer w_h (units, 4 units), w_x (fan_in, 4 units) and b (4 units,),
+        gate blocks in forget, input, output, candidate order."""
+        gates = (
+            (self.w_fh, self.w_fx, self.b_f),
+            (self.w_ih, self.w_ix, self.b_i),
+            (self.w_oh, self.w_ox, self.b_o),
+            (self.w_ch, self.w_cx, self.b_c),
+        )
+        return [
+            (
+                np.concatenate([w_h[l].T for w_h, _, _ in gates], axis=1),
+                np.concatenate([w_x[l].T for _, w_x, _ in gates], axis=1),
+                np.concatenate([b[l] for _, _, b in gates]),
             )
-            c = f * c_prev + i * cand
-            h = o * np.tanh(c)
-            new_state.append((h, c))
-            layer_in = h
-        return layer_in @ self.out_weight + self.out_bias, new_state
+            for l in range(len(self.w_fh))
+        ]
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        batch, steps, _ = inputs.shape
-        state = self.initial_state(batch)
-        outputs = np.empty((batch, steps))
-        for t in range(steps):
-            outputs[:, t], state = self.step(inputs[:, t], state)
-        return outputs
+    @staticmethod
+    def _hidden(layer_state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return layer_state[0]
+
+    @staticmethod
+    def _cell(
+        z: np.ndarray, layer_state: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        c_prev = layer_state[1]
+        units = c_prev.shape[1]
+        gates = sigmoid(z[:, : 3 * units])  # forget, input, output
+        c = gates[:, :units] * c_prev + gates[:, units : 2 * units] * np.tanh(z[:, 3 * units :])
+        h = gates[:, 2 * units :] * np.tanh(c)
+        return h, (h, c)
 
 
 def _window_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarray:

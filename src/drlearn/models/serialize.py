@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -94,6 +95,8 @@ def _array(value, name: str, ndim: int) -> np.ndarray:
             f"schema violation: field '{name}' must have {ndim} dimensions,"
             f" got {arr.ndim}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"schema violation: field '{name}' holds a non-finite value")
     return arr
 
 
@@ -106,6 +109,8 @@ def _array_list(value, name: str, ndim: int) -> list[np.ndarray]:
 def _float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"schema violation: field '{name}' must be a number")
+    if not math.isfinite(value):
+        raise ModelFormatError(f"schema violation: field '{name}' holds a non-finite value")
     return float(value)
 
 
@@ -192,6 +197,10 @@ def load_model(path: str):
         scaler.input_mean.shape == (n_features,) and scaler.input_std.shape == (n_features,),
         f"scaler expects {n_features} features to match the layout",
     )
+    if not np.all(scaler.input_std > 0.0):
+        raise ModelFormatError("schema violation: field 'input_std' must be positive")
+    if not scaler.target_std > 0.0:
+        raise ModelFormatError("schema violation: field 'target_std' must be positive")
 
     params = _require(document, "params", "document")
     if not isinstance(params, dict):

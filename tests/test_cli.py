@@ -70,6 +70,13 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_beta_out_of_range_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "beta.yaml"
+        config.write_text(TINY_CONFIG.replace("steps: 30", "steps: 30\n  beta1: 1.0"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert "training.beta1" in capsys.readouterr().err
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["explode"]) == 1
         assert "config error" in capsys.readouterr().err
@@ -200,6 +207,24 @@ class TestEval:
         ])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_non_finite_model_exits_2(self, tmp_path, config_path, dataset_path, capsys):
+        model_path = tmp_path / "m.json"
+        assert main([
+            "train", "--config", config_path, "--data", dataset_path,
+            "--model", "linear", "--order", "1", "--out", str(model_path),
+        ]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["params"]["weights"][0] = float("nan")
+        model_path.write_text(json.dumps(doc))
+        report_path = tmp_path / "r.json"
+        code = main([
+            "eval", "--config", config_path, "--model", str(model_path),
+            "--data", dataset_path, "--out", str(report_path),
+        ])
+        assert code == 2
+        assert "'weights' holds a non-finite value" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestBenchmark:

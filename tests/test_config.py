@@ -129,6 +129,15 @@ class TestFieldDiagnostics:
         with pytest.raises(ConfigError, match="window_length"):
             parse_config({"training": {"window_length": 1}})
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.1, float("nan")])
+    def test_adam_betas_in_unit_interval(self, key, value):
+        with pytest.raises(ConfigError, match=f"training.{key}: must be in \\[0, 1\\)"):
+            parse_config({"training": {key: value}})
+
+    def test_adam_beta_zero_accepted(self):
+        assert parse_config({"training": {"beta1": 0.0}}).training.beta1 == 0.0
+
 
 class TestLoadAndDump:
     def test_round_trip_defaults(self):

@@ -188,6 +188,29 @@ class TestSequenceDataset:
         with pytest.raises(ValueError, match="start must be >= 1"):
             sequence_step_inputs(ts, 0, 5, StateConfig(order=1))
 
+    @pytest.mark.parametrize("encoding", ["scalar", "one_hot", "none"])
+    @pytest.mark.parametrize("start, stop", [(1, 60), (17, 43), (5, 5), (59, 60)])
+    def test_sequence_step_inputs_match_row_by_row(self, encoding, start, stop):
+        ts = random_dataset(60, seed=8, intervals_per_day=12)
+        cfg = StateConfig(order=3, time_encoding=encoding, intervals_per_day=12)
+        lag1 = StateConfig(order=1, time_encoding=encoding, intervals_per_day=12)
+        expected = np.array(
+            [
+                direct_feature_row(
+                    ts.prices, ts.consumptions, int(ts.hours[t]), float(ts.prices[t]), t, lag1
+                )
+                for t in range(start, stop)
+            ]
+        ).reshape(stop - start, 3 + cfg.time_dim)
+        rows = sequence_step_inputs(ts, start, stop, cfg)
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows, expected)
+
+    def test_sequence_step_inputs_stop_past_end_rejected(self):
+        ts = random_dataset(10, seed=0)
+        with pytest.raises(ValueError, match="need that many intervals"):
+            sequence_step_inputs(ts, 1, 11, StateConfig(order=1))
+
     def test_short_dataset_rejected(self):
         ts = random_dataset(10, seed=0)
         with pytest.raises(ValueError, match="too short"):

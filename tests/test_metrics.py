@@ -239,6 +239,18 @@ class TestReportDocument:
             "sdape_pct": 5.0,
         }
 
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        reports = self.make_reports()
+        reports[1] = EvalReport(
+            name="linear n=0", kind="linear", order=0, hidden_sizes=(),
+            split="test", mape_pct=float("nan"), sdape_pct=5.0,
+            ape_samples=np.array([np.nan]), warmup_excluded=0,
+        )
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_document(reports, str(path))
+        assert not path.exists()
+
 
 class TestTables:
     def test_format_skeleton(self):

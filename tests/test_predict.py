@@ -122,6 +122,29 @@ class TestOneStepAgainstBatch:
             assert single == batch[t - 1]  # identical step arithmetic, bitwise
 
 
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_one_hot_one_step_equals_teacher_forced_rollout_bitwise(kind, series):
+    cfg = StateConfig(order=1, time_encoding="one_hot")
+    head, _ = split(series, TRAIN_LEN)
+    raw = build_sequence_dataset(head, 24, cfg)
+    scaler = fit_scaler(raw)
+    model, _ = train_recurrent(
+        apply_scaler(scaler, raw), kind, [6], TrainConfig(steps=20, rng_seed=0),
+        scaler=scaler, state_config=cfg,
+    )
+    assert len(model.feature_layout) == 27
+    start, horizon = 500, 30
+    forced = rollout(
+        model,
+        tail_history(series, 0, start),
+        series.prices[start : start + horizon],
+        teacher_consumptions=series.consumptions[start : start + horizon],
+    )
+    for k in range(horizon):
+        t = start + k
+        assert predict_one_step(model, series, float(series.prices[t]), t) == forced[k]
+
+
 class TestWarmUp:
     @pytest.mark.parametrize("fixture", ["rnn_model", "lstm_model"])
     def test_old_context_is_forgotten(self, fixture, series, request):

@@ -18,6 +18,7 @@ from drlearn.models import (
     rnn_loss_and_grads,
     train_recurrent,
 )
+from drlearn.models import recurrent
 
 LAYOUT1 = ("x0",)
 LAYOUT4 = ("price_lag1", "consumption_lag1", "hour_frac", "price")
@@ -209,6 +210,71 @@ class TestLstmForward:
         for t in range(6):
             y, state = model.step(x[:, t], state)
             assert np.array_equal(batch_out[:, t], y)
+
+
+def random_model(kind, hidden_sizes, n_features=4, seed=7):
+    """A recurrent model with random weights and nonzero biases."""
+    rng = np.random.default_rng(seed)
+    init = init_rnn_params if kind == "rnn" else init_lstm_params
+    params = [p + 0.1 * rng.normal(size=p.shape) for p in init(n_features, hidden_sizes, rng)]
+    common = dict(
+        out_weight=params[-2],
+        out_bias=float(params[-1]),
+        feature_layout=tuple(f"x{k}" for k in range(n_features)),
+        scaler=identity_scaler(n_features),
+        state_config=StateConfig(order=1),
+    )
+    if kind == "rnn":
+        return RnnModel(w_h=params[0:-2:3], w_x=params[1:-2:3], b=params[2:-2:3], **common)
+    names = ("w_fh", "w_fx", "b_f", "w_ih", "w_ix", "b_i", "w_oh", "w_ox", "b_o", "w_ch", "w_cx", "b_c")
+    return LstmModel(**{name: params[k:-2:12] for k, name in enumerate(names)}, **common)
+
+
+def flat_state(state):
+    """Per-layer hidden (rnn) or (hidden, cell) arrays (lstm), in one list."""
+    return [a for layer in state for a in (layer if isinstance(layer, tuple) else (layer,))]
+
+
+def states_equal(a, b):
+    a, b = flat_state(a), flat_state(b)
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestRun:
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize("hidden", [[5], [6, 3]])
+    @pytest.mark.parametrize("block", [4, recurrent.RUN_BLOCK_STEPS])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_any_split_point_matches_forward(self, kind, hidden, block, batch, monkeypatch):
+        monkeypatch.setattr(recurrent, "RUN_BLOCK_STEPS", block)
+        # 27 input columns, as with one-hot hours, at batch 1: here a BLAS
+        # projection of one row rounds differently from one of many rows
+        model = random_model(kind, hidden, n_features=27)
+        x = np.random.default_rng(11).normal(size=(batch, 9, 27))
+        whole = model.forward(x)
+        final = model.run(x, model.initial_state(batch))[1]
+        for k in range(10):
+            first, state = model.run(x[:, :k], model.initial_state(batch))
+            second, state = model.run(x[:, k:], state)
+            assert np.array_equal(np.concatenate([first, second], axis=1), whole), k
+            assert states_equal(state, final), k
+
+    def test_two_layer_lstm_step_matches_forward(self):
+        model = random_model("lstm", [5, 4], n_features=27)
+        x = np.random.default_rng(12).normal(size=(2, 8, 27))
+        batch_out = model.forward(x)
+        state = model.initial_state(2)
+        for t in range(8):
+            y, state = model.step(x[:, t], state)
+            assert np.array_equal(batch_out[:, t], y)
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_empty_run_keeps_state(self, kind):
+        model = random_model(kind, [4])
+        state = model.run(np.ones((1, 3, 4)), model.initial_state(1))[1]
+        outputs, after = model.run(np.empty((1, 0, 4)), state)
+        assert outputs.shape == (1, 0)
+        assert states_equal(after, state)
 
 
 class TestInit:

@@ -221,6 +221,38 @@ class TestLoadDiagnostics:
         with pytest.raises(ModelFormatError, match="bad state_config"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("kind", ["linear", "lstm"])
+    def test_non_finite_parameter_named(self, tmp_path, kind):
+        path, doc = saved_document(tmp_path, kind=kind)
+        field = "weights" if kind == "linear" else "w_ox"
+        values = doc["params"][field]
+        if kind == "lstm":
+            values = values[0][1]
+        values[2] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"field '{field}.*' holds a non-finite value"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("input_mean", [0.0, float("inf"), 0.0, 0.0]), ("target_mean", float("-inf"))]
+    )
+    def test_non_finite_scaler_named(self, tmp_path, field, value):
+        path, doc = saved_document(tmp_path)
+        doc["scaler"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"field '{field}' holds a non-finite value"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("input_std", [1.0, 0.0, 1.0, 1.0]), ("target_std", -2.0)]
+    )
+    def test_non_positive_scaler_std_named(self, tmp_path, field, value):
+        path, doc = saved_document(tmp_path)
+        doc["scaler"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"field '{field}' must be positive"):
+            load_model(str(path))
+
     def test_top_level_array_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2, 3]\n")
