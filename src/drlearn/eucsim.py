@@ -349,11 +349,22 @@ def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:
         if len(row) != 4:
             raise DataError(f"dataset row at line {lineno} has {len(row)} fields, expected 4")
         try:
-            hours.append(int(row[1]))
-            prices.append(float(row[2]))
-            consumptions.append(float(row[3]))
+            t, hour, price, consumption = int(row[0]), int(row[1]), float(row[2]), float(row[3])
         except ValueError as exc:
             raise DataError(f"non-numeric dataset row at line {lineno}: {row}") from exc
+        if t != lineno - 2:
+            raise DataError(f"dataset row at line {lineno}: t is {t}, expected {lineno - 2}")
+        if not 0 <= hour < intervals_per_day:
+            raise DataError(
+                f"dataset row at line {lineno}: hour {hour} outside [0, {intervals_per_day})"
+            )
+        if not (math.isfinite(price) and math.isfinite(consumption)):
+            raise DataError(f"dataset row at line {lineno}: non-finite price or consumption")
+        if price < 0:
+            raise DataError(f"dataset row at line {lineno}: negative price {price}")
+        hours.append(hour)
+        prices.append(price)
+        consumptions.append(consumption)
     if not prices:
         raise DataError(f"dataset file {path} contains no rows")
     return TimeSeriesDataset(

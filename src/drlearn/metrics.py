@@ -110,12 +110,11 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
         warmup = RECURRENT_WARMUP
 
     samples = ape_samples(actual, predicted)
-    hidden = tuple(model.hidden_sizes()) if hasattr(model, "hidden_sizes") else ()
     return EvalReport(
         name=model_name(model.kind, cfg.order),
         kind=model.kind,
         order=cfg.order,
-        hidden_sizes=hidden,
+        hidden_sizes=tuple(model.hidden_sizes()),
         split=split,
         mape_pct=float(np.mean(samples)),
         sdape_pct=float(np.std(samples)),

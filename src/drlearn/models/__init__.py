@@ -1,16 +1,21 @@
 """Model families, training loops, prediction, and persistence."""
 
 from .adam import Adam, clip_global_norm
-from .common import TrainConfig, glorot_uniform, minibatch_indices
-from .fnn import FnnModel, fnn_forward, fnn_loss_and_grads, init_fnn_params, train_fnn
+from .common import (
+    TrainConfig,
+    flat_params,
+    glorot_uniform,
+    init_params,
+    minibatch_indices,
+    model_from_params,
+)
+from .fnn import FnnModel, fnn_forward, fnn_loss_and_grads, train_fnn
 from .gradcheck import gradient_check
 from .linear import LinearModel, linear_fit
 from .predict import Model, predict_one_step, rollout
 from .recurrent import (
     LstmModel,
     RnnModel,
-    init_lstm_params,
-    init_rnn_params,
     lstm_forward,
     lstm_loss_and_grads,
     rnn_forward,
@@ -33,14 +38,14 @@ __all__ = [
     "fnn_loss_and_grads",
     "glorot_uniform",
     "gradient_check",
-    "init_fnn_params",
-    "init_lstm_params",
-    "init_rnn_params",
+    "flat_params",
+    "init_params",
     "linear_fit",
     "load_model",
     "lstm_forward",
     "lstm_loss_and_grads",
     "minibatch_indices",
+    "model_from_params",
     "predict_one_step",
     "rnn_forward",
     "rnn_loss_and_grads",

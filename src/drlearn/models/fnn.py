@@ -8,17 +8,27 @@ import numpy as np
 
 from ..features import Scaler, StateConfig, SupervisedSet, identity_scaler
 from .adam import Adam
-from .common import TrainConfig, check_finite_loss, glorot_uniform, minibatch_indices
+from .common import (
+    BIAS,
+    FAN_IN,
+    ParamModel,
+    TrainConfig,
+    check_finite_loss,
+    init_params,
+    layer_param,
+    minibatch_indices,
+    model_from_params,
+)
 
 
 @dataclass
-class FnnModel:
+class FnnModel(ParamModel):
     """Hidden layers (weights, biases) plus a fully connected scalar output."""
 
     kind = "fnn"
 
-    hidden_weights: list[np.ndarray]  # each (units, fan_in)
-    hidden_biases: list[np.ndarray]  # each (units,)
+    hidden_weights: list[np.ndarray] = layer_param(FAN_IN)
+    hidden_biases: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray  # (units_last,)
     out_bias: float
     feature_layout: tuple[str, ...]
@@ -31,9 +41,6 @@ class FnnModel:
         for w, b in zip(self.hidden_weights, self.hidden_biases):
             h = np.maximum(h @ w.T + b, 0.0)
         return h @ self.out_weight + self.out_bias
-
-    def hidden_sizes(self) -> list[int]:
-        return [w.shape[0] for w in self.hidden_weights]
 
 
 def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
@@ -48,21 +55,6 @@ def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
     return float(model.scaler.inverse_targets(y)[0])
 
 
-def init_fnn_params(
-    n_features: int, hidden_sizes: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Parameter list [W1, b1, ..., WL, bL, w_out, b_out]."""
-    params: list[np.ndarray] = []
-    fan_in = n_features
-    for units in hidden_sizes:
-        params.append(glorot_uniform(rng, units, fan_in))
-        params.append(np.zeros(units))
-        fan_in = units
-    params.append(glorot_uniform(rng, 1, fan_in)[0])
-    params.append(np.zeros(()))
-    return params
-
-
 def fnn_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
@@ -71,9 +63,8 @@ def fnn_loss_and_grads(
     The ReLU subgradient at exactly zero is taken as zero, matching the
     forward pass mask convention.
     """
-    n_layers = (len(params) - 2) // 2
-    weights = [params[2 * l] for l in range(n_layers)]
-    biases = [params[2 * l + 1] for l in range(n_layers)]
+    weights, biases = params[0:-2:2], params[1:-2:2]
+    n_layers = len(weights)
     w_out, b_out = params[-2], params[-1]
 
     activations = [inputs]
@@ -121,7 +112,7 @@ def train_fnn(
     n_features = inputs.shape[1]
 
     rng = np.random.default_rng(cfg.rng_seed)
-    params = init_fnn_params(n_features, hidden_sizes, rng)
+    params = init_params("fnn", n_features, hidden_sizes, rng)
     optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
     losses = np.empty(cfg.steps)
@@ -133,18 +124,9 @@ def train_fnn(
         losses[step] = loss
         optimizer.step(params, grads)
 
-    n_layers = len(hidden_sizes)
     if scaler is None:
         scaler = identity_scaler(n_features)
     if state_config is None:
         state_config = StateConfig(order=0, time_encoding="none")
-    model = FnnModel(
-        hidden_weights=[params[2 * l] for l in range(n_layers)],
-        hidden_biases=[params[2 * l + 1] for l in range(n_layers)],
-        out_weight=params[-2],
-        out_bias=float(params[-1]),
-        feature_layout=dataset.feature_layout,
-        scaler=scaler,
-        state_config=state_config,
-    )
+    model = model_from_params("fnn", params, dataset.feature_layout, scaler, state_config)
     return model, losses

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fnn import fnn_loss_and_grads, init_fnn_params
-from .recurrent import (
-    init_lstm_params,
-    init_rnn_params,
-    lstm_loss_and_grads,
-    rnn_loss_and_grads,
-)
+from .common import init_params
+from .fnn import fnn_loss_and_grads
+from .recurrent import lstm_loss_and_grads, rnn_loss_and_grads
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3  # denominators below this are treated as this
@@ -33,17 +29,11 @@ def gradient_check(
     targets = np.asarray(targets, dtype=float)
     rng = np.random.default_rng(rng_seed)
     n_features = inputs.shape[-1]
-    if kind == "fnn":
-        params = init_fnn_params(n_features, hidden_sizes, rng)
-        loss_and_grads = fnn_loss_and_grads
-    elif kind == "rnn":
-        params = init_rnn_params(n_features, hidden_sizes, rng)
-        loss_and_grads = rnn_loss_and_grads
-    elif kind == "lstm":
-        params = init_lstm_params(n_features, hidden_sizes, rng)
-        loss_and_grads = lstm_loss_and_grads
-    else:
+    kernels = {"fnn": fnn_loss_and_grads, "rnn": rnn_loss_and_grads, "lstm": lstm_loss_and_grads}
+    if kind not in kernels:
         raise ValueError(f"unknown model kind {kind!r}")
+    loss_and_grads = kernels[kind]
+    params = init_params(kind, n_features, hidden_sizes, rng)
     for p in params:
         if p.ndim <= 1:
             p += rng.uniform(-0.5, 0.5, p.shape)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import Scaler, StateConfig, SupervisedSet, identity_scaler
+from .common import ParamModel, model_from_params
 
 
 @dataclass
-class LinearModel:
-    """Weights over the feature columns plus a bias, in standardized space."""
+class LinearModel(ParamModel):
+    """Weights over the feature columns plus a bias, in standardized space.
+
+    No layers: the readout pair is the whole parameter list.
+    """
 
     kind = "linear"
+    readout = ("weights", "bias")
 
     weights: np.ndarray
     bias: float
@@ -74,10 +79,5 @@ def linear_fit(
         scaler = identity_scaler(n_features)
     if state_config is None:
         state_config = StateConfig(order=0, time_encoding="none")
-    return LinearModel(
-        weights=coef[:n_features],
-        bias=float(coef[n_features]),
-        feature_layout=dataset.feature_layout,
-        scaler=scaler,
-        state_config=state_config,
-    )
+    params = [coef[:n_features], coef[n_features]]
+    return model_from_params("linear", params, dataset.feature_layout, scaler, state_config)

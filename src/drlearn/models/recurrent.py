@@ -8,10 +8,19 @@ import numpy as np
 
 from ..features import Scaler, SequenceSet, StateConfig, identity_scaler
 from .adam import Adam, clip_global_norm
-from .common import TrainConfig, check_finite_loss, glorot_uniform, minibatch_indices
+from .common import (
+    BIAS,
+    FAN_IN,
+    SQUARE,
+    ParamModel,
+    TrainConfig,
+    check_finite_loss,
+    init_params,
+    layer_param,
+    minibatch_indices,
+    model_from_params,
+)
 
-RNN_ARRAYS_PER_LAYER = 3  # w_h, w_x, b
-LSTM_ARRAYS_PER_LAYER = 12  # (w_h, w_x, b) for forget, input, output, candidate
 RUN_BLOCK_STEPS = 256  # steps whose input projection run holds at once
 
 
@@ -36,7 +45,7 @@ def _input_projection(x: np.ndarray, w_x: np.ndarray, b: np.ndarray) -> np.ndarr
     return proj
 
 
-class _Recurrent:
+class _Recurrent(ParamModel):
     """Stacked recurrent layers served through one core, run.
 
     Invariant: step, forward and run give bit-identical outputs and states
@@ -108,9 +117,9 @@ class RnnModel(_Recurrent):
 
     kind = "rnn"
 
-    w_h: list[np.ndarray]  # each (units, units)
-    w_x: list[np.ndarray]  # each (units, fan_in)
-    b: list[np.ndarray]  # each (units,)
+    w_h: list[np.ndarray] = layer_param(SQUARE)
+    w_x: list[np.ndarray] = layer_param(FAN_IN)
+    b: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray  # (units_last,)
     out_bias: float
     feature_layout: tuple[str, ...]
@@ -119,11 +128,8 @@ class RnnModel(_Recurrent):
 
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
 
-    def hidden_sizes(self) -> list[int]:
-        return [w.shape[0] for w in self.w_h]
-
     def initial_state(self, batch: int) -> list[np.ndarray]:
-        return [np.zeros((batch, w.shape[0])) for w in self.w_h]
+        return [np.zeros((batch, units)) for units in self.hidden_sizes()]
 
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return [(w_h.T, w_x.T, b) for w_h, w_x, b in zip(self.w_h, self.w_x, self.b)]
@@ -140,22 +146,26 @@ class RnnModel(_Recurrent):
 
 @dataclass
 class LstmModel(_Recurrent):
-    """Stacked LSTM with one weight matrix pair and bias per gate per layer."""
+    """Stacked LSTM with one weight matrix pair and bias per gate per layer.
+
+    Gates in forget, input, output, candidate order. Forget biases start at
+    1 so early training does not flush the cell state.
+    """
 
     kind = "lstm"
 
-    w_fh: list[np.ndarray]
-    w_fx: list[np.ndarray]
-    b_f: list[np.ndarray]
-    w_ih: list[np.ndarray]
-    w_ix: list[np.ndarray]
-    b_i: list[np.ndarray]
-    w_oh: list[np.ndarray]
-    w_ox: list[np.ndarray]
-    b_o: list[np.ndarray]
-    w_ch: list[np.ndarray]
-    w_cx: list[np.ndarray]
-    b_c: list[np.ndarray]
+    w_fh: list[np.ndarray] = layer_param(SQUARE)
+    w_fx: list[np.ndarray] = layer_param(FAN_IN)
+    b_f: list[np.ndarray] = layer_param(BIAS, start=1.0)
+    w_ih: list[np.ndarray] = layer_param(SQUARE)
+    w_ix: list[np.ndarray] = layer_param(FAN_IN)
+    b_i: list[np.ndarray] = layer_param(BIAS, start=0.0)
+    w_oh: list[np.ndarray] = layer_param(SQUARE)
+    w_ox: list[np.ndarray] = layer_param(FAN_IN)
+    b_o: list[np.ndarray] = layer_param(BIAS, start=0.0)
+    w_ch: list[np.ndarray] = layer_param(SQUARE)
+    w_cx: list[np.ndarray] = layer_param(FAN_IN)
+    b_c: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray
     out_bias: float
     feature_layout: tuple[str, ...]
@@ -164,15 +174,9 @@ class LstmModel(_Recurrent):
 
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
 
-    def hidden_sizes(self) -> list[int]:
-        return [w.shape[0] for w in self.w_fh]
-
     def initial_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer (hidden, cell), both zero."""
-        return [
-            (np.zeros((batch, w.shape[0])), np.zeros((batch, w.shape[0])))
-            for w in self.w_fh
-        ]
+        return [(np.zeros((batch, u)), np.zeros((batch, u))) for u in self.hidden_sizes()]
 
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per layer w_h (units, 4 units), w_x (fan_in, 4 units) and b (4 units,),
@@ -232,50 +236,12 @@ def lstm_forward(model: LstmModel, window: np.ndarray) -> np.ndarray:
     return _window_forward(model, window)
 
 
-def init_rnn_params(
-    n_features: int, hidden_sizes: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """[w_h, w_x, b] per layer, then output weight and bias."""
-    params: list[np.ndarray] = []
-    fan_in = n_features
-    for units in hidden_sizes:
-        params.append(glorot_uniform(rng, units, units))
-        params.append(glorot_uniform(rng, units, fan_in))
-        params.append(np.zeros(units))
-        fan_in = units
-    params.append(glorot_uniform(rng, 1, fan_in)[0])
-    params.append(np.zeros(()))
-    return params
-
-
-def init_lstm_params(
-    n_features: int, hidden_sizes: list[int], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Gate blocks in forget, input, output, candidate order per layer.
-
-    Forget biases start at 1 so early training does not flush the cell state.
-    """
-    params: list[np.ndarray] = []
-    fan_in = n_features
-    for units in hidden_sizes:
-        for gate in range(4):
-            params.append(glorot_uniform(rng, units, units))
-            params.append(glorot_uniform(rng, units, fan_in))
-            params.append(np.full(units, 1.0) if gate == 0 else np.zeros(units))
-        fan_in = units
-    params.append(glorot_uniform(rng, 1, fan_in)[0])
-    params.append(np.zeros(()))
-    return params
-
-
 def rnn_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """MSE over every step of every window, gradients by full BPTT."""
-    n_layers = (len(params) - 2) // RNN_ARRAYS_PER_LAYER
-    w_h = [params[3 * l] for l in range(n_layers)]
-    w_x = [params[3 * l + 1] for l in range(n_layers)]
-    b = [params[3 * l + 2] for l in range(n_layers)]
+    w_h, w_x, b = params[0:-2:3], params[1:-2:3], params[2:-2:3]
+    n_layers = len(w_h)
     w_out, b_out = params[-2], params[-1]
 
     batch, steps, _ = inputs.shape
@@ -326,8 +292,8 @@ def lstm_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """MSE over every step of every window, gradients by full BPTT."""
-    n_layers = (len(params) - 2) // LSTM_ARRAYS_PER_LAYER
-    per = [params[12 * l : 12 * (l + 1)] for l in range(n_layers)]
+    per = [params[k : k + 12] for k in range(0, len(params) - 2, 12)]
+    n_layers = len(per)
     w_out, b_out = params[-2], params[-1]
 
     batch, steps, _ = inputs.shape
@@ -422,12 +388,8 @@ def train_recurrent(
     n_features = inputs.shape[2]
 
     rng = np.random.default_rng(cfg.rng_seed)
-    if kind == "rnn":
-        params = init_rnn_params(n_features, hidden_sizes, rng)
-        loss_and_grads = rnn_loss_and_grads
-    else:
-        params = init_lstm_params(n_features, hidden_sizes, rng)
-        loss_and_grads = lstm_loss_and_grads
+    params = init_params(kind, n_features, hidden_sizes, rng)
+    loss_and_grads = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
     optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
     losses = np.empty(cfg.steps)
@@ -444,37 +406,5 @@ def train_recurrent(
         scaler = identity_scaler(n_features)
     if state_config is None:
         state_config = StateConfig(order=1, time_encoding="scalar")
-    n_layers = len(hidden_sizes)
-    if kind == "rnn":
-        model: RnnModel | LstmModel = RnnModel(
-            w_h=[params[3 * l] for l in range(n_layers)],
-            w_x=[params[3 * l + 1] for l in range(n_layers)],
-            b=[params[3 * l + 2] for l in range(n_layers)],
-            out_weight=params[-2],
-            out_bias=float(params[-1]),
-            feature_layout=dataset.feature_layout,
-            scaler=scaler,
-            state_config=state_config,
-        )
-    else:
-        per = [params[12 * l : 12 * (l + 1)] for l in range(n_layers)]
-        model = LstmModel(
-            w_fh=[p[0] for p in per],
-            w_fx=[p[1] for p in per],
-            b_f=[p[2] for p in per],
-            w_ih=[p[3] for p in per],
-            w_ix=[p[4] for p in per],
-            b_i=[p[5] for p in per],
-            w_oh=[p[6] for p in per],
-            w_ox=[p[7] for p in per],
-            b_o=[p[8] for p in per],
-            w_ch=[p[9] for p in per],
-            w_cx=[p[10] for p in per],
-            b_c=[p[11] for p in per],
-            out_weight=params[-2],
-            out_bias=float(params[-1]),
-            feature_layout=dataset.feature_layout,
-            scaler=scaler,
-            state_config=state_config,
-        )
+    model = model_from_params(kind, params, dataset.feature_layout, scaler, state_config)
     return model, losses

@@ -10,51 +10,19 @@ import numpy as np
 from ..errors import ModelFormatError
 from ..features import Scaler, StateConfig
 from ..ioutil import atomic_write_text
-from .fnn import FnnModel
-from .linear import LinearModel
-from .recurrent import LstmModel, RnnModel
+from .common import MODEL_CLASSES, flat_params, param_layout
 
 SCHEMA_VERSION = 1
 
-PARAM_FIELDS = {
-    "linear": ("weights", "bias"),
-    "fnn": ("hidden_weights", "hidden_biases", "out_weight", "out_bias"),
-    "rnn": ("w_h", "w_x", "b", "out_weight", "out_bias"),
-    "lstm": (
-        "w_fh", "w_fx", "b_f", "w_ih", "w_ix", "b_i",
-        "w_oh", "w_ox", "b_o", "w_ch", "w_cx", "b_c",
-        "out_weight", "out_bias",
-    ),
-}
-
 
 def _params_document(model) -> dict:
-    if model.kind == "linear":
-        return {"weights": model.weights.tolist(), "bias": model.bias}
-    if model.kind == "fnn":
-        return {
-            "hidden_weights": [w.tolist() for w in model.hidden_weights],
-            "hidden_biases": [b.tolist() for b in model.hidden_biases],
-            "out_weight": model.out_weight.tolist(),
-            "out_bias": model.out_bias,
-        }
-    if model.kind == "rnn":
-        return {
-            "w_h": [w.tolist() for w in model.w_h],
-            "w_x": [w.tolist() for w in model.w_x],
-            "b": [b.tolist() for b in model.b],
-            "out_weight": model.out_weight.tolist(),
-            "out_bias": model.out_bias,
-        }
-    if model.kind == "lstm":
-        doc = {
-            name: [a.tolist() for a in getattr(model, name)]
-            for name in PARAM_FIELDS["lstm"][:-2]
-        }
-        doc["out_weight"] = model.out_weight.tolist()
-        doc["out_bias"] = model.out_bias
-        return doc
-    raise ModelFormatError(f"cannot serialize unknown model kind {model.kind!r}")
+    """The params object: each per-layer field as a list of nested lists, in
+    declaration order, then the readout weight and bias."""
+    document = {f.name: [a.tolist() for a in getattr(model, f.name)] for f in model.layer_fields()}
+    weight, bias = model.readout
+    document[weight] = getattr(model, weight).tolist()
+    document[bias] = getattr(model, bias)
+    return document
 
 
 def save_model(model, path: str) -> None:
@@ -119,37 +87,6 @@ def _check_dim(condition: bool, detail: str) -> None:
         raise ModelFormatError(f"dimension mismatch: {detail}")
 
 
-def _load_stack(params: dict, names: tuple[str, ...], n_features: int):
-    """Validate recurrent per-layer (hidden, input, bias) triples."""
-    triples = []
-    n_layers = None
-    for h_name, x_name, b_name in zip(names[0::3], names[1::3], names[2::3]):
-        w_h = _array_list(_require(params, h_name, "params"), h_name, 2)
-        w_x = _array_list(_require(params, x_name, "params"), x_name, 2)
-        b = _array_list(_require(params, b_name, "params"), b_name, 1)
-        if n_layers is None:
-            n_layers = len(w_h)
-        _check_dim(
-            len(w_h) == len(w_x) == len(b) == n_layers,
-            f"{h_name}/{x_name}/{b_name} disagree on layer count",
-        )
-        fan_in = n_features
-        for l in range(n_layers):
-            units = w_h[l].shape[0]
-            _check_dim(
-                w_h[l].shape == (units, units),
-                f"{h_name}[{l}] must be square, got {w_h[l].shape}",
-            )
-            _check_dim(
-                w_x[l].shape == (units, fan_in),
-                f"{x_name}[{l}] expected shape ({units}, {fan_in}), got {w_x[l].shape}",
-            )
-            _check_dim(b[l].shape == (units,), f"{b_name}[{l}] expected {units} entries")
-            fan_in = units
-        triples.append((w_h, w_x, b))
-    return triples
-
-
 def load_model(path: str):
     """Rebuild a saved model, naming version, schema, and dimension faults."""
     try:
@@ -167,7 +104,7 @@ def load_model(path: str):
             f" this build reads {SCHEMA_VERSION}"
         )
     kind = _require(document, "kind", "document")
-    if kind not in PARAM_FIELDS:
+    if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise ModelFormatError(f"schema violation: unknown model kind {kind!r}")
 
     layout = _require(document, "feature_layout", "document")
@@ -205,96 +142,32 @@ def load_model(path: str):
     params = _require(document, "params", "document")
     if not isinstance(params, dict):
         raise ModelFormatError("schema violation: params must be an object")
-    extra = set(params) - set(PARAM_FIELDS[kind])
-    missing = set(PARAM_FIELDS[kind]) - set(params)
+    cls = MODEL_CLASSES[kind]
+    layer_fields = cls.layer_fields()
+    weight, bias = cls.readout
+    names = [f.name for f in layer_fields] + [weight, bias]
+    extra, missing = set(params) - set(names), set(names) - set(params)
     if extra or missing:
         raise ModelFormatError(
             f"kind {kind!r} does not match payload: missing {sorted(missing)},"
             f" unexpected {sorted(extra)}"
         )
 
-    if kind == "linear":
-        weights = _array(params["weights"], "weights", 1)
-        _check_dim(
-            weights.shape == (n_features,),
-            f"weights expected {n_features} entries, got {weights.shape[0]}",
-        )
-        return LinearModel(
-            weights=weights,
-            bias=_float(params["bias"], "bias"),
-            feature_layout=feature_layout,
-            scaler=scaler,
-            state_config=state_config,
-        )
-
-    out_weight = _array(params["out_weight"], "out_weight", 1)
-    out_bias = _float(params["out_bias"], "out_bias")
-
-    if kind == "fnn":
-        hidden_weights = _array_list(params["hidden_weights"], "hidden_weights", 2)
-        hidden_biases = _array_list(params["hidden_biases"], "hidden_biases", 1)
-        _check_dim(
-            len(hidden_weights) == len(hidden_biases),
-            "hidden_weights and hidden_biases disagree on layer count",
-        )
-        fan_in = n_features
-        for l, (w, b) in enumerate(zip(hidden_weights, hidden_biases)):
-            _check_dim(
-                w.shape[1] == fan_in,
-                f"hidden_weights[{l}] expected fan-in {fan_in}, got {w.shape[1]}",
-            )
-            _check_dim(
-                b.shape == (w.shape[0],),
-                f"hidden_biases[{l}] expected {w.shape[0]} entries",
-            )
-            fan_in = w.shape[0]
-        _check_dim(
-            out_weight.shape == (fan_in,),
-            f"out_weight expected {fan_in} entries, got {out_weight.shape[0]}",
-        )
-        return FnnModel(
-            hidden_weights=hidden_weights,
-            hidden_biases=hidden_biases,
-            out_weight=out_weight,
-            out_bias=out_bias,
-            feature_layout=feature_layout,
-            scaler=scaler,
-            state_config=state_config,
-        )
-
-    if kind == "rnn":
-        ((w_h, w_x, b),) = _load_stack(params, ("w_h", "w_x", "b"), n_features)
-        _check_dim(
-            out_weight.shape == (w_h[-1].shape[0],),
-            f"out_weight expected {w_h[-1].shape[0]} entries",
-        )
-        return RnnModel(
-            w_h=w_h,
-            w_x=w_x,
-            b=b,
-            out_weight=out_weight,
-            out_bias=out_bias,
-            feature_layout=feature_layout,
-            scaler=scaler,
-            state_config=state_config,
-        )
-
-    stacks = _load_stack(params, PARAM_FIELDS["lstm"][:-2], n_features)
-    units = [w.shape[0] for w in stacks[0][0]]
-    for (w_h, _, _), gate in zip(stacks, ("forget", "input", "output", "candidate")):
-        _check_dim(
-            [w.shape[0] for w in w_h] == units,
-            f"{gate} gate disagrees with forget gate on layer sizes",
-        )
-    _check_dim(out_weight.shape == (units[-1],), f"out_weight expected {units[-1]} entries")
-    return LstmModel(
-        w_fh=stacks[0][0], w_fx=stacks[0][1], b_f=stacks[0][2],
-        w_ih=stacks[1][0], w_ix=stacks[1][1], b_i=stacks[1][2],
-        w_oh=stacks[2][0], w_ox=stacks[2][1], b_o=stacks[2][2],
-        w_ch=stacks[3][0], w_cx=stacks[3][1], b_c=stacks[3][2],
-        out_weight=out_weight,
-        out_bias=out_bias,
-        feature_layout=feature_layout,
-        scaler=scaler,
-        state_config=state_config,
+    values = {
+        f.name: _array_list(params[f.name], f.name, len(f.metadata["shape"]))
+        for f in layer_fields
+    }
+    _check_dim(
+        len({len(arrays) for arrays in values.values()}) <= 1,
+        f"{'/'.join(values)} disagree on layer count",
     )
+    values[weight] = _array(params[weight], weight, 1)
+    values[bias] = _float(params[bias], bias)
+    model = cls(
+        **values, feature_layout=feature_layout, scaler=scaler, state_config=state_config
+    )
+    layout = param_layout(kind, n_features, model.hidden_sizes())
+    for array, (name, layer, shape, _) in zip(flat_params(model), layout):
+        where = name if layer is None else f"{name}[{layer}]"
+        _check_dim(array.shape == shape, f"{where} expected shape {shape}, got {array.shape}")
+    return model

@@ -26,9 +26,7 @@ from drlearn.models import (
     RnnModel,
     fnn_forward,
     gradient_check,
-    init_fnn_params,
-    init_lstm_params,
-    init_rnn_params,
+    init_params,
     load_model,
     lstm_forward,
     rnn_forward,
@@ -295,7 +293,7 @@ def _round_trip_model(kind: str):
     if kind == "linear":
         return LinearModel(weights=rng.normal(size=4), bias=float(rng.normal()), **meta)
     if kind == "fnn":
-        p = init_fnn_params(4, [5, 3], rng)
+        p = init_params("fnn", 4, [5, 3], rng)
         return FnnModel(
             hidden_weights=[p[0], p[2]],
             hidden_biases=[p[1], p[3]],
@@ -304,12 +302,12 @@ def _round_trip_model(kind: str):
             **meta,
         )
     if kind == "rnn":
-        p = init_rnn_params(4, [5], rng)
+        p = init_params("rnn", 4, [5], rng)
         return RnnModel(
             w_h=[p[0]], w_x=[p[1]], b=[p[2]],
             out_weight=p[3], out_bias=float(rng.normal()), **meta,
         )
-    p = init_lstm_params(4, [4], rng)
+    p = init_params("lstm", 4, [4], rng)
     return LstmModel(
         w_fh=[p[0]], w_fx=[p[1]], b_f=[p[2]],
         w_ih=[p[3]], w_ix=[p[4]], b_i=[p[5]],

@@ -150,6 +150,19 @@ class TestTrain:
         ])
         assert code == 1
 
+    def test_nan_consumption_exits_2_naming_line(self, tmp_path, config_path, dataset_path, capsys):
+        lines = open(dataset_path).read().splitlines()
+        t, hour, price, _ = lines[5].split(",")
+        lines[5] = ",".join([t, hour, price, "nan"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main([
+            "train", "--config", config_path, "--data", str(bad),
+            "--model", "rnn", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert "line 6: non-finite price or consumption" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_loss_exits_3(self, tmp_path, dataset_path, capsys):
         config = tmp_path / "explode.yaml"
@@ -268,6 +281,14 @@ class TestBenchmark:
         violin = (out_dir / "violin.csv").read_text().splitlines()
         assert violin[0] == "model,ape_pct"
         assert {line.split(",")[0] for line in violin[1:]} == {"linear n=1"}
+
+    def test_order_past_train_split_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "long_order.yaml"
+        config.write_text(TINY_CONFIG.replace("orders: [0, 1]", "orders: [0, 360]"))
+        out_dir = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert "benchmark.orders" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_workers_exits_1(self, config_path, tmp_path):
         code = main([

@@ -125,9 +125,41 @@ class TestFieldDiagnostics:
         with pytest.raises(ConfigError, match="training: expected a mapping"):
             parse_config({"training": [1, 2]})
 
+    def test_null_only_where_default_is_null(self):
+        for section, key in (("training", "time_encoding"), ("benchmark", "output_dir")):
+            with pytest.raises(ConfigError, match=f"{section}.{key}: expected a string"):
+                parse_config({section: {key: None}})
+        assert parse_config({"simulation": {"profile_path": None}}) == RunConfig()
+
     def test_window_length_minimum(self):
         with pytest.raises(ConfigError, match="window_length"):
             parse_config({"training": {"window_length": 1}})
+
+    def test_orders_must_fit_train_split(self):
+        doc = {"simulation": {"horizon": 480}, "benchmark": {"train_len": 240, "orders": [0, 300]}}
+        with pytest.raises(ConfigError, match="benchmark.orders: order 300 .*train_len 240"):
+            parse_config(doc)
+        doc["benchmark"]["orders"] = [0, 240]
+        with pytest.raises(ConfigError, match="benchmark.orders"):
+            parse_config(doc)
+        doc["benchmark"]["orders"] = [0, 239]
+        assert max(parse_config(doc).benchmark.orders) == 239
+        doc["benchmark"].update(orders=[0, 300], kinds=["rnn", "lstm"])  # orders unused
+        assert parse_config(doc).benchmark.orders == (0, 300)
+
+    def test_window_length_must_fit_train_split(self):
+        doc = {
+            "simulation": {"horizon": 480},
+            "training": {"window_length": 240},
+            "benchmark": {"train_len": 240, "orders": [0]},
+        }
+        with pytest.raises(ConfigError, match="training.window_length: .*train_len 240"):
+            parse_config(doc)
+        doc["training"]["window_length"] = 239
+        assert parse_config(doc).training.window_length == 239
+        doc["training"]["window_length"] = 240
+        doc["benchmark"]["kinds"] = ["linear", "fnn"]  # no windows built
+        assert parse_config(doc).training.window_length == 240
 
     @pytest.mark.parametrize("key", ["beta1", "beta2"])
     @pytest.mark.parametrize("value", [1.0, 1.5, -0.1, float("nan")])

@@ -340,6 +340,33 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match="no rows"):
             read_dataset(str(path))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,30.0,nan", "non-finite price or consumption"),
+            ("1,1,inf,1.5", "non-finite price or consumption"),
+            ("1,1,-30.0,1.5", "negative price -30.0"),
+            ("1,99,30.0,1.5", r"hour 99 outside \[0, 24\)"),
+            ("1,-1,30.0,1.5", r"hour -1 outside \[0, 24\)"),
+            ("7,1,30.0,1.5", "t is 7, expected 1"),
+        ],
+        ids=[
+            "nan-consumption",
+            "inf-price",
+            "negative-price",
+            "hour-past-day",
+            "negative-hour",
+            "t-not-row-index",
+        ],
+    )
+    def test_rejects_bad_row_naming_line(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "t,hour,price_usd_per_mwh,consumption_mwh\n0,0,30.0,1.5\n" + row + "\n2,2,30.0,1.5\n"
+        )
+        with pytest.raises(DataError, match=f"line 3: {message}"):
+            read_dataset(str(path))
+
 
 class TestTimeSeriesDataset:
     def test_rejects_length_mismatch(self):

@@ -19,7 +19,7 @@ from drlearn.models import (
     fnn_forward,
     fnn_loss_and_grads,
     glorot_uniform,
-    init_fnn_params,
+    init_params,
     minibatch_indices,
     train_fnn,
 )
@@ -91,7 +91,7 @@ class TestForward:
 class TestInit:
     def test_param_list_structure(self):
         rng = np.random.default_rng(0)
-        params = init_fnn_params(5, [8, 4], rng)
+        params = init_params("fnn", 5, [8, 4], rng)
         assert len(params) == 6
         assert params[0].shape == (8, 5)
         assert params[1].shape == (8,)
@@ -108,14 +108,14 @@ class TestInit:
         assert np.all(np.abs(w) <= limit)
 
     def test_biases_start_at_zero(self):
-        params = init_fnn_params(3, [4], np.random.default_rng(1))
+        params = init_params("fnn", 3, [4], np.random.default_rng(1))
         assert np.all(params[1] == 0.0)
         assert params[-1] == 0.0
 
 
 class TestLossAndGrads:
     def test_loss_is_mean_squared_error(self):
-        params = init_fnn_params(2, [3], np.random.default_rng(2))
+        params = init_params("fnn", 2, [3], np.random.default_rng(2))
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(16, 2))
         targets = rng.normal(size=16)
@@ -127,7 +127,7 @@ class TestLossAndGrads:
         assert loss == pytest.approx(expected, rel=1e-15)
 
     def test_gradient_shapes_match_params(self):
-        params = init_fnn_params(4, [6, 5], np.random.default_rng(4))
+        params = init_params("fnn", 4, [6, 5], np.random.default_rng(4))
         rng = np.random.default_rng(5)
         _, grads = fnn_loss_and_grads(params, rng.normal(size=(8, 4)), rng.normal(size=8))
         assert len(grads) == len(params)

@@ -112,18 +112,25 @@ class TestBenchmarkJobs:
 
 class TestRunBenchmark:
     def test_parallel_matches_serial(self, tmp_path):
-        config = tiny_config(benchmark={"kinds": ["linear", "rnn"]})
+        config = tiny_config()  # all four kinds
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
         run_benchmark(config, str(serial), workers=1)
         run_benchmark(config, str(parallel), workers=2)
-        for name in ("report.json", "violin.csv", "models/rnn.json"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        models = sorted(os.listdir(serial / "models"))
+        assert models == sorted(os.listdir(parallel / "models"))
+        assert models == [f"{k}_n{n}.json" for k in ("fnn", "linear") for n in (0, 1)] + [
+            "lstm.json",
+            "rnn.json",
+        ]
+        for name in ["report.json", "violin.csv"] + [f"models/{m}" for m in models]:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
     def test_failure_names_stage_and_cleans_up(self, tmp_path):
         # order 5 on a 10-interval train split leaves too few samples, so the
         # linear fit fails; the benchmark must remove everything it wrote
-        config = tiny_config(benchmark={"train_len": 10, "orders": [5]})
+        # (linear only: config validation already rejects a 24-step window there)
+        config = tiny_config(benchmark={"train_len": 10, "orders": [5], "kinds": ["linear"]})
         out_dir = tmp_path / "bench"
         with pytest.raises(ValueError, match="benchmark stage 'train linear_n5' failed"):
             run_benchmark(config, str(out_dir), workers=1)

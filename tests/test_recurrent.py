@@ -10,8 +10,7 @@ from drlearn.models import (
     LstmModel,
     RnnModel,
     TrainConfig,
-    init_lstm_params,
-    init_rnn_params,
+    init_params,
     lstm_forward,
     lstm_loss_and_grads,
     rnn_forward,
@@ -80,7 +79,7 @@ class TestRnnForward:
 
     def test_hidden_state_stays_inside_tanh_range(self):
         rng = np.random.default_rng(0)
-        params = init_rnn_params(4, [6], rng)
+        params = init_params("rnn", 4, [6], rng)
         model = RnnModel(
             w_h=[params[0] * 10.0],
             w_x=[params[1] * 10.0],
@@ -99,7 +98,7 @@ class TestRnnForward:
 
     def test_forward_equals_manual_step_loop(self):
         rng = np.random.default_rng(1)
-        params = init_rnn_params(4, [5, 3], rng)
+        params = init_params("rnn", 4, [5, 3], rng)
         model = RnnModel(
             w_h=[params[0], params[3]],
             w_x=[params[1], params[4]],
@@ -149,7 +148,7 @@ class TestLstmForward:
     def test_zero_parameters_keep_zero_state(self):
         # All gates sit at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0,
         # so the cell and hidden state never move.
-        params = zero_params_like(init_lstm_params(1, [1], np.random.default_rng(0)))
+        params = zero_params_like(init_params("lstm", 1, [1], np.random.default_rng(0)))
         model = LstmModel(
             w_fh=[params[0]], w_fx=[params[1]], b_f=[params[2]],
             w_ih=[params[3]], w_ix=[params[4]], b_i=[params[5]],
@@ -170,7 +169,7 @@ class TestLstmForward:
 
     def test_hidden_state_bounded_by_output_gate(self):
         rng = np.random.default_rng(2)
-        params = init_lstm_params(4, [5], rng)
+        params = init_params("lstm", 4, [5], rng)
         per = params[:12]
         model = LstmModel(
             w_fh=[per[0]], w_fx=[per[1]], b_f=[per[2]],
@@ -191,7 +190,7 @@ class TestLstmForward:
 
     def test_forward_equals_manual_step_loop(self):
         rng = np.random.default_rng(3)
-        params = init_lstm_params(4, [4], rng)
+        params = init_params("lstm", 4, [4], rng)
         per = params[:12]
         model = LstmModel(
             w_fh=[per[0]], w_fx=[per[1]], b_f=[per[2]],
@@ -215,8 +214,9 @@ class TestLstmForward:
 def random_model(kind, hidden_sizes, n_features=4, seed=7):
     """A recurrent model with random weights and nonzero biases."""
     rng = np.random.default_rng(seed)
-    init = init_rnn_params if kind == "rnn" else init_lstm_params
-    params = [p + 0.1 * rng.normal(size=p.shape) for p in init(n_features, hidden_sizes, rng)]
+    params = [
+        p + 0.1 * rng.normal(size=p.shape) for p in init_params(kind, n_features, hidden_sizes, rng)
+    ]
     common = dict(
         out_weight=params[-2],
         out_bias=float(params[-1]),
@@ -279,7 +279,7 @@ class TestRun:
 
 class TestInit:
     def test_rnn_param_structure(self):
-        params = init_rnn_params(4, [8, 6], np.random.default_rng(0))
+        params = init_params("rnn", 4, [8, 6], np.random.default_rng(0))
         assert len(params) == 8
         assert params[0].shape == (8, 8)
         assert params[1].shape == (8, 4)
@@ -291,7 +291,7 @@ class TestInit:
         assert params[7].shape == ()
 
     def test_lstm_param_structure_and_forget_bias(self):
-        params = init_lstm_params(4, [5], np.random.default_rng(0))
+        params = init_params("lstm", 4, [5], np.random.default_rng(0))
         assert len(params) == 14
         assert params[0].shape == (5, 5)
         assert params[1].shape == (5, 4)
@@ -306,9 +306,8 @@ class TestLossAndGrads:
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_loss_is_mse_over_all_steps(self, kind):
         rng = np.random.default_rng(4)
-        init = init_rnn_params if kind == "rnn" else init_lstm_params
         loss_fn = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
-        params = init(4, [3], rng)
+        params = init_params(kind, 4, [3], rng)
         inputs = rng.normal(size=(5, 6, 4))
         targets = rng.normal(size=(5, 6))
         loss, grads = loss_fn(params, inputs, targets)

@@ -1,9 +1,13 @@
 """Model persistence tests: bit-exact round trips and load-time diagnostics."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlearn.errors import ModelFormatError
 from drlearn.features import Scaler, StateConfig
@@ -12,12 +16,12 @@ from drlearn.models import (
     LinearModel,
     LstmModel,
     RnnModel,
+    flat_params,
     fnn_forward,
-    init_fnn_params,
-    init_lstm_params,
-    init_rnn_params,
+    init_params,
     load_model,
     lstm_forward,
+    model_from_params,
     rnn_forward,
     save_model,
 )
@@ -47,7 +51,7 @@ def make_model(kind, seed=0):
             state_config=cfg,
         )
     if kind == "fnn":
-        p = init_fnn_params(4, [5, 3], rng)
+        p = init_params("fnn", 4, [5, 3], rng)
         return FnnModel(
             hidden_weights=[p[0], p[2]],
             hidden_biases=[p[1] + rng.normal(size=5), p[3] + rng.normal(size=3)],
@@ -58,7 +62,7 @@ def make_model(kind, seed=0):
             state_config=cfg,
         )
     if kind == "rnn":
-        p = init_rnn_params(4, [5], rng)
+        p = init_params("rnn", 4, [5], rng)
         return RnnModel(
             w_h=[p[0]], w_x=[p[1]], b=[p[2] + rng.normal(size=5)],
             out_weight=p[3],
@@ -67,7 +71,7 @@ def make_model(kind, seed=0):
             scaler=scaler,
             state_config=cfg,
         )
-    p = init_lstm_params(4, [4], rng)
+    p = init_params("lstm", 4, [4], rng)
     return LstmModel(
         w_fh=[p[0]], w_fx=[p[1]], b_f=[p[2]],
         w_ih=[p[3]], w_ix=[p[4]], b_i=[p[5]],
@@ -123,6 +127,52 @@ class TestRoundTrip:
         save_model(model, str(first))
         save_model(load_model(str(first)), str(second))
         assert first.read_text() == second.read_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "fnn", "rnn", "lstm"]),
+    n_features=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property(kind, n_features, hidden, seed):
+    """Any kind and shape: save, load, save gives the same bytes, the same
+    flat parameters and bit-identical predictions."""
+    rng = np.random.default_rng(seed)
+    hidden = [] if kind == "linear" else hidden
+    params = [p + rng.normal(size=p.shape) for p in init_params(kind, n_features, hidden, rng)]
+    model = model_from_params(
+        kind,
+        params,
+        tuple(f"x{k}" for k in range(n_features)),
+        random_scaler(rng, n_features),
+        StateConfig(order=1, time_encoding="scalar"),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert loaded.kind == kind and loaded.hidden_sizes() == hidden
+    assert len(flat_params(loaded)) == len(params)
+    assert all(np.array_equal(p, q) for p, q in zip(flat_params(loaded), params))
+    inputs = rng.normal(size=(30, n_features) if kind in ("linear", "fnn") else (3, 10, n_features))
+    assert np.array_equal(loaded.forward(inputs), model.forward(inputs))
+
+
+def test_schema_v1_two_layer_lstm_file_loads_and_resaves(tmp_path):
+    """A schema-v1 file saved before parameters were declared per family."""
+    path = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+    model = load_model(path)
+    assert model.kind == "lstm"
+    assert model.hidden_sizes() == [3, 2]
+    again = tmp_path / "again.json"
+    save_model(model, str(again))
+    with open(path, "rb") as original:
+        assert again.read_bytes() == original.read()
 
 
 def saved_document(tmp_path, kind="rnn"):
@@ -194,7 +244,8 @@ class TestLoadDiagnostics:
         path, doc = saved_document(tmp_path, kind="rnn")
         doc["params"]["w_h"][0] = [[0.1] * 4] * 5  # 5 x 4, not square
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="must be square"):
+        message = r"dimension mismatch: w_h\[0\] expected shape \(5, 5\), got \(5, 4\)"
+        with pytest.raises(ModelFormatError, match=message):
             load_model(str(path))
 
     def test_lstm_gate_size_disagreement_named(self, tmp_path):
@@ -203,7 +254,8 @@ class TestLoadDiagnostics:
         doc["params"]["w_ix"] = [[[0.1] * 4] * 3]
         doc["params"]["b_i"] = [[0.0] * 3]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="input gate disagrees"):
+        message = r"dimension mismatch: w_ih\[0\] expected shape \(4, 4\), got \(3, 3\)"
+        with pytest.raises(ModelFormatError, match=message):
             load_model(str(path))
 
     def test_scaler_layout_disagreement_named(self, tmp_path):
