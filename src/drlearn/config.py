@@ -8,6 +8,7 @@ import yaml
 
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
+from .metrics import RECURRENT_WARMUP
 from .models.common import TrainConfig
 
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
@@ -189,14 +190,24 @@ def parse_config(document: dict | None) -> RunConfig:
             f"benchmark.train_len: must be < simulation.horizon"
             f" ({simulation.horizon}), got {benchmark.train_len}"
         )
-    # The train split must hold what build_direct_dataset and
-    # build_sequence_dataset need, checked for the families the benchmark trains.
+    # Each split must hold what the families the benchmark trains need: rows
+    # at the largest order (feature_rows) and, on the train split, one window
+    # (build_sequence_dataset); recurrent scoring also drops a warm-up.
     kinds = set(benchmark.kinds)
-    if kinds & {"linear", "fnn"} and max(benchmark.orders) >= benchmark.train_len:
-        raise ConfigError(
-            f"benchmark.orders: order {max(benchmark.orders)} needs a train split longer"
-            f" than it, got benchmark.train_len {benchmark.train_len}"
-        )
+    splits = {"train": benchmark.train_len, "test": simulation.horizon - benchmark.train_len}
+    for name, length in splits.items():
+        if kinds & {"linear", "fnn"} and max(benchmark.orders) >= length:
+            raise ConfigError(
+                f"benchmark.orders: order {max(benchmark.orders)} needs a {name} split"
+                f" longer than it, got {length} intervals (benchmark.train_len"
+                f" {benchmark.train_len}, simulation.horizon {simulation.horizon})"
+            )
+        if kinds & {"rnn", "lstm"} and length <= RECURRENT_WARMUP + 1:
+            raise ConfigError(
+                f"benchmark.train_len: recurrent evaluation needs a {name} split of more"
+                f" than {RECURRENT_WARMUP + 1} intervals, got {length}"
+                f" (simulation.horizon {simulation.horizon})"
+            )
     if kinds & {"rnn", "lstm"} and training.window_length >= benchmark.train_len:
         raise ConfigError(
             f"training.window_length: a window of {training.window_length} steps needs a"

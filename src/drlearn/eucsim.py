@@ -362,6 +362,10 @@ def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:
             raise DataError(f"dataset row at line {lineno}: non-finite price or consumption")
         if price < 0:
             raise DataError(f"dataset row at line {lineno}: negative price {price}")
+        if consumption <= 0:  # percentage errors divide by it
+            raise DataError(
+                f"dataset row at line {lineno}: consumption {consumption} is not positive"
+            )
         hours.append(hour)
         prices.append(price)
         consumptions.append(consumption)

@@ -112,30 +112,16 @@ def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, Tim
     """Chronological prefix/suffix split, no shuffling."""
     if not 0 < train_len < len(ts):
         raise ValueError(f"train_len must be in (0, {len(ts)}), got {train_len}")
-    head = TimeSeriesDataset(
-        prices=ts.prices[:train_len].copy(),
-        consumptions=ts.consumptions[:train_len].copy(),
-        hours=ts.hours[:train_len].copy(),
-        intervals_per_day=ts.intervals_per_day,
-    )
-    tail = TimeSeriesDataset(
-        prices=ts.prices[train_len:].copy(),
-        consumptions=ts.consumptions[train_len:].copy(),
-        hours=ts.hours[train_len:].copy(),
-        intervals_per_day=ts.intervals_per_day,
-    )
-    return head, tail
 
+    def part(span: slice) -> TimeSeriesDataset:
+        return TimeSeriesDataset(
+            prices=ts.prices[span].copy(),
+            consumptions=ts.consumptions[span].copy(),
+            hours=ts.hours[span].copy(),
+            intervals_per_day=ts.intervals_per_day,
+        )
 
-def time_features(hour: int, cfg: StateConfig) -> list[float]:
-    """Encode one hour-of-day value according to the configuration."""
-    if cfg.time_encoding == "scalar":
-        return [hour / cfg.intervals_per_day]
-    if cfg.time_encoding == "one_hot":
-        row = [0.0] * cfg.intervals_per_day
-        row[hour] = 1.0
-        return row
-    return []
+    return part(slice(None, train_len)), part(slice(train_len, None))
 
 
 def feature_layout(cfg: StateConfig) -> tuple[str, ...]:
@@ -157,66 +143,46 @@ def sequence_layout(cfg: StateConfig) -> tuple[str, ...]:
     return feature_layout(replace(cfg, order=1))
 
 
-def direct_feature_row(
-    prices: np.ndarray,
-    consumptions: np.ndarray,
-    hour: int,
-    price: float,
-    t: int,
-    cfg: StateConfig,
-) -> np.ndarray:
-    """One direct-state feature row for interval t; uses indices < t only."""
-    if t < cfg.order:
-        raise ValueError(f"need {cfg.order} preceding intervals, only {t} available")
-    row: list[float] = []
-    for i in range(cfg.order, 0, -1):
-        row.append(float(prices[t - i]))
-        row.append(float(consumptions[t - i]))
-    row.extend(time_features(hour, cfg))
-    row.append(float(price))
-    return np.asarray(row)
+def feature_rows(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig) -> np.ndarray:
+    """Feature rows for intervals [start, stop), columns as in feature_layout(cfg).
+
+    Row t - start holds the (price, consumption) pairs at t - order .. t - 1,
+    the time feature of hour t, and the price at t: of interval t and later
+    it reads only the hour and the price at t.
+    """
+    n = cfg.order
+    if start < n:
+        raise ValueError(f"need {n} preceding intervals, only {start} available")
+    if stop > len(ts):
+        raise ValueError(f"rows up to {stop} need that many intervals, got {len(ts)}")
+    rows = np.zeros((stop - start, 2 * n + cfg.time_dim + 1))
+    for i in range(n, 0, -1):
+        rows[:, 2 * (n - i)] = ts.prices[start - i : stop - i]
+        rows[:, 2 * (n - i) + 1] = ts.consumptions[start - i : stop - i]
+    hours = np.asarray(ts.hours[start:stop]).astype(np.int64)
+    if cfg.time_encoding == "scalar":
+        rows[:, 2 * n] = hours / cfg.intervals_per_day
+    elif cfg.time_encoding == "one_hot":
+        rows[:, 2 * n : -1][np.arange(len(hours)), hours] = 1.0
+    rows[:, -1] = ts.prices[start:stop]
+    return rows
 
 
 def build_direct_dataset(ts: TimeSeriesDataset, cfg: StateConfig) -> SupervisedSet:
     """One sample per interval t in [order, len): lagged pairs, time, price."""
     n = cfg.order
-    length = len(ts)
-    if length <= n:
-        raise ValueError(f"dataset of length {length} is too short for order {n}")
-    rows = np.empty((length - n, 2 * n + cfg.time_dim + 1))
-    for t in range(n, length):
-        rows[t - n] = direct_feature_row(
-            ts.prices, ts.consumptions, int(ts.hours[t]), float(ts.prices[t]), t, cfg
-        )
+    if len(ts) <= n:
+        raise ValueError(f"dataset of length {len(ts)} is too short for order {n}")
     return SupervisedSet(
-        inputs=rows,
+        inputs=feature_rows(ts, n, len(ts), cfg),
         targets=ts.consumptions[n:].copy(),
         feature_layout=feature_layout(cfg),
     )
 
 
 def sequence_step_inputs(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig) -> np.ndarray:
-    """Step input rows for intervals [start, stop); start must be >= 1.
-
-    Row t - start holds what direct_feature_row gives at order 1: the price
-    and consumption at t - 1, the time feature of hour t, and the price at t.
-    """
-    if start < 1:
-        raise ValueError("sequence steps need a previous observation; start must be >= 1")
-    if stop > len(ts):
-        raise ValueError(f"sequence steps up to {stop} need that many intervals, got {len(ts)}")
-    rows = np.empty((stop - start, 2 + cfg.time_dim + 1))
-    rows[:, 0] = ts.prices[start - 1 : stop - 1]
-    rows[:, 1] = ts.consumptions[start - 1 : stop - 1]
-    hours = np.asarray(ts.hours[start:stop]).astype(np.int64)
-    if cfg.time_encoding == "scalar":
-        rows[:, 2] = hours / cfg.intervals_per_day
-    elif cfg.time_encoding == "one_hot":
-        one_hot = rows[:, 2:-1]
-        one_hot[:] = 0.0
-        one_hot[np.arange(len(hours)), hours] = 1.0
-    rows[:, -1] = ts.prices[start:stop]
-    return rows
+    """Recurrent step inputs for intervals [start, stop): the order-1 feature rows."""
+    return feature_rows(ts, start, stop, replace(cfg, order=1))
 
 
 def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: StateConfig) -> SequenceSet:
@@ -233,16 +199,11 @@ def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: State
             f"dataset of length {len(ts)} is too short for window_length {window_length}"
         )
     num_windows = (len(ts) - 1) // window_length
-    inputs = np.empty((num_windows, window_length, 2 + cfg.time_dim + 1))
-    targets = np.empty((num_windows, window_length))
-    for w in range(num_windows):
-        start = 1 + w * window_length
-        stop = start + window_length
-        inputs[w] = sequence_step_inputs(ts, start, stop, cfg)
-        targets[w] = ts.consumptions[start:stop]
+    stop = 1 + num_windows * window_length
+    inputs = sequence_step_inputs(ts, 1, stop, cfg)
     return SequenceSet(
-        inputs=inputs,
-        targets=targets,
+        inputs=inputs.reshape(num_windows, window_length, inputs.shape[1]),
+        targets=ts.consumptions[1:stop].reshape(num_windows, window_length).copy(),
         window_length=window_length,
         feature_layout=sequence_layout(cfg),
     )
@@ -271,15 +232,8 @@ def fit_scaler(dataset: SupervisedSet | SequenceSet) -> Scaler:
 
 def apply_scaler(scaler: Scaler, dataset: SupervisedSet | SequenceSet):
     """Standardized copy of the dataset (inputs and targets)."""
-    if isinstance(dataset, SupervisedSet):
-        return SupervisedSet(
-            inputs=scaler.transform_inputs(dataset.inputs),
-            targets=scaler.transform_targets(dataset.targets),
-            feature_layout=dataset.feature_layout,
-        )
-    return SequenceSet(
+    return replace(
+        dataset,
         inputs=scaler.transform_inputs(dataset.inputs),
         targets=scaler.transform_targets(dataset.targets),
-        window_length=dataset.window_length,
-        feature_layout=dataset.feature_layout,
     )

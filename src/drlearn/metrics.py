@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from .eucsim import TimeSeriesDataset
-from .features import build_direct_dataset, sequence_layout, sequence_step_inputs
+from .features import feature_layout, feature_rows
 from .ioutil import atomic_write_text
 
 REPORT_SCHEMA_VERSION = 1
@@ -74,40 +74,28 @@ def model_name(kind: str, order: int) -> str:
 def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
     """One-step predictions over the whole split, scored with MAPE/SDAPE.
 
-    Recurrent models run the split as a single sequence from zero state and
-    the first RECURRENT_WARMUP predictions are excluded from scoring.
+    The split runs as a single sequence through the model from its initial
+    state. A model that carries state starts it at zero, so its first
+    RECURRENT_WARMUP predictions are excluded from scoring.
     """
     cfg = model.state_config
-    if model.kind in ("linear", "fnn"):
-        supervised = build_direct_dataset(dataset, cfg)
-        if supervised.feature_layout != model.feature_layout:
-            raise DataError(
-                "feature layout mismatch: model expects"
-                f" {list(model.feature_layout)}, data produces"
-                f" {list(supervised.feature_layout)}"
-            )
-        x = model.scaler.transform_inputs(supervised.inputs)
-        predicted = model.scaler.inverse_targets(model.forward(x))
-        actual = supervised.targets
-        warmup = 0
-    else:
-        if len(dataset) < RECURRENT_WARMUP + 2:
-            raise ValueError(
-                f"recurrent evaluation needs more than {RECURRENT_WARMUP + 1}"
-                f" intervals, got {len(dataset)}"
-            )
-        if sequence_layout(cfg) != model.feature_layout:
-            raise DataError(
-                "feature layout mismatch: model expects"
-                f" {list(model.feature_layout)}, data produces"
-                f" {list(sequence_layout(cfg))}"
-            )
-        steps = sequence_step_inputs(dataset, 1, len(dataset), cfg)
-        x = model.scaler.transform_inputs(steps)
-        outputs = model.forward(x[None, :, :])[0]
-        predicted = model.scaler.inverse_targets(outputs)[RECURRENT_WARMUP:]
-        actual = dataset.consumptions[1 + RECURRENT_WARMUP :]
-        warmup = RECURRENT_WARMUP
+    if feature_layout(cfg) != model.feature_layout:
+        raise DataError(
+            "feature layout mismatch: model expects"
+            f" {list(model.feature_layout)}, data produces"
+            f" {list(feature_layout(cfg))}"
+        )
+    state = model.initial_state(1)
+    warmup = RECURRENT_WARMUP if state else 0
+    if len(dataset) <= cfg.order + warmup:
+        raise ValueError(
+            f"evaluation of {model.kind} needs more than {cfg.order + warmup}"
+            f" intervals, got {len(dataset)}"
+        )
+    x = model.scaler.transform_inputs(feature_rows(dataset, cfg.order, len(dataset), cfg))
+    outputs, _ = model.run(x[None], state)
+    predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
+    actual = dataset.consumptions[cfg.order + warmup :]
 
     samples = ape_samples(actual, predicted)
     return EvalReport(

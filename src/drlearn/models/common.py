@@ -88,6 +88,24 @@ class ParamModel:
             return []
         return [a.shape[0] for a in getattr(self, layer_fields[0].name)]
 
+    def initial_state(self, batch: int) -> list:
+        """Empty: a direct family's feature row holds all the history it reads.
+        The recurrent families override this and run."""
+        return []
+
+    def run(self, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
+        """Standardized predictions (batch, steps) for (batch, steps, features)
+        inputs continuing from state, and the state after the last step."""
+        inputs = np.asarray(inputs, dtype=float)
+        batch, steps, n_features = inputs.shape
+        outputs = self.forward(inputs.reshape(batch * steps, n_features))
+        return outputs.reshape(batch, steps), state
+
+    def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
+        """One time step for a (batch, features) input; returns (y, new state)."""
+        outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
+        return outputs[:, 0], new_state
+
 
 def model_class(kind: str) -> type:
     if kind not in MODEL_CLASSES:

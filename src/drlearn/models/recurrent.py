@@ -101,11 +101,6 @@ class _Recurrent(ParamModel):
         outputs += self.out_bias
         return outputs.T, new_state
 
-    def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
-        """One time step for a (batch, features) input; returns (y, new state)."""
-        outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
-        return outputs[:, 0], new_state
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Standardized predictions for (batch, steps, features) windows from zero state."""
         return self.run(inputs, self.initial_state(len(inputs)))[0]
@@ -381,6 +376,11 @@ def train_recurrent(
     """Adam over minibatches of windows with global-norm gradient clipping."""
     if kind not in ("rnn", "lstm"):
         raise ValueError(f"unknown recurrent kind {kind!r}")
+    if state_config is not None and state_config.order != 1:
+        raise ValueError(
+            f"state_config.order must be 1 for {kind}: each step carries the latest"
+            f" observation and the state the rest, got {state_config.order}"
+        )
     inputs = np.asarray(dataset.inputs, dtype=float)
     targets = np.asarray(dataset.targets, dtype=float)
     if inputs.ndim != 3 or len(inputs) < 1:

@@ -122,6 +122,11 @@ def load_model(path: str):
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"schema violation: bad state_config ({exc})") from exc
+    if kind in ("rnn", "lstm") and state_config.order != 1:
+        raise ModelFormatError(
+            f"schema violation: state_config.order must be 1 for {kind},"
+            f" got {state_config.order}"
+        )
 
     sl = _require(document, "scaler", "document")
     scaler = Scaler(

@@ -290,6 +290,22 @@ class TestBenchmark:
         assert "benchmark.orders" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("train_len: 456\n  orders: [0, 30]", "benchmark.orders: order 30 needs a test split"),
+            ("train_len: 460\n  kinds: [rnn]", "benchmark.train_len: recurrent evaluation"),
+        ],
+        ids=["order-past-test-split", "recurrent-test-split-too-short"],
+    )
+    def test_test_split_too_short_exits_1(self, tmp_path, capsys, block, message):
+        config = tmp_path / "short_test.yaml"
+        config.write_text(TINY_CONFIG.replace("train_len: 360\n  orders: [0, 1]", block))
+        out_dir = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_workers_exits_1(self, config_path, tmp_path):
         code = main([
             "benchmark", "--config", config_path,

@@ -147,6 +147,40 @@ class TestFieldDiagnostics:
         doc["benchmark"].update(orders=[0, 300], kinds=["rnn", "lstm"])  # orders unused
         assert parse_config(doc).benchmark.orders == (0, 300)
 
+    def test_orders_must_fit_test_split(self):
+        doc = {"simulation": {"horizon": 480}, "benchmark": {"train_len": 456, "orders": [0, 30]}}
+        with pytest.raises(
+            ConfigError, match="benchmark.orders: order 30 needs a test split .*got 24 intervals"
+        ):
+            parse_config(doc)
+        doc["benchmark"].update(orders=[0, 24], kinds=["linear", "fnn"])
+        with pytest.raises(ConfigError, match="benchmark.orders: order 24 needs a test split"):
+            parse_config(doc)
+        doc["benchmark"]["orders"] = [0, 23]
+        assert max(parse_config(doc).benchmark.orders) == 23
+
+    def test_recurrent_splits_must_outlast_warmup(self):
+        doc = {"simulation": {"horizon": 480}, "benchmark": {"train_len": 460, "kinds": ["rnn"]}}
+        with pytest.raises(
+            ConfigError,
+            match="benchmark.train_len: recurrent evaluation needs a test split of more than"
+            " 25 intervals, got 20",
+        ):
+            parse_config(doc)
+        doc["benchmark"]["train_len"] = 455
+        with pytest.raises(ConfigError, match="test split of more than 25 intervals, got 25"):
+            parse_config(doc)
+        doc["benchmark"]["train_len"] = 454
+        assert parse_config(doc).benchmark.train_len == 454
+        doc["training"] = {"window_length": 24}
+        doc["benchmark"].update(train_len=25, kinds=["lstm"])
+        with pytest.raises(ConfigError, match="train split of more than 25 intervals, got 25"):
+            parse_config(doc)
+        doc["benchmark"]["train_len"] = 26
+        assert parse_config(doc).benchmark.train_len == 26
+        doc["benchmark"].update(train_len=25, kinds=["linear", "fnn"])  # no warm-up
+        assert parse_config(doc).benchmark.train_len == 25
+
     def test_window_length_must_fit_train_split(self):
         doc = {
             "simulation": {"horizon": 480},

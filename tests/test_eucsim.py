@@ -349,6 +349,8 @@ class TestDatasetCsv:
             ("1,99,30.0,1.5", r"hour 99 outside \[0, 24\)"),
             ("1,-1,30.0,1.5", r"hour -1 outside \[0, 24\)"),
             ("7,1,30.0,1.5", "t is 7, expected 1"),
+            ("1,1,30.0,0.0", "consumption 0.0 is not positive"),
+            ("1,1,30.0,-2.5", "consumption -2.5 is not positive"),
         ],
         ids=[
             "nan-consumption",
@@ -357,6 +359,8 @@ class TestDatasetCsv:
             "hour-past-day",
             "negative-hour",
             "t-not-row-index",
+            "zero-consumption",
+            "negative-consumption",
         ],
     )
     def test_rejects_bad_row_naming_line(self, tmp_path, row, message):

@@ -2,21 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import (
+    TIME_ENCODINGS,
+    Scaler,
     StateConfig,
     apply_scaler,
     build_direct_dataset,
     build_sequence_dataset,
-    direct_feature_row,
     feature_layout,
+    feature_rows,
     fit_scaler,
     identity_scaler,
     sequence_layout,
     sequence_step_inputs,
     split,
-    time_features,
 )
 
 
@@ -28,6 +31,33 @@ def random_dataset(length: int, seed: int, intervals_per_day: int = 24) -> TimeS
         hours=np.arange(length, dtype=np.int64) % intervals_per_day,
         intervals_per_day=intervals_per_day,
     )
+
+
+def reference_row(ts: TimeSeriesDataset, t: int, cfg: StateConfig) -> list[float]:
+    """Row t built one value at a time, in the order feature_layout names them."""
+    row = []
+    for i in range(cfg.order, 0, -1):
+        row += [float(ts.prices[t - i]), float(ts.consumptions[t - i])]
+    hour = int(ts.hours[t])
+    if cfg.time_encoding == "scalar":
+        row.append(hour / cfg.intervals_per_day)
+    elif cfg.time_encoding == "one_hot":
+        row += [1.0 if k == hour else 0.0 for k in range(cfg.intervals_per_day)]
+    row.append(float(ts.prices[t]))
+    return row
+
+
+def short_series(prices, consumptions, hours) -> TimeSeriesDataset:
+    return TimeSeriesDataset(
+        prices=np.asarray(prices, dtype=float),
+        consumptions=np.asarray(consumptions, dtype=float),
+        hours=np.asarray(hours, dtype=np.int64),
+    )
+
+
+def time_columns(hour: int, cfg: StateConfig) -> list[float]:
+    """The time feature of a one-interval series at the given hour."""
+    return feature_rows(short_series([10.0], [1.0], [hour]), 0, 1, cfg)[0, :-1].tolist()
 
 
 class TestStateConfig:
@@ -77,36 +107,33 @@ class TestLayouts:
 
 class TestTimeFeatures:
     def test_scalar_is_hour_fraction(self):
-        assert time_features(6, StateConfig(order=0)) == [0.25]
+        assert time_columns(6, StateConfig(order=0)) == [0.25]
 
     def test_one_hot_indicator(self):
-        row = time_features(3, StateConfig(order=0, time_encoding="one_hot"))
+        row = time_columns(3, StateConfig(order=0, time_encoding="one_hot"))
         assert len(row) == 24 and row[3] == 1.0 and sum(row) == 1.0
 
     def test_none_is_empty(self):
-        assert time_features(5, StateConfig(order=0, time_encoding="none")) == []
+        assert time_columns(5, StateConfig(order=0, time_encoding="none")) == []
 
 
 class TestDirectFeatureRow:
     def test_hand_row_order2(self):
-        prices = np.array([10.0, 11.0, 12.0, 13.0])
-        cons = np.array([1.0, 2.0, 3.0, 4.0])
+        ts = short_series([10.0, 11.0, 12.0, 13.0], [1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3])
         cfg = StateConfig(order=2, time_encoding="scalar")
-        row = direct_feature_row(prices, cons, hour=3, price=13.0, t=3, cfg=cfg)
+        row = feature_rows(ts, 3, 4, cfg)[0]
         assert np.array_equal(row, [11.0, 2.0, 12.0, 3.0, 3.0 / 24.0, 13.0])
 
     def test_insufficient_history_message(self):
-        prices = np.array([10.0, 11.0])
-        cons = np.array([1.0, 2.0])
+        ts = short_series([10.0, 11.0], [1.0, 2.0], [0, 1])
         cfg = StateConfig(order=3)
         with pytest.raises(ValueError, match="need 3 preceding intervals, only 1"):
-            direct_feature_row(prices, cons, hour=1, price=11.0, t=1, cfg=cfg)
+            feature_rows(ts, 1, 2, cfg)
 
     def test_order0_is_time_and_price_only(self):
-        prices = np.array([10.0])
-        cons = np.array([1.0])
+        ts = short_series([10.0], [1.0], [0])
         cfg = StateConfig(order=0, time_encoding="scalar")
-        row = direct_feature_row(prices, cons, hour=0, price=10.0, t=0, cfg=cfg)
+        row = feature_rows(ts, 0, 1, cfg)[0]
         assert np.array_equal(row, [0.0, 10.0])
 
 
@@ -185,7 +212,7 @@ class TestSequenceDataset:
 
     def test_sequence_step_inputs_requires_start_past_first(self):
         ts = random_dataset(10, seed=0)
-        with pytest.raises(ValueError, match="start must be >= 1"):
+        with pytest.raises(ValueError, match="need 1 preceding intervals, only 0 available"):
             sequence_step_inputs(ts, 0, 5, StateConfig(order=1))
 
     @pytest.mark.parametrize("encoding", ["scalar", "one_hot", "none"])
@@ -195,12 +222,7 @@ class TestSequenceDataset:
         cfg = StateConfig(order=3, time_encoding=encoding, intervals_per_day=12)
         lag1 = StateConfig(order=1, time_encoding=encoding, intervals_per_day=12)
         expected = np.array(
-            [
-                direct_feature_row(
-                    ts.prices, ts.consumptions, int(ts.hours[t]), float(ts.prices[t]), t, lag1
-                )
-                for t in range(start, stop)
-            ]
+            [reference_row(ts, t, lag1) for t in range(start, stop)]
         ).reshape(stop - start, 3 + cfg.time_dim)
         rows = sequence_step_inputs(ts, start, stop, cfg)
         assert rows.shape == expected.shape
@@ -305,3 +327,71 @@ class TestScaler:
         )
         with pytest.raises(ValueError, match="empty"):
             fit_scaler(empty)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(0, 5),
+        encoding=st.sampled_from(TIME_ENCODINGS),
+        intervals_per_day=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_feature_rows_match_reference(self, order, encoding, intervals_per_day, seed, data):
+        length = data.draw(st.integers(order, order + 40), label="length")
+        start = data.draw(st.integers(order, length), label="start")
+        stop = data.draw(st.integers(start, length), label="stop")
+        ts = random_dataset(length, seed, intervals_per_day)
+        cfg = StateConfig(order=order, time_encoding=encoding, intervals_per_day=intervals_per_day)
+        rows = feature_rows(ts, start, stop, cfg)
+        width = len(feature_layout(cfg))
+        expected = np.array([reference_row(ts, t, cfg) for t in range(start, stop)])
+        assert rows.shape == (stop - start, width)
+        assert np.array_equal(rows, expected.reshape(stop - start, width))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.integers(0, 5),
+        encoding=st.sampled_from(TIME_ENCODINGS),
+        intervals_per_day=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_never_read_later_data(self, order, encoding, intervals_per_day, seed, data):
+        """Changing any price or consumption at index >= t, other than the
+        posted price at t, leaves every row up to t as it was."""
+        length = data.draw(st.integers(order + 1, order + 40), label="length")
+        t = data.draw(st.integers(order, length - 1), label="t")
+        index = data.draw(st.integers(t, length - 1), label="index")
+        column = data.draw(st.sampled_from(["prices", "consumptions"]), label="column")
+        assume(not (column == "prices" and index == t))
+        ts = random_dataset(length, seed, intervals_per_day)
+        cfg = StateConfig(order=order, time_encoding=encoding, intervals_per_day=intervals_per_day)
+        before = feature_rows(ts, order, t + 1, cfg)
+        getattr(ts, column)[index] += 1000.0
+        assert np.array_equal(feature_rows(ts, order, t + 1, cfg), before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.integers(1, 20),
+        n_features=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+    )
+    def test_scaler_round_trip(self, samples, n_features, seed, magnitude):
+        rng = np.random.default_rng(seed)
+        scaler = Scaler(
+            input_mean=magnitude * rng.normal(size=n_features),
+            input_std=magnitude * rng.uniform(1e-3, 10.0, n_features),
+            target_mean=float(magnitude * rng.normal()),
+            target_std=float(magnitude * rng.uniform(1e-3, 10.0)),
+        )
+        inputs = magnitude * rng.normal(size=(samples, n_features))
+        targets = magnitude * rng.normal(size=samples)
+        back = scaler.inverse_inputs(scaler.transform_inputs(inputs))
+        scale = np.abs(inputs).max() + np.abs(scaler.input_mean).max()
+        assert np.allclose(back, inputs, rtol=0.0, atol=1e-12 * scale)
+        t_back = scaler.inverse_targets(scaler.transform_targets(targets))
+        t_scale = np.abs(targets).max() + abs(scaler.target_mean)
+        assert np.allclose(t_back, targets, rtol=0.0, atol=1e-12 * t_scale)

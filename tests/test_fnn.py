@@ -21,6 +21,7 @@ from drlearn.models import (
     glorot_uniform,
     init_params,
     minibatch_indices,
+    model_from_params,
     train_fnn,
 )
 
@@ -86,6 +87,26 @@ class TestForward:
         model = make_model([[[1.0, -1.0]]], [[0.5]], [2.0], 1.5, 2)
         with pytest.raises(ValueError, match="expected 2 features"):
             fnn_forward(model, np.array([0.3, 0.1, 0.7]))
+
+
+class TestServingPair:
+    """A direct family serves through the same initial_state/run/step pair as
+    the recurrent ones: an empty state, and forward on the flattened rows."""
+
+    @pytest.mark.parametrize("kind, hidden", [("linear", []), ("fnn", [5, 3])])
+    def test_run_and_step_match_forward(self, kind, hidden):
+        rng = np.random.default_rng(4)
+        params = [p + rng.normal(size=p.shape) for p in init_params(kind, 3, hidden, rng)]
+        model = model_from_params(
+            kind, params, ("a", "b", "c"), identity_scaler(3), StateConfig(order=0)
+        )
+        inputs = rng.normal(size=(2, 7, 3))
+        assert model.initial_state(2) == []
+        outputs, state = model.run(inputs, model.initial_state(2))
+        assert state == []
+        assert np.array_equal(outputs, model.forward(inputs.reshape(14, 3)).reshape(2, 7))
+        y, state = model.step(inputs[:, 4], [])
+        assert state == [] and np.array_equal(y, model.forward(inputs[:, 4]))
 
 
 class TestInit:

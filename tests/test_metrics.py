@@ -177,7 +177,9 @@ class TestEvaluate:
 
     def test_recurrent_needs_enough_intervals(self):
         ts = constant_series(length=RECURRENT_WARMUP + 1)
-        with pytest.raises(ValueError, match="recurrent evaluation needs"):
+        with pytest.raises(
+            ValueError, match="evaluation of rnn needs more than 25 intervals, got 25"
+        ):
             evaluate(self.make_rnn(), ts, "test")
 
     def test_recurrent_layout_mismatch_rejected(self):

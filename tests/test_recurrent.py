@@ -382,6 +382,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="at least one"):
             train_recurrent(ds, "rnn", [4], TrainConfig(steps=5))
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_state_order_other_than_one_rejected(self, order):
+        ds = self.make_windows(9)
+        with pytest.raises(ValueError, match=f"state_config.order must be 1 for lstm.*got {order}"):
+            train_recurrent(
+                ds, "lstm", [4], TrainConfig(steps=5), state_config=StateConfig(order=order)
+            )
+
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_stacked_layers_train(self, kind):
         ds = self.make_windows(8)

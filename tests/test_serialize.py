@@ -273,6 +273,16 @@ class TestLoadDiagnostics:
         with pytest.raises(ModelFormatError, match="bad state_config"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_recurrent_state_order_must_be_one(self, tmp_path, kind):
+        path, doc = saved_document(tmp_path, kind=kind)
+        doc["state_config"]["order"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ModelFormatError, match=f"state_config.order must be 1 for {kind}, got 3"
+        ):
+            load_model(str(path))
+
     @pytest.mark.parametrize("kind", ["linear", "lstm"])
     def test_non_finite_parameter_named(self, tmp_path, kind):
         path, doc = saved_document(tmp_path, kind=kind)
