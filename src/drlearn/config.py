@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-import yaml
-
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
 from .metrics import RECURRENT_WARMUP
@@ -221,6 +219,7 @@ def load_config(path: str | None) -> RunConfig:
     """Read a YAML config file; a missing path means all defaults."""
     if path is None:
         return RunConfig()
+    import yaml  # here, not at the top: a process that only serves never loads it
     try:
         with open(path) as handle:
             document = yaml.safe_load(handle)
@@ -233,6 +232,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def dump_config(config: RunConfig) -> str:
     """YAML text of the effective configuration; reloads to the same values."""
+    import yaml
     document = {
         section: {key: list(v) if isinstance(v, tuple) else v for key, v in block.items()}
         for section, block in asdict(config).items()

@@ -87,6 +87,13 @@ class TimeSeriesDataset:
                 "prices, consumptions, and hours must have equal length, got "
                 f"{len(self.prices)}/{len(self.consumptions)}/{len(self.hours)}"
             )
+        hours = np.asarray(self.hours)
+        outside = np.flatnonzero(~((hours >= 0) & (hours < self.intervals_per_day)))  # NaN too
+        if len(outside):
+            i = outside[0]
+            raise ValueError(
+                f"hour {hours[i]} at index {i} outside [0, {self.intervals_per_day})"
+            )
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..eucsim import TimeSeriesDataset
-from ..features import feature_rows
+from ..features import StateConfig, feature_rows
+from .common import flat_params
 from .fnn import FnnModel
 from .linear import LinearModel
 from .recurrent import LstmModel, RnnModel
@@ -13,13 +16,83 @@ from .recurrent import LstmModel, RnnModel
 Model = LinearModel | FnnModel | RnnModel | LstmModel
 
 
-def _hours(history: TimeSeriesDataset, stop: int) -> np.ndarray:
-    """Hours of intervals [0, stop), extrapolating hourly past the end of history."""
-    known = np.asarray(history.hours[:stop], dtype=np.int64)
-    later = np.arange(len(known), stop)
+def _hours(history: TimeSeriesDataset, start: int, stop: int) -> np.ndarray:
+    """Hours of intervals [start, stop), start <= len(history), extrapolating
+    hourly past the end of history."""
+    known = np.asarray(history.hours[start:stop], dtype=np.int64)
+    later = np.arange(start + len(known), stop)
     if len(history):
         later = later - (len(history) - 1) + int(history.hours[-1])
     return np.concatenate([known, later % history.intervals_per_day])
+
+
+@dataclass(frozen=True)
+class _Replayed:
+    """A model's state after feature rows [order, n) of a history, with
+    copies of every value that replay read: the encoding, and the arrays
+    _replay_reads lists.
+
+    An entry is replaced whole, never changed, and run does not write into
+    the state it is given, so the state can seed any later call.
+    """
+
+    n: int
+    encoding: tuple[StateConfig, int]  # the model's state_config, history's intervals_per_day
+    reads: list[np.ndarray]
+    state: list
+
+
+def _replay_reads(model: Model, history: TimeSeriesDataset, n: int) -> list[np.ndarray]:
+    """The arrays a replay of history's first n intervals reads: the history,
+    then the model's parameters and scaler."""
+    scaler = model.scaler
+    return [
+        history.prices[:n],
+        history.consumptions[:n],
+        history.hours[:n],
+        *flat_params(model),
+        scaler.input_mean,
+        scaler.input_std,
+        np.asarray(scaler.target_mean),
+        np.asarray(scaler.target_std),
+    ]
+
+
+def _all_equal(saved: list[np.ndarray], current: list[np.ndarray]) -> bool:
+    return len(saved) == len(current) and all(map(np.array_equal, saved, current))
+
+
+def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> list:
+    """The model's state after the feature rows [order, start) of history.
+
+    Resumes from the state the model's last replay left when that replay
+    ended at or before start and every value it read is unchanged
+    (array_equal, so a NaN never matches), and from the zero state
+    otherwise; then replays the rest with one run and keeps the result for
+    the next call. Both starts give the same bits: run gives the same bits
+    however a series is split, and feature_rows builds each row on its own.
+    A direct model's state is empty, so it replays nothing.
+    """
+    state = model.initial_state(1)
+    if not state:
+        return state
+    cfg = model.state_config
+    encoding = (cfg, history.intervals_per_day)
+    resume = cfg.order
+    entry = getattr(model, "_replayed", None)
+    if (
+        entry is not None
+        and entry.n <= start
+        and entry.encoding == encoding
+        and _all_equal(entry.reads, _replay_reads(model, history, entry.n))
+    ):
+        resume, state = entry.n, entry.state
+    if resume < start:
+        rows = model.scaler.transform_inputs(feature_rows(history, resume, start, cfg))
+        _, state = model.run(rows[None], state)
+        reads = [np.array(a) for a in _replay_reads(model, history, start)]
+        model._replayed = _Replayed(start, encoding, reads, state)
+    return state
 
 
 def _serve(
@@ -38,20 +111,17 @@ def _serve(
     cfg = model.state_config
     if start < cfg.order:
         raise ValueError(f"need {cfg.order} preceding intervals, only {start} available")
-    horizon = len(prices)
-    series = TimeSeriesDataset(
-        prices=np.concatenate([history.prices[:start], prices]),
-        consumptions=np.concatenate([history.consumptions[:start], np.zeros(horizon)]),
-        hours=_hours(history, start + horizon),
+    state = _replayed_state(model, history, start)
+    base, horizon = start - cfg.order, len(prices)
+    series = TimeSeriesDataset(  # intervals base.. of history, then the posted ones
+        prices=np.concatenate([history.prices[base:start], prices]),
+        consumptions=np.concatenate([history.consumptions[base:start], np.zeros(horizon)]),
+        hours=_hours(history, base, start + horizon),
         intervals_per_day=history.intervals_per_day,
     )
-    state = model.initial_state(1)
-    if state:
-        replay = model.scaler.transform_inputs(feature_rows(series, cfg.order, start, cfg))
-        _, state = model.run(replay[None], state)
     predictions = np.empty(horizon)
     for k in range(horizon):
-        t = start + k
+        t = cfg.order + k
         x = model.scaler.transform_inputs(feature_rows(series, t, t + 1, cfg))
         y, state = model.step(x, state)
         predictions[k] = model.scaler.inverse_targets(y)[0]
@@ -68,7 +138,9 @@ def predict_one_step(
 
     Only history entries before t are read. Recurrent models consume the
     whole provided prefix, so the caller controls the warm-up span by how
-    much history it passes in.
+    much history it passes in. The answer depends on the arguments alone;
+    a recurrent model replays only the part of the prefix its last replay
+    did not cover (see _replayed_state).
     """
     if t > len(history):
         raise ValueError(

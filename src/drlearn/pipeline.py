@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +178,9 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
         trained: list[TrainedModel] = []
         if workers > 1:
             stage = "train (worker pool)"
+            # imported here, not at the top: a process that only serves never loads it
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 args = [(config, dataset, kind, order) for kind, order in jobs]
                 trained = list(pool.map(_run_job, args))

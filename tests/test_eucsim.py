@@ -380,3 +380,28 @@ class TestTimeSeriesDataset:
                 consumptions=np.array([1.0]),
                 hours=np.array([0, 1]),
             )
+
+    @pytest.mark.parametrize(
+        "hours, message",
+        [
+            ([0, -1, 2, -3], "hour -1 at index 1"),
+            ([3, 0, 4], "hour 4 at index 2"),
+            ([0.0, 1.0, np.nan], "hour nan at index 2"),
+        ],
+        ids=["negative", "past-day", "nan"],
+    )
+    def test_rejects_hour_outside_day_naming_index(self, hours, message):
+        # a negative hour would otherwise encode as an hour counted from the end
+        with pytest.raises(ValueError, match=rf"{message} outside \[0, 4\)"):
+            TimeSeriesDataset(
+                prices=np.ones(len(hours)),
+                consumptions=np.ones(len(hours)),
+                hours=np.array(hours),
+                intervals_per_day=4,
+            )
+
+    def test_accepts_first_and_last_hour_of_day(self):
+        ts = TimeSeriesDataset(
+            prices=np.ones(2), consumptions=np.ones(2), hours=np.array([0, 3]), intervals_per_day=4
+        )
+        assert len(ts) == 2

@@ -1,6 +1,8 @@
 """Package metadata tests."""
 
 import os
+import subprocess
+import sys
 import tomllib
 
 import drlearn
@@ -12,3 +14,17 @@ def test_version_matches_pyproject():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert drlearn.__version__ == project["version"]
+
+
+def test_serving_imports_neither_yaml_nor_process_pool():
+    # A serving process loads the library and models only; YAML and the
+    # worker pool are imported where a config file or a pool is used.
+    code = (
+        "import sys, drlearn.pipeline, drlearn.models; "
+        "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,13 @@
-"""Prediction tests: one-step vs batch, warm-up, rollouts, error paths."""
+"""Prediction tests: one-step vs batch, warm-up, rollouts, error paths, and
+the state a recurrent model keeps between queries."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlearn.eucsim import (
     TimeSeriesDataset,
@@ -11,10 +17,12 @@ from drlearn.eucsim import (
     simulate,
 )
 from drlearn.features import (
+    Scaler,
     StateConfig,
     apply_scaler,
     build_direct_dataset,
     build_sequence_dataset,
+    feature_layout,
     fit_scaler,
     identity_scaler,
     sequence_step_inputs,
@@ -23,9 +31,13 @@ from drlearn.features import (
 from drlearn.models import (
     LinearModel,
     TrainConfig,
+    flat_params,
+    init_params,
     linear_fit,
+    model_from_params,
     predict_one_step,
     rollout,
+    save_model,
     train_fnn,
     train_recurrent,
 )
@@ -268,3 +280,181 @@ class TestErrorPaths:
                 series.prices[TRAIN_LEN : TRAIN_LEN + 4],
                 teacher_consumptions=series.consumptions[TRAIN_LEN : TRAIN_LEN + 3],
             )
+
+
+def random_served_model(kind, encoding, seed):
+    """A two-layer recurrent model with seeded weights and scaler."""
+    cfg = StateConfig(order=1, time_encoding=encoding)
+    layout = feature_layout(cfg)
+    rng = np.random.default_rng(seed)
+    params = [p + 0.3 * rng.normal(size=p.shape) for p in init_params(kind, len(layout), [5, 3], rng)]
+    scaler = Scaler(
+        input_mean=rng.uniform(0.0, 40.0, len(layout)),
+        input_std=rng.uniform(5.0, 30.0, len(layout)),
+        target_mean=50.0,
+        target_std=20.0,
+    )
+    return model_from_params(kind, params, layout, scaler, cfg)
+
+
+def fresh_copy(model):
+    """The model rebuilt from copies of its current values: nothing replayed yet."""
+    params = [np.array(p) for p in flat_params(model)]
+    return model_from_params(model.kind, params, model.feature_layout, model.scaler, model.state_config)
+
+
+def random_walk_series(seed, length=80):
+    rng = np.random.default_rng(seed)
+    return TimeSeriesDataset(
+        prices=rng.uniform(20.0, 50.0, length),
+        consumptions=rng.uniform(10.0, 90.0, length),
+        hours=(np.arange(length, dtype=np.int64) + 7) % 24,
+    )
+
+
+def run_lengths(model, monkeypatch) -> list[int]:
+    """The number of steps of every later run call on the model's class."""
+    steps = []
+    run = type(model).run
+
+    def spy(self, inputs, state):
+        steps.append(np.shape(inputs)[1])
+        return run(self, inputs, state)
+
+    monkeypatch.setattr(type(model), "run", spy)
+    return steps
+
+
+class TestSavedState:
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_later_query_replays_only_new_hours(self, kind, k, monkeypatch):
+        model = random_served_model(kind, "scalar", 3)
+        series = random_walk_series(4)
+        steps = run_lengths(model, monkeypatch)
+        t = 40
+        predict_one_step(model, series, float(series.prices[t]), t)
+        assert steps == [t - 1, 1]  # the replay of rows [1, t), then the query
+        steps.clear()
+        answer = predict_one_step(model, series, float(series.prices[t + k]), t + k)
+        assert steps == ([k] if k else []) + [1]
+        steps.clear()
+        plan = rollout(model, tail_history(series, 0, t + k), series.prices[t + k : t + k + 3])
+        assert steps == [1, 1, 1]
+        assert plan[0] == answer
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_saved_state_is_invisible_to_saving(self, kind, tmp_path):
+        model = random_served_model(kind, "one_hot", 5)
+        fresh = fresh_copy(model)
+        series = random_walk_series(6)
+        predict_one_step(model, series, 30.0, 50)
+        save_model(model, str(tmp_path / "served.json"))
+        save_model(fresh, str(tmp_path / "fresh.json"))
+        assert (tmp_path / "served.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert all(np.array_equal(a, b) for a, b in zip(flat_params(model), flat_params(fresh)))
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize(
+        "edit", ["price", "consumption", "hour", "nan", "weight", "scaler", "shorter history"]
+    )
+    def test_changed_past_forces_full_replay(self, kind, edit, monkeypatch):
+        model = random_served_model(kind, "scalar", 12)
+        series = random_walk_series(13)
+        predict_one_step(model, series, 30.0, 40)
+        t = 45
+        if edit == "price":
+            series.prices[20] += 1.0
+        elif edit == "consumption":
+            series.consumptions[20] *= 2.0
+        elif edit == "hour":
+            series.hours[20] = (series.hours[20] + 1) % 24
+        elif edit == "nan":
+            series.prices[20] = np.nan
+        elif edit == "weight":
+            model.out_weight[0] += 1e-9
+        elif edit == "scaler":
+            model.scaler.input_mean[0] += 1e-9
+        else:
+            t = 39
+        steps = run_lengths(model, monkeypatch)
+        got = predict_one_step(model, series, 30.0, t)
+        assert steps == [t - 1, 1]
+        want = predict_one_step(fresh_copy(model), series, 30.0, t)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["rnn", "lstm"]),
+        encoding=st.sampled_from(["scalar", "one_hot", "none"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_random_walk_matches_fresh_model(self, kind, encoding, seed, data):
+        # Queries at random hours, with in-place edits between them to past
+        # history and to a weight; each answer must be that of a model that
+        # has replayed nothing before.
+        model = random_served_model(kind, encoding, seed)
+        series = random_walk_series(seed)
+        length, last = len(series), 1
+        for _ in range(data.draw(st.integers(1, 8), label="calls")):
+            action = data.draw(st.sampled_from(["query", "rollout", "edit history", "edit weight"]))
+            if action == "edit history":  # mostly inside what the last query replayed
+                i = data.draw(st.integers(0, last - 1) | st.integers(0, length - 1), label="index")
+                column = data.draw(st.sampled_from(["prices", "consumptions", "hours"]))
+                if column == "hours":
+                    series.hours[i] = data.draw(st.integers(0, 23), label="hour")
+                else:
+                    value = data.draw(st.sampled_from([np.nan, 0.0, 25.0, 60.0]), label="value")
+                    getattr(series, column)[i] = value
+            elif action == "edit weight":
+                params = flat_params(model)[:-1]  # the arrays the model holds
+                p = params[data.draw(st.integers(0, len(params) - 1), label="param")]
+                j = data.draw(st.integers(0, p.size - 1), label="entry")
+                p.flat[j] += data.draw(st.sampled_from([-0.5, 1e-12, 0.25]), label="delta")
+            elif action == "query":
+                t = last = data.draw(st.integers(1, length), label="t")
+                price = data.draw(st.floats(20.0, 50.0), label="price")
+                got = predict_one_step(model, series, price, t)
+                want = predict_one_step(fresh_copy(model), series, price, t)
+                assert np.array_equal(got, want, equal_nan=True)
+            else:
+                t = last = data.draw(st.integers(1, length), label="t")
+                prices = series.prices[t : t + 4] if t < length else np.full(4, 33.0)
+                got = rollout(model, tail_history(series, 0, t), prices)
+                want = rollout(fresh_copy(model), tail_history(series, 0, t), prices)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_threads_sharing_a_model_get_cold_answers(self):
+        # Callers on several threads replace each other's saved entries; each
+        # entry is validated as a whole, so every answer stays a cold answer.
+        model = random_served_model("lstm", "scalar", 8)
+        series = [random_walk_series(seed) for seed in (9, 10, 11)]
+        hours = [5, 30, 31, 60, 12, 79]
+        cold = {
+            (s, t): predict_one_step(fresh_copy(model), series[s], 30.0, t)
+            for s in range(len(series))
+            for t in hours
+        }
+        mismatches, done = [], []
+
+        def serve(s):
+            for _ in range(5):
+                for t in hours:
+                    if predict_one_step(model, series[s], 30.0, t) != cold[s, t]:
+                        mismatches.append((s, t))
+            done.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(s % 3,)) for s in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 6
+        assert mismatches == []

@@ -7,7 +7,10 @@ where the kind has layers, every time encoding, parameters drawn by
 init_params from fixed seeds and shifted by seeded noise. The file was
 written before one-step queries, rollouts and evaluation were merged into
 one serving loop, so it pins that loop to the numbers of the separate
-paths it replaced. The values are those of the numpy and BLAS build that
+paths it replaced. Each model is also served with its queries in
+descending order and with a fresh model per query: a recurrent model
+resumes from the state its last replay left, and no answer may depend on
+what it was asked before. The values are those of the numpy and BLAS build that
 wrote them (numpy 2.x, OpenBLAS 0.3.31 Haswell kernels); a BLAS whose
 kernels round differently would move their last bits.
 
@@ -76,27 +79,47 @@ def hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def served_outputs(model, series: TimeSeriesDataset) -> dict:
-    """Every served number of one model, as float hex."""
-    order = model.state_config.order
+def served_outputs(model_for, series: TimeSeriesDataset, descending: bool = False) -> dict:
+    """Every served number of one model, as float hex.
+
+    model_for() gives the model each query goes to: the same one, so that
+    later queries resume from what earlier ones replayed, or a fresh one.
+    The one-step queries and rollouts go in by ascending hour, one-step
+    first, or with descending the other way round.
+    """
+    order = model_for().state_config.order
     history = TimeSeriesDataset(
         prices=series.prices[:HISTORY],
         consumptions=series.consumptions[:HISTORY],
         hours=series.hours[:HISTORY],
     )
     future = slice(HISTORY, HISTORY + HORIZON)
-    one_step = {}
-    for t in sorted({max(order, 1), 2, 25, 256, 257, LENGTH - 1, LENGTH}):
+    hours = sorted({max(order, 1), 2, 25, 256, 257, LENGTH - 1, LENGTH})
+
+    def one_step(t):
         price = float(series.prices[t]) if t < LENGTH else 35.5
-        one_step[str(t)] = predict_one_step(model, series, price, t).hex()
-    report = evaluate(model, series, "test")
-    return {
-        "one_step": one_step,
-        "rollout_free": hexes(rollout(model, history, series.prices[future])),
-        "rollout_teacher": hexes(
-            rollout(model, history, series.prices[future], series.consumptions[future])
+        return lambda model: predict_one_step(model, series, price, t).hex()
+
+    queries = [(t, one_step(t)) for t in hours] + [
+        ("rollout_free", lambda model: hexes(rollout(model, history, series.prices[future]))),
+        (
+            "rollout_teacher",
+            lambda model: hexes(
+                rollout(model, history, series.prices[future], series.consumptions[future])
+            ),
         ),
-        "rollout_past_end": hexes(rollout(model, series, np.linspace(22.0, 48.0, 26))),
+        (
+            "rollout_past_end",
+            lambda model: hexes(rollout(model, series, np.linspace(22.0, 48.0, 26))),
+        ),
+    ]
+    if descending:
+        queries.reverse()
+    answers = {key: ask(model_for()) for key, ask in queries}
+    report = evaluate(model_for(), series, "test")
+    return {
+        "one_step": {str(t): answers.pop(t) for t in hours},
+        **answers,
         "mape": report.mape_pct.hex(),
         "sdape": report.sdape_pct.hex(),
     }
@@ -105,7 +128,7 @@ def served_outputs(model, series: TimeSeriesDataset) -> dict:
 def all_outputs() -> dict:
     series = golden_series()
     return {
-        name: served_outputs(golden_model(seed, kind, order, hidden, encoding), series)
+        name: served_outputs(lambda: golden_model(seed, kind, order, hidden, encoding), series)
         for seed, (name, kind, order, hidden, encoding) in enumerate(CASES)
     }
 
@@ -120,7 +143,22 @@ def golden():
 def test_served_numbers_match_golden_bitwise(seed, case, golden):
     name, kind, order, hidden, encoding = case
     model = golden_model(seed, kind, order, hidden, encoding)
-    assert served_outputs(model, golden_series()) == golden[name]
+    assert served_outputs(lambda: model, golden_series()) == golden[name]
+
+
+@pytest.mark.parametrize("way", ["descending hours", "fresh model per query"])
+@pytest.mark.parametrize("seed, case", list(enumerate(CASES)), ids=[c[0] for c in CASES])
+def test_served_numbers_do_not_depend_on_earlier_queries(seed, case, way, golden):
+    # A recurrent model resumes from the state its last replay left, so one
+    # model asked in descending order replays from zero each time, and a
+    # fresh model per query always does; both must give the golden bits.
+    name, kind, order, hidden, encoding = case
+    if way == "descending hours":
+        model = golden_model(seed, kind, order, hidden, encoding)
+        outputs = served_outputs(lambda: model, golden_series(), descending=True)
+    else:
+        outputs = served_outputs(lambda: golden_model(seed, kind, order, hidden, encoding), golden_series())
+    assert outputs == golden[name]
 
 
 if __name__ == "__main__":
