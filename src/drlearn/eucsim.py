@@ -94,6 +94,11 @@ class TimeSeriesDataset:
             raise ValueError(
                 f"hour {hours[i]} at index {i} outside [0, {self.intervals_per_day})"
             )
+        # a whole-numbered float such as 3.0 is an hour; 2.7 would be encoded as 2
+        fractional = [] if hours.dtype.kind in "biu" else np.flatnonzero(hours != np.floor(hours))
+        if len(fractional):
+            i = fractional[0]
+            raise ValueError(f"hour {hours[i]} at index {i} is not a whole number")
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -81,6 +81,22 @@ class ParamModel:
     def layer_fields(cls) -> list:
         return [f for f in fields(cls) if "shape" in f.metadata]
 
+    def __eq__(self, other) -> bool:
+        """Same family, parameters, feature layout, scaler and state config.
+
+        The families are dataclasses with eq=False, since the generated
+        __eq__ would compare arrays with == and raise.
+        """
+        if type(other) is not type(self):
+            return NotImplemented
+        scalers = [[getattr(m.scaler, f.name) for f in fields(m.scaler)] for m in (self, other)]
+        return (
+            all_equal(flat_params(self), flat_params(other))
+            and tuple(self.feature_layout) == tuple(other.feature_layout)
+            and all_equal(*scalers)
+            and self.state_config == other.state_config
+        )
+
     def hidden_sizes(self) -> list[int]:
         """Width of every layer, read off the first per-layer field."""
         layer_fields = self.layer_fields()
@@ -105,6 +121,11 @@ class ParamModel:
         """One time step for a (batch, features) input; returns (y, new state)."""
         outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
         return outputs[:, 0], new_state
+
+
+def all_equal(a: list, b: list) -> bool:
+    """Equally long, and equal pairwise by np.array_equal (so NaN never matches)."""
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 def model_class(kind: str) -> type:

@@ -21,7 +21,7 @@ from .common import (
 )
 
 
-@dataclass
+@dataclass(eq=False)  # ParamModel.__eq__
 class FnnModel(ParamModel):
     """Hidden layers (weights, biases) plus a fully connected scalar output."""
 

@@ -10,7 +10,7 @@ from ..features import Scaler, StateConfig, SupervisedSet, identity_scaler
 from .common import ParamModel, model_from_params
 
 
-@dataclass
+@dataclass(eq=False)  # ParamModel.__eq__
 class LinearModel(ParamModel):
     """Weights over the feature columns plus a bias, in standardized space.
 

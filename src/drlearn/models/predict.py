@@ -8,7 +8,7 @@ import numpy as np
 
 from ..eucsim import TimeSeriesDataset
 from ..features import StateConfig, feature_rows
-from .common import flat_params
+from .common import all_equal, flat_params
 from .fnn import FnnModel
 from .linear import LinearModel
 from .recurrent import LstmModel, RnnModel
@@ -58,10 +58,6 @@ def _replay_reads(model: Model, history: TimeSeriesDataset, n: int) -> list[np.n
     ]
 
 
-def _all_equal(saved: list[np.ndarray], current: list[np.ndarray]) -> bool:
-    return len(saved) == len(current) and all(map(np.array_equal, saved, current))
-
-
 def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> list:
     """The model's state after the feature rows [order, start) of history.
 
@@ -84,7 +80,7 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
         entry is not None
         and entry.n <= start
         and entry.encoding == encoding
-        and _all_equal(entry.reads, _replay_reads(model, history, entry.n))
+        and all_equal(entry.reads, _replay_reads(model, history, entry.n))
     ):
         resume, state = entry.n, entry.state
     if resume < start:

@@ -57,9 +57,20 @@ class _Recurrent(ParamModel):
     one step or many. The readout bias is added elementwise per block.
     Batched prediction, one-step serving and rollouts all rely on this.
 
+    Training runs one core too, loss_and_grads, on the same fused weights
+    and the same _cell. Its forward hoists the input projection of every
+    step into one matmul and keeps the cache each _cell returns; its
+    backward stores each step's gate gradient dz and forms the weight
+    gradients after the time loop with one matmul or sum each (Appleyard,
+    Kocisky & Blunsom 2016). It rounds differently from run and makes no
+    bitwise promise.
+
     Subclasses provide _layers() -> [(w_h, w_x, b)] with the gate blocks
-    side by side, _hidden(layer_state) -> h, and _cell(z, layer_state) ->
-    (h, new layer_state) for the gate pre-activations z.
+    side by side, _hidden(layer_state) -> h, _cell(z, layer_state) -> (h,
+    new layer_state, cache) for the gate pre-activations z, and
+    _cell_backward(dz, dh, carry, cache) -> carry, which writes the step's
+    dz from the gradient dh of its output h and the carry from the step
+    after it (None at the last step).
     """
 
     def run(self, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
@@ -92,7 +103,7 @@ class _Recurrent(ParamModel):
             for t in range(steps):
                 z = h @ w_h
                 z += proj[t]
-                h, layer_state = self._cell(z, layer_state)
+                h, layer_state, _ = self._cell(z, layer_state)
                 if top:
                     np.matmul(h, self.out_weight, out=outputs[t])
                 else:
@@ -105,8 +116,61 @@ class _Recurrent(ParamModel):
         """Standardized predictions for (batch, steps, features) windows from zero state."""
         return self.run(inputs, self.initial_state(len(inputs)))[0]
 
+    @classmethod
+    def loss_and_grads(
+        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, list[np.ndarray]]:
+        """MSE over every step of every window, and its gradient by full BPTT,
+        both over the family's flat parameter list."""
+        # a model over params' own arrays, for the fused weights and zero state serving uses
+        model = model_from_params(cls.kind, params, (), None, None)
+        w_out, b_out = params[-2], params[-1]
+        x = np.ascontiguousarray(np.transpose(inputs, (1, 0, 2)), dtype=float)  # time-major
+        steps, batch, _ = x.shape
+        layers = model._layers()
 
-@dataclass
+        tapes = []  # per layer: its input, hidden states (slot 0 zero) and cell caches
+        for (w_h, w_x, b), state in zip(layers, model.initial_state(batch)):
+            units = w_h.shape[0]
+            # bias added in place: "... @ w_x + b" makes numpy check whether it may
+            # reuse the large temporary, and that check costs more than the add
+            z = (x.reshape(steps * batch, -1) @ w_x).reshape(steps, batch, -1)
+            z += b
+            hidden = np.empty((steps + 1, batch, units))
+            hidden[0] = cls._hidden(state)
+            caches = []
+            for t in range(steps):
+                z[t] += hidden[t] @ w_h
+                hidden[t + 1], state, cache = cls._cell(z[t], state)
+                caches.append(cache)
+            tapes.append((x, hidden, caches))
+            x = hidden[1:]
+
+        m = batch * steps
+        residual = x @ w_out + b_out - np.transpose(targets)
+        loss = float(np.sum(residual**2) / m)
+        d_out = 2.0 * residual / m
+        grads = [x.reshape(m, -1).T @ d_out.reshape(m), np.asarray(d_out.sum())]
+
+        d_above = d_out[..., None] * w_out  # gradient into each step's output h
+        for l in range(len(layers) - 1, -1, -1):
+            (w_h, w_x, _), (x, hidden, caches) = layers[l], tapes[l]
+            units, width = w_h.shape
+            dz = np.empty((steps, batch, width))
+            carry = None
+            for t in range(steps - 1, -1, -1):
+                dh = d_above[t] if t == steps - 1 else d_above[t] + dz[t + 1] @ w_h.T
+                carry = cls._cell_backward(dz[t], dh, carry, caches[t])
+            dz = dz.reshape(m, -1)
+            fused = (dz.T @ hidden[:-1].reshape(m, units), dz.T @ x.reshape(m, -1), dz.sum(axis=0))
+            # row block k of each fused gradient is gate k's array in the flat list
+            grads[:0] = [g[k : k + units] for k in range(0, width, units) for g in fused]
+            if l:
+                d_above = (dz @ w_x.T).reshape(steps, batch, -1)
+        return loss, grads
+
+
+@dataclass(eq=False)  # ParamModel.__eq__
 class RnnModel(_Recurrent):
     """Stacked tanh recurrence with a scalar linear readout on the top layer."""
 
@@ -134,12 +198,16 @@ class RnnModel(_Recurrent):
         return layer_state
 
     @staticmethod
-    def _cell(z: np.ndarray, layer_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _cell(z: np.ndarray, layer_state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = np.tanh(z)
-        return h, h
+        return h, h, h
+
+    @staticmethod
+    def _cell_backward(dz: np.ndarray, dh: np.ndarray, carry: None, h: np.ndarray) -> None:
+        np.multiply(dh, 1.0 - h**2, out=dz)
 
 
-@dataclass
+@dataclass(eq=False)  # ParamModel.__eq__
 class LstmModel(_Recurrent):
     """Stacked LSTM with one weight matrix pair and bias per gate per layer.
 
@@ -196,15 +264,35 @@ class LstmModel(_Recurrent):
         return layer_state[0]
 
     @staticmethod
-    def _cell(
-        z: np.ndarray, layer_state: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def _cell(z: np.ndarray, layer_state: tuple[np.ndarray, np.ndarray]) -> tuple:
+        """h, the state (h, c), and the cache (sigmoid gates, candidate,
+        tanh(c), previous c) for _cell_backward."""
         c_prev = layer_state[1]
         units = c_prev.shape[1]
         gates = sigmoid(z[:, : 3 * units])  # forget, input, output
-        c = gates[:, :units] * c_prev + gates[:, units : 2 * units] * np.tanh(z[:, 3 * units :])
-        h = gates[:, 2 * units :] * np.tanh(c)
-        return h, (h, c)
+        cand = np.tanh(z[:, 3 * units :])
+        c = gates[:, :units] * c_prev + gates[:, units : 2 * units] * cand
+        tanh_c = np.tanh(c)
+        h = gates[:, 2 * units :] * tanh_c
+        return h, (h, c), (gates, cand, tanh_c, c_prev)
+
+    @staticmethod
+    def _cell_backward(dz: np.ndarray, dh: np.ndarray, dc_next, cache: tuple) -> np.ndarray:
+        """Writes dz, the gradient of the gate pre-activations: forget dc c_prev
+        f (1 - f), input dc cand i (1 - i), output dh tanh(c) o (1 - o) and
+        candidate dc i (1 - cand^2), where dc is the cell state's gradient.
+        Returns dc f, the gradient into the previous cell state."""
+        gates, cand, tanh_c, c_prev = cache
+        units = dh.shape[1]
+        dc = dh * gates[:, 2 * units :] * (1.0 - tanh_c**2)
+        if dc_next is not None:
+            dc += dc_next
+        np.multiply(dc, c_prev, out=dz[:, :units])
+        np.multiply(dc, cand, out=dz[:, units : 2 * units])
+        np.multiply(dh, tanh_c, out=dz[:, 2 * units : 3 * units])
+        dz[:, : 3 * units] *= gates * (1.0 - gates)
+        np.multiply(dc * gates[:, units : 2 * units], 1.0 - cand**2, out=dz[:, 3 * units :])
+        return dc * gates[:, :units]
 
 
 def _window_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarray:
@@ -235,134 +323,14 @@ def rnn_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """MSE over every step of every window, gradients by full BPTT."""
-    w_h, w_x, b = params[0:-2:3], params[1:-2:3], params[2:-2:3]
-    n_layers = len(w_h)
-    w_out, b_out = params[-2], params[-1]
-
-    batch, steps, _ = inputs.shape
-    # hidden[l] has steps+1 slots; slot 0 is the zero initial state
-    hidden = []
-    layer_in = inputs
-    for l in range(n_layers):
-        units = w_h[l].shape[0]
-        h = np.zeros((batch, steps + 1, units))
-        for t in range(steps):
-            h[:, t + 1] = np.tanh(h[:, t] @ w_h[l].T + layer_in[:, t] @ w_x[l].T + b[l])
-        hidden.append(h)
-        layer_in = h[:, 1:]
-    outputs = layer_in @ w_out + b_out
-
-    m = batch * steps
-    residual = outputs - targets
-    loss = float(np.sum(residual**2) / m)
-    d_out = 2.0 * residual / m
-
-    g_wh = [np.zeros_like(w) for w in w_h]
-    g_wx = [np.zeros_like(w) for w in w_x]
-    g_b = [np.zeros_like(v) for v in b]
-    g_w_out = np.einsum("btu,bt->u", hidden[-1][:, 1:], d_out)
-    g_b_out = np.asarray(d_out.sum())
-
-    d_time = [np.zeros((batch, w.shape[0])) for w in w_h]
-    for t in range(steps - 1, -1, -1):
-        d_above = d_out[:, t, None] * w_out
-        for l in range(n_layers - 1, -1, -1):
-            h_t = hidden[l][:, t + 1]
-            dz = (d_above + d_time[l]) * (1.0 - h_t**2)
-            below = inputs[:, t] if l == 0 else hidden[l - 1][:, t + 1]
-            g_wh[l] += dz.T @ hidden[l][:, t]
-            g_wx[l] += dz.T @ below
-            g_b[l] += dz.sum(axis=0)
-            d_time[l] = dz @ w_h[l]
-            d_above = dz @ w_x[l]
-
-    grads: list[np.ndarray] = []
-    for l in range(n_layers):
-        grads.extend([g_wh[l], g_wx[l], g_b[l]])
-    grads.extend([g_w_out, g_b_out])
-    return loss, grads
+    return RnnModel.loss_and_grads(params, inputs, targets)
 
 
 def lstm_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """MSE over every step of every window, gradients by full BPTT."""
-    per = [params[k : k + 12] for k in range(0, len(params) - 2, 12)]
-    n_layers = len(per)
-    w_out, b_out = params[-2], params[-1]
-
-    batch, steps, _ = inputs.shape
-    hidden, cell = [], []  # steps+1 slots, slot 0 zero
-    gate_f, gate_i, gate_o, cand = [], [], [], []  # steps slots
-    layer_in = inputs
-    for l in range(n_layers):
-        w_fh, w_fx, b_f, w_ih, w_ix, b_i, w_oh, w_ox, b_o, w_ch, w_cx, b_c = per[l]
-        units = w_fh.shape[0]
-        h = np.zeros((batch, steps + 1, units))
-        c = np.zeros((batch, steps + 1, units))
-        f = np.empty((batch, steps, units))
-        i = np.empty((batch, steps, units))
-        o = np.empty((batch, steps, units))
-        cd = np.empty((batch, steps, units))
-        for t in range(steps):
-            h_prev, x_t = h[:, t], layer_in[:, t]
-            f[:, t] = sigmoid(h_prev @ w_fh.T + x_t @ w_fx.T + b_f)
-            i[:, t] = sigmoid(h_prev @ w_ih.T + x_t @ w_ix.T + b_i)
-            o[:, t] = sigmoid(h_prev @ w_oh.T + x_t @ w_ox.T + b_o)
-            cd[:, t] = np.tanh(h_prev @ w_ch.T + x_t @ w_cx.T + b_c)
-            c[:, t + 1] = f[:, t] * c[:, t] + i[:, t] * cd[:, t]
-            h[:, t + 1] = o[:, t] * np.tanh(c[:, t + 1])
-        hidden.append(h)
-        cell.append(c)
-        gate_f.append(f)
-        gate_i.append(i)
-        gate_o.append(o)
-        cand.append(cd)
-        layer_in = h[:, 1:]
-    outputs = layer_in @ w_out + b_out
-
-    m = batch * steps
-    residual = outputs - targets
-    loss = float(np.sum(residual**2) / m)
-    d_out = 2.0 * residual / m
-
-    g_per = [[np.zeros_like(a) for a in layer] for layer in per]
-    g_w_out = np.einsum("btu,bt->u", hidden[-1][:, 1:], d_out)
-    g_b_out = np.asarray(d_out.sum())
-
-    d_time_h = [np.zeros((batch, layer[0].shape[0])) for layer in per]
-    d_time_c = [np.zeros((batch, layer[0].shape[0])) for layer in per]
-    for t in range(steps - 1, -1, -1):
-        d_above = d_out[:, t, None] * w_out
-        for l in range(n_layers - 1, -1, -1):
-            w_fh, w_fx, _, w_ih, w_ix, _, w_oh, w_ox, _, w_ch, w_cx, _ = per[l]
-            f, i, o, cd = gate_f[l][:, t], gate_i[l][:, t], gate_o[l][:, t], cand[l][:, t]
-            tan_c = np.tanh(cell[l][:, t + 1])
-            dh = d_above + d_time_h[l]
-            do = dh * tan_c
-            dc = d_time_c[l] + dh * o * (1.0 - tan_c**2)
-            df = dc * cell[l][:, t]
-            di = dc * cd
-            dcd = dc * i
-            d_time_c[l] = dc * f
-            dz_f = df * f * (1.0 - f)
-            dz_i = di * i * (1.0 - i)
-            dz_o = do * o * (1.0 - o)
-            dz_c = dcd * (1.0 - cd**2)
-            h_prev = hidden[l][:, t]
-            below = inputs[:, t] if l == 0 else hidden[l - 1][:, t + 1]
-            for k, dz in enumerate((dz_f, dz_i, dz_o, dz_c)):
-                g_per[l][3 * k] += dz.T @ h_prev
-                g_per[l][3 * k + 1] += dz.T @ below
-                g_per[l][3 * k + 2] += dz.sum(axis=0)
-            d_time_h[l] = dz_f @ w_fh + dz_i @ w_ih + dz_o @ w_oh + dz_c @ w_ch
-            d_above = dz_f @ w_fx + dz_i @ w_ix + dz_o @ w_ox + dz_c @ w_cx
-
-    grads: list[np.ndarray] = []
-    for layer in g_per:
-        grads.extend(layer)
-    grads.extend([g_w_out, g_b_out])
-    return loss, grads
+    return LstmModel.loss_and_grads(params, inputs, targets)
 
 
 def train_recurrent(

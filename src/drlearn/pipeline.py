@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass
 
@@ -141,9 +142,41 @@ def _file_name(kind: str, order: int) -> str:
     return f"{kind}_n{order}"
 
 
-def _run_job(args: tuple[RunConfig, TimeSeriesDataset, str, int]) -> TrainedModel:
-    config, dataset, kind, order = args
-    return train_model(config, dataset, kind, order)
+# Pool jobs go in longest first, so the LSTM does not start last and set the wall time.
+SUBMIT_ORDER = ("lstm", "rnn", "fnn", "linear")
+
+
+def openblas_function(name: str, argtypes: list, restype):
+    """The function `name` (such as "set_num_threads") of the OpenBLAS that
+    this process loaded, typed by argtypes and restype, or None when no
+    OpenBLAS is loaded.
+
+    numpy may carry OpenBLAS under a prefixed, suffixed name
+    (scipy_openblas_set_num_threads64_), so the library is found in the
+    process's memory map and each spelling is tried.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                function = getattr(library, f"{prefix}_{name}{suffix}", None)
+                if function is not None:
+                    function.argtypes, function.restype = argtypes, restype
+                    return function
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: each worker already owns a core, so its BLAS
+    calls run on one thread; more would oversubscribe the cores."""
+    set_threads = openblas_function("set_num_threads", [ctypes.c_int], None)
+    if set_threads is not None:
+        set_threads(1)
 
 
 @dataclass(frozen=True)
@@ -181,9 +214,12 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
             # imported here, not at the top: a process that only serves never loads it
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                args = [(config, dataset, kind, order) for kind, order in jobs]
-                trained = list(pool.map(_run_job, args))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+                by_length = sorted(range(len(jobs)), key=lambda j: SUBMIT_ORDER.index(jobs[j][0]))
+                futures = {j: pool.submit(train_model, config, dataset, *jobs[j]) for j in by_length}
+                for j, (kind, order) in enumerate(jobs):  # the report order
+                    stage = f"train {_file_name(kind, order)} (worker pool)"
+                    trained.append(futures[j].result())
         else:
             for kind, order in jobs:
                 stage = f"train {_file_name(kind, order)}"

@@ -400,6 +400,20 @@ class TestTimeSeriesDataset:
                 intervals_per_day=4,
             )
 
+    def test_rejects_fractional_hour_naming_index(self):
+        # feature rows would truncate it: hour 2.7 would be encoded as hour 2
+        with pytest.raises(ValueError, match=r"hour 2.7 at index 1 is not a whole number"):
+            TimeSeriesDataset(
+                prices=np.ones(3), consumptions=np.ones(3), hours=np.array([1.0, 2.7, 3.5])
+            )
+
+    def test_accepts_whole_numbered_float_hour(self):
+        # 3.0 names hour 3 exactly, so a float hour column is accepted as is
+        ts = TimeSeriesDataset(
+            prices=np.ones(2), consumptions=np.ones(2), hours=np.array([3.0, 0.0]), intervals_per_day=4
+        )
+        assert len(ts) == 2
+
     def test_accepts_first_and_last_hour_of_day(self):
         ts = TimeSeriesDataset(
             prices=np.ones(2), consumptions=np.ones(2), hours=np.array([0, 3]), intervals_per_day=4

@@ -1,10 +1,12 @@
 """Pipeline tests: config-driven simulation, job layout, failure cleanup."""
 
+import ctypes
 import os
 
 import numpy as np
 import pytest
 
+from drlearn import pipeline
 from drlearn.config import parse_config
 from drlearn.errors import DataError
 from drlearn.pipeline import (
@@ -138,6 +140,17 @@ class TestRunBenchmark:
         assert not (out_dir / "report.json").exists()
         assert list((out_dir / "models").iterdir()) == []
 
+    def test_pool_failure_names_job_and_cleans_up(self, tmp_path):
+        # the same failing job in a worker pool: the error names the job, not only the pool
+        config = tiny_config(benchmark={"train_len": 10, "orders": [5], "kinds": ["linear"]})
+        out_dir = tmp_path / "bench"
+        stage = r"'train linear_n5 \(worker pool\)'"
+        with pytest.raises(ValueError, match=f"benchmark stage {stage} failed"):
+            run_benchmark(config, str(out_dir), workers=2)
+        assert not (out_dir / "dataset.csv").exists()
+        assert not (out_dir / "config.yaml").exists()
+        assert list((out_dir / "models").iterdir()) == []
+
     def test_result_surfaces_tables_and_paths(self, tmp_path):
         config = tiny_config(benchmark={"kinds": ["linear"]})
         result = run_benchmark(config, str(tmp_path / "bench"), workers=1)
@@ -145,3 +158,42 @@ class TestRunBenchmark:
         assert os.path.exists(result.report_path)
         assert os.path.exists(result.violin_path)
         assert [entry.name for entry in result.trained] == ["linear n=0", "linear n=1"]
+
+
+def blas_threads():
+    get_threads = pipeline.openblas_function("get_num_threads", [], ctypes.c_int)
+    return None if get_threads is None else get_threads()
+
+
+def test_pool_worker_runs_one_blas_thread():
+    if blas_threads() is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1, initializer=pipeline._one_blas_thread) as pool:
+        assert pool.submit(blas_threads).result() == 1
+
+
+def test_pool_pins_workers_and_submits_longest_first(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    initializers, submitted = [], []
+    init, submit = ProcessPoolExecutor.__init__, ProcessPoolExecutor.submit
+
+    def recording_init(pool, *args, **kwargs):
+        initializers.append(kwargs.get("initializer"))
+        init(pool, *args, **kwargs)
+
+    def recording_submit(pool, fn, *args):
+        submitted.append(args[2:])
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_init)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    config = tiny_config(training={"steps": 5})
+    result = run_benchmark(config, str(tmp_path / "bench"), workers=2)
+    assert initializers == [pipeline._one_blas_thread]
+    longest_first = [("lstm", 1), ("rnn", 1), ("fnn", 0), ("fnn", 1), ("linear", 0), ("linear", 1)]
+    assert submitted == longest_first
+    # the results still come back in job order
+    assert [(entry.kind, entry.order) for entry in result.trained] == benchmark_jobs(config)

@@ -19,6 +19,8 @@ from drlearn.models import (
 )
 from drlearn.models import recurrent
 
+import bptt_reference
+
 LAYOUT1 = ("x0",)
 LAYOUT4 = ("price_lag1", "consumption_lag1", "hour_frac", "price")
 
@@ -336,6 +338,50 @@ class TestLossAndGrads:
         assert len(grads) == len(params)
         for p, g in zip(params, grads):
             assert g.shape == p.shape
+
+
+def assert_close_to(reference, value):
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    reference, value = np.asarray(reference), np.asarray(value)
+    assert value.shape == reference.shape
+    scale = max(float(np.max(np.abs(reference), initial=0.0)), np.finfo(float).tiny)
+    assert np.max(np.abs(value - reference), initial=0.0) <= 1e-12 * scale
+
+
+class TestSharedCoreMatchesReference:
+    """The fused core against the original per-gate, per-step kernels."""
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize("hidden", [[32], [5, 3], [4, 7, 2]], ids=["one", "two", "three"])
+    @pytest.mark.parametrize(
+        "batch, steps", [(32, 48), (1, 48), (32, 1), (1, 1), (3, 5)],
+        ids=["default", "batch1", "step1", "batch1-step1", "small"],
+    )
+    def test_loss_and_every_gradient(self, kind, hidden, batch, steps):
+        rng = np.random.default_rng(len(hidden) * 1000 + batch * 10 + steps)
+        params = [
+            p + 0.1 * rng.normal(size=p.shape) for p in init_params(kind, 4, hidden, rng)
+        ]
+        inputs = rng.normal(size=(batch, steps, 4))
+        targets = rng.normal(size=(batch, steps))
+        kernel = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
+        reference = getattr(bptt_reference, f"{kind}_loss_and_grads")
+        loss, grads = kernel(params, inputs, targets)
+        ref_loss, ref_grads = reference(params, inputs, targets)
+        assert_close_to(ref_loss, loss)
+        assert len(grads) == len(ref_grads)
+        for ref, got in zip(ref_grads, grads):
+            assert_close_to(ref, got)
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_parameters_and_inputs_left_unchanged(self, kind):
+        rng = np.random.default_rng(5)
+        params = init_params(kind, 4, [3, 2], rng)
+        inputs = rng.normal(size=(2, 4, 4))
+        targets = rng.normal(size=(2, 4))
+        before = [p.copy() for p in params] + [inputs.copy(), targets.copy()]
+        (rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads)(params, inputs, targets)
+        assert all(np.array_equal(a, b) for a, b in zip(before, params + [inputs, targets]))
 
 
 class TestTraining:

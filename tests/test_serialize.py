@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drlearn.errors import ModelFormatError
+from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import Scaler, StateConfig
 from drlearn.models import (
     FnnModel,
@@ -22,6 +24,7 @@ from drlearn.models import (
     load_model,
     lstm_forward,
     model_from_params,
+    predict_one_step,
     rnn_forward,
     save_model,
 )
@@ -173,6 +176,33 @@ def test_schema_v1_two_layer_lstm_file_loads_and_resaves(tmp_path):
     save_model(model, str(again))
     with open(path, "rb") as original:
         assert again.read_bytes() == original.read()
+
+
+class TestEquality:
+    def test_served_lstm_equals_fresh_copy_until_a_weight_changes(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        served, fresh = load_model(path), load_model(path)
+        history = TimeSeriesDataset(
+            prices=np.linspace(20.0, 60.0, 30),
+            consumptions=np.linspace(2.0, 4.0, 30),
+            hours=np.arange(30) % 24,
+        )
+        predict_one_step(served, history, 35.0, 30)  # leaves a replay entry on served
+        assert served == fresh and fresh == served
+        served.w_ch[1][0, 1] += 1e-9
+        assert served != fresh
+
+    @pytest.mark.parametrize("kind", ["linear", "fnn", "rnn", "lstm"])
+    def test_every_family_compares_by_value(self, kind):
+        assert make_model(kind) == make_model(kind)
+        assert make_model(kind) != make_model(kind, seed=1)
+        assert make_model(kind) != make_model("fnn" if kind == "linear" else "linear")
+
+    def test_scaler_and_layout_count(self):
+        model, other = make_model("rnn"), make_model("rnn")
+        other.scaler.input_std[2] *= 2.0
+        assert model != other
+        assert model != replace(make_model("rnn"), feature_layout=LAYOUT[::-1])
 
 
 def saved_document(tmp_path, kind="rnn"):
