@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -12,10 +13,18 @@ from .models.common import TrainConfig
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
 
 
-def _checked(default, minimum: int | None = None, choices: tuple[str, ...] | None = None):
+def _checked(
+    default,
+    minimum: int | None = None,
+    choices: tuple[str, ...] | None = None,
+    within: tuple[float, float] | None = None,
+):
     """A field with a default whose parse also checks `minimum` (integers and
-    integer-list entries) or `choices` (strings and string-list entries)."""
-    return field(default=default, metadata={"minimum": minimum, "choices": choices})
+    integer-list entries), `choices` (strings and string-list entries) or
+    `within`, a half-open interval [low, high) for a float."""
+    return field(
+        default=default, metadata={"minimum": minimum, "choices": choices, "within": within}
+    )
 
 
 @dataclass(frozen=True)
@@ -47,8 +56,8 @@ class TrainingBlock:
     learning_rate: float = 0.001
     steps: int = _checked(10000, minimum=1)
     batch_size: int = _checked(32, minimum=1)
-    beta1: float = 0.9
-    beta2: float = 0.999
+    beta1: float = _checked(0.9, within=(0.0, 1.0))
+    beta2: float = _checked(0.999, within=(0.0, 1.0))
     epsilon: float = 1e-8
     gradient_clip_norm: float = 5.0
     rng_seed: int = 0
@@ -94,9 +103,9 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _parse_value(path: str, value, default, minimum: int | None = None, choices=None):
+def _parse_value(path: str, value, default, minimum: int | None = None, choices=None, within=None):
     """Check value against the type of the field's default: bool, int,
-    float, or str (None allowed only where the default is None)."""
+    float (finite), or str (None allowed only where the default is None)."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -108,7 +117,14 @@ def _parse_value(path: str, value, default, minimum: int | None = None, choices=
     elif isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        if within is not None and not within[0] <= value < within[1]:
+            raise ConfigError(f"{path}: must be in [{within[0]:g}, {within[1]:g}), got {value}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be a finite number, got {value}")
     elif value is not None or default is not None:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -177,10 +193,6 @@ def parse_config(document: dict | None) -> RunConfig:
         raise ConfigError(f"training.learning_rate: must be > 0, got {training.learning_rate}")
     if training.gradient_clip_norm <= 0 or training.epsilon <= 0:
         raise ConfigError("training.gradient_clip_norm: clip norm and epsilon must be > 0")
-    for key in ("beta1", "beta2"):
-        value = getattr(training, key)
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"training.{key}: must be in [0, 1), got {value}")
 
     benchmark = _parse_block(BenchmarkBlock, "benchmark", document.get("benchmark"))
     if benchmark.train_len >= simulation.horizon:

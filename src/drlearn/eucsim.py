@@ -22,6 +22,18 @@ from .ioutil import atomic_write_text
 
 DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
+# Hours simulated per block: simulate holds customers x SIM_BLOCK values at a
+# time instead of customers x horizon. The results do not depend on it.
+SIM_BLOCK = 1024
+
+
+def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first value that is negative or not finite."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"{what} {values[i]} at index {i} is not finite and non-negative")
+
 
 @dataclass(frozen=True)
 class EucParams:
@@ -40,10 +52,10 @@ class EucParams:
     min_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.peak_demand > 0:
-            raise ValueError(f"peak_demand must be > 0, got {self.peak_demand}")
-        if not self.rho < 0:
-            raise ValueError(f"rho must be < 0 for a concave benefit, got {self.rho}")
+        if not 0 < self.peak_demand < math.inf:
+            raise ValueError(f"peak_demand must be finite and > 0, got {self.peak_demand}")
+        if not -math.inf < self.rho < 0:
+            raise ValueError(f"rho must be finite and < 0 for a concave benefit, got {self.rho}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.min_fraction <= 1.0:
@@ -67,6 +79,9 @@ class LoadProfile:
 
     values: np.ndarray
     source: str  # "synthetic" or "file"
+
+    def __post_init__(self) -> None:
+        _require_finite_nonnegative(np.asarray(self.values), "profile value")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -233,6 +248,8 @@ def load_profile(path: str) -> LoadProfile:
             raise DataError(f"non-numeric row at row {lineno}: {line!r}") from exc
         if not value > 0:
             raise DataError(f"non-positive value at row {lineno}: {value}")
+        if value == math.inf:  # would normalize every other row to 0
+            raise DataError(f"infinite value at row {lineno}")
         values.append(value)
     if not values:
         raise DataError(f"profile file {path} contains no values")
@@ -244,12 +261,33 @@ def sample_prices(horizon: int, low: float, high: float, rng_seed: int) -> np.nd
     """I.i.d. uniform hourly prices in [low, high], deterministic in the seed."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"price range must be finite, got [{low}, {high}]")
     if not low < high:
         raise ValueError(f"price range requires low < high, got [{low}, {high}]")
     if low < 0:
         raise ValueError(f"prices must be non-negative, got low={low}")
     rng = np.random.default_rng(rng_seed)
     return rng.uniform(low, high, horizon)
+
+
+def _blocks(horizon: int):
+    """(first hour, length) of each block simulate walks, in order.
+
+    numpy sums a C-ordered (customers, hours) array down its columns by
+    adding the customers one after another, except when there is a single
+    hour: it then sums the one contiguous row pairwise. So a last block of
+    one hour is folded into the block before it, and a one-hour block
+    occurs only for a one-hour horizon, which the whole-horizon sum also
+    adds pairwise.
+    """
+    t0 = 0
+    while t0 < horizon:
+        n = min(SIM_BLOCK, horizon - t0)
+        if horizon - t0 - n == 1:
+            n += 1
+        yield t0, n
+        t0 += n
 
 
 def simulate(
@@ -275,6 +313,10 @@ def simulate(
     resample_alpha_hourly the backlog rate is redrawn from U[0, 1] every
     hour instead of staying fixed per customer.
 
+    The horizon is walked in blocks of SIM_BLOCK hours, so memory grows
+    with customers x SIM_BLOCK + horizon; the results do not depend on the
+    block length.
+
     Returns the TimeSeriesDataset, or (dataset, per_euc_consumptions) with a
     (K, horizon) trace matrix when return_per_euc is set.
     """
@@ -284,47 +326,73 @@ def simulate(
             f"prices ({horizon}) and profile ({len(profile.values)}) must have equal length"
         )
     prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
-        raise ValueError("negative prices are not supported")
+    _require_finite_nonnegative(prices, "price")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
     k = len(population)
     peaks = np.array([e.peak_demand for e in population.eucs])
-    rhos = np.array([e.rho for e in population.eucs])
+    two_rhos = 2.0 * np.array([e.rho for e in population.eucs])
     base_alphas = np.array([e.alpha for e in population.eucs])
     min_fracs = np.array([e.min_fraction for e in population.eucs])
 
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(rng_seed).spawn(k)]
-    gauss = np.empty((k, horizon))
-    alphas_t = None
-    for i, stream in enumerate(streams):
-        gauss[i] = stream.normal(1.0, noise_std, horizon)
+    seeds = np.random.SeedSequence(rng_seed).spawn(k)
+    streams = [np.random.default_rng(s) for s in seeds]
+    alpha_streams = None
     if resample_alpha_hourly:
-        alphas_t = np.empty((k, horizon))
+        # A stream draws its hourly uniforms after all of its normals, so a
+        # second generator on the same seed is run past the normals first.
+        alpha_streams = [np.random.default_rng(s) for s in seeds]
+        for stream in alpha_streams:
+            for _, n in _blocks(horizon):
+                stream.normal(1.0, noise_std, n)
+
+    totals = np.empty(horizon)
+    trace = np.empty((k, horizon)) if return_per_euc else None
+    demand = consumption = None  # carried from one block into the next
+    for t0, n in _blocks(horizon):
+        gauss = np.empty((k, n))
         for i, stream in enumerate(streams):
-            alphas_t[i] = stream.uniform(0.0, 1.0, horizon)
+            gauss[i] = stream.normal(1.0, noise_std, n)
+        # peaks * profile * max(gauss, 0), in that operand order
+        np.maximum(gauss, 0.0, out=gauss)
+        new_demand = peaks[:, None] * profile.values[None, t0 : t0 + n]
+        new_demand *= gauss
+        new_demand = new_demand.T.copy()  # time-major: one contiguous row per hour
+        shift = prices[t0 : t0 + n, None] / two_rhos
 
-    new_demand = peaks[:, None] * profile.values[None, :] * np.maximum(gauss, 0.0)
+        alphas = None  # alphas[j]: the backlog rate carried into hour t0 + j
+        if alpha_streams is not None:
+            alphas = np.empty((n, k))
+            first = 1 if t0 == 0 else 0  # hour 0 carries no backlog
+            for i, stream in enumerate(alpha_streams):
+                alphas[first:, i] = stream.uniform(0.0, 1.0, n - first)
 
-    consumption_trace = np.empty((k, horizon))
-    demand = np.zeros(k)
-    consumption = np.zeros(k)
-    for t in range(horizon):
-        if t == 0:
-            demand = new_demand[:, 0]
-        else:
-            alpha = alphas_t[:, t - 1] if resample_alpha_hourly else base_alphas
-            demand = alpha * (demand - consumption) + new_demand[:, t]
-        consumption = np.maximum(min_fracs * demand, demand + prices[t] / (2.0 * rhos))
-        consumption_trace[:, t] = consumption
+        block = np.empty((n, k))
+        for j in range(n):
+            if t0 + j == 0:
+                demand = new_demand[0]
+            else:
+                alpha = base_alphas if alphas is None else alphas[j]
+                demand = alpha * (demand - consumption) + new_demand[j]
+            consumption = np.maximum(min_fracs * demand, demand + shift[j], out=block[j])
+
+        # Customer-major, so the sum adds the customers one after another, as
+        # the whole-horizon sum did; summing the time-major block along its
+        # rows would add them pairwise and change the bits (see _blocks).
+        block = block.T.copy()
+        totals[t0 : t0 + n] = block.sum(axis=0)
+        if trace is not None:
+            trace[:, t0 : t0 + n] = block
 
     dataset = TimeSeriesDataset(
         prices=prices.copy(),
-        consumptions=consumption_trace.sum(axis=0),
+        consumptions=totals,
         hours=np.arange(horizon, dtype=np.int64) % intervals_per_day,
         intervals_per_day=intervals_per_day,
     )
     if return_per_euc:
-        return dataset, consumption_trace
+        return dataset, trace
     return dataset
 
 
@@ -332,8 +400,12 @@ def write_dataset(dataset: TimeSeriesDataset, path: str) -> None:
     """Write the dataset CSV: t,hour,price_usd_per_mwh,consumption_mwh.
 
     Prices and consumptions are written with full round-trip precision, and
-    the file appears atomically.
+    the file appears atomically. A non-finite price or consumption is
+    refused, naming its index, before anything is written.
     """
+    bad = np.flatnonzero(~(np.isfinite(dataset.prices) & np.isfinite(dataset.consumptions)))
+    if len(bad):
+        raise DataError(f"dataset row {bad[0]}: non-finite price or consumption")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(DATASET_HEADER)

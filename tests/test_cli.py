@@ -77,6 +77,24 @@ class TestSimulate:
         assert code == 1
         assert "training.beta1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("simulation", "noise_std: .nan"),
+            ("training", "gradient_clip_norm: .nan"),
+            ("simulation", "rho_scale: -.inf"),
+            ("simulation", "price_high: .inf"),
+        ],
+    )
+    def test_non_finite_config_float_exits_1_writing_nothing(self, tmp_path, capsys, section, line):
+        config = tmp_path / "config.yaml"
+        config.write_text(TINY_CONFIG.replace(f"{section}:\n", f"{section}:\n  {line}\n"))
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        key = line.split(":")[0]
+        assert f"{section}.{key}: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["explode"]) == 1
         assert "config error" in capsys.readouterr().err

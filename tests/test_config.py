@@ -1,5 +1,7 @@
 """Configuration tests: defaults, field diagnostics, round trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from drlearn.config import (
@@ -13,6 +15,18 @@ from drlearn.config import (
 )
 from drlearn.errors import ConfigError
 from drlearn.features import StateConfig
+
+
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, block in (
+        ("simulation", SimulationBlock),
+        ("training", TrainingBlock),
+        ("benchmark", BenchmarkBlock),
+    )
+    for f in fields(block)
+    if isinstance(f.default, float)
+]
 
 
 class TestDefaults:
@@ -203,6 +217,17 @@ class TestFieldDiagnostics:
 
     def test_adam_beta_zero_accepted(self):
         assert parse_config({"training": {"beta1": 0.0}}).training.beta1 == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+    @pytest.mark.parametrize("section, key", FLOAT_FIELDS, ids=str)
+    def test_non_finite_float_rejected_naming_field(self, section, key, value):
+        # NaN passes every ordered comparison; an infinite price overflows the draw
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be"):
+            parse_config({section: {key: value}})
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="simulation.price_high: must be a finite number, got inf"):
+            parse_config({"simulation": {"price_high": 10**400}})
 
 
 class TestLoadAndDump:

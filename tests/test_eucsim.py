@@ -1,12 +1,15 @@
 """Simulator tests: closed-form optimum, backlog recursion, profiles, CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sim_reference
 from drlearn.errors import DataError
 from drlearn.eucsim import (
+    SIM_BLOCK,
     EucParams,
     LoadProfile,
     TimeSeriesDataset,
@@ -110,6 +113,13 @@ class TestEucParams:
         with pytest.raises(ValueError):
             EucParams(peak_demand=0.0, rho=-1.0, alpha=0.2)
 
+    def test_rejects_infinite_peak_and_rho(self):
+        # an infinite rho would silently make the customer ignore every price
+        with pytest.raises(ValueError, match="peak_demand must be finite and > 0, got inf"):
+            EucParams(peak_demand=math.inf, rho=-1.0, alpha=0.2)
+        with pytest.raises(ValueError, match="rho must be finite and < 0"):
+            EucParams(peak_demand=1.0, rho=-math.inf, alpha=0.2)
+
 
 class TestSamplePopulation:
     def test_deterministic_in_seed(self):
@@ -175,6 +185,18 @@ class TestLoadProfile:
         with pytest.raises(DataError, match="non-positive value at row 3"):
             load_profile(str(path))
 
+    def test_infinite_value_reports_file_row(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("0.5\ninf\n1.0\n")
+        with pytest.raises(DataError, match="infinite value at row 2"):
+            load_profile(str(path))
+
+    def test_nan_value_rejected(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("0.5\nnan\n")
+        with pytest.raises(DataError, match="non-positive value at row 2: nan"):
+            load_profile(str(path))
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("0.5\noops\n")
@@ -192,6 +214,19 @@ class TestLoadProfile:
             load_profile(str(path))
 
 
+class TestLoadProfileValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_bad_value_naming_first_index(self, bad):
+        # one NaN value turned 14 of 24 hourly totals into NaN
+        values = np.ones(24)
+        values[[10, 12]] = bad
+        with pytest.raises(ValueError, match=f"profile value {bad} at index 10 is not finite"):
+            LoadProfile(values=values, source="synthetic")
+
+    def test_accepts_zero(self):
+        assert len(LoadProfile(values=np.array([0.0, 1.0]), source="synthetic")) == 2
+
+
 class TestSamplePrices:
     def test_range_and_determinism(self):
         a = sample_prices(500, 20.0, 50.0, 2)
@@ -204,6 +239,11 @@ class TestSamplePrices:
             sample_prices(10, 50.0, 20.0, 0)
         with pytest.raises(ValueError):
             sample_prices(10, -5.0, 20.0, 0)
+
+    @pytest.mark.parametrize("low, high", [(20.0, math.inf), (-math.inf, 20.0), (math.nan, 20.0)])
+    def test_rejects_non_finite_range(self, low, high):
+        with pytest.raises(ValueError, match="price range must be finite"):
+            sample_prices(10, low, high, 0)
 
 
 def reference_trace(population, prices, profile, noise_std, rng_seed):
@@ -283,8 +323,25 @@ class TestSimulate:
     def test_rejects_negative_prices(self):
         population = sample_population(2, 2)
         profile = generate_profile(24, 24, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="price -1.0 at index 0 is not finite and non-negative"):
             simulate(population, np.full(24, -1.0), profile)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_price_naming_first_index(self, bad):
+        population = sample_population(2, 2)
+        profile = generate_profile(48, 24, 2)
+        prices = sample_prices(48, 20.0, 50.0, 3)
+        prices[[5, 9]] = bad
+        with pytest.raises(ValueError, match=f"price {bad} at index 5 is not finite and non-negative"):
+            simulate(population, prices, profile)
+
+    @pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_noise_std(self, noise_std):
+        population = sample_population(2, 2)
+        profile = generate_profile(24, 24, 2)
+        prices = sample_prices(24, 20.0, 50.0, 3)
+        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, got {noise_std}"):
+            simulate(population, prices, profile, noise_std=noise_std)
 
     def test_consumption_positive_at_bench_scale_prices(self):
         population = sample_population(50, 3)
@@ -292,6 +349,61 @@ class TestSimulate:
         prices = sample_prices(720, 20.0, 50.0, 5)
         dataset = simulate(population, prices, profile)
         assert np.all(dataset.consumptions > 0.0)
+
+
+# a one-hour horizon, one block less or more, and a one-hour last block
+HORIZONS = [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 2 * SIM_BLOCK + 1]
+
+
+class TestStreamedSimulator:
+    """The block-streamed simulator against the whole-horizon reference."""
+
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed-alpha", "resampled-alpha"])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    # numpy sums 8 or more contiguous values pairwise, so 20 customers catch a
+    # total that adds them in another order
+    @pytest.mark.parametrize("count", [1, 7, 20])
+    @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda h: f"h{h}")
+    def test_bit_equal_to_reference(self, horizon, count, noise_std, resample):
+        # any profile length works, not only whole days
+        rng = np.random.default_rng(horizon)
+        values = rng.uniform(0.2, 1.0, horizon)
+        profile = LoadProfile(values=values / values.max(), source="synthetic")
+        population = sample_population(count, 21)
+        prices = sample_prices(horizon, 20.0, 50.0, 5)
+        kwargs = dict(noise_std=noise_std, rng_seed=9, intervals_per_day=24,
+                      resample_alpha_hourly=resample, return_per_euc=True)
+        dataset, trace = simulate(population, prices, profile, **kwargs)
+        expected, expected_trace = sim_reference.simulate(population, prices, profile, **kwargs)
+        assert np.array_equal(trace, expected_trace)
+        assert np.array_equal(dataset.consumptions, expected.consumptions)
+        assert np.array_equal(dataset.prices, expected.prices)
+        assert np.array_equal(dataset.hours, expected.hours)
+        alone = simulate(population, prices, profile, **{**kwargs, "return_per_euc": False})
+        assert np.array_equal(alone.consumptions, expected.consumptions)
+
+
+def traced_peak_bytes(count: int, horizon: int) -> int:
+    population = sample_population(count, 7)
+    profile = generate_profile(horizon, 24, 41)
+    prices = sample_prices(horizon, 20.0, 50.0, 13)
+    tracemalloc.start()
+    try:
+        simulate(population, prices, profile)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_is_block_sized():
+    # a (customers x horizon) float64 array is 14 MB here; the whole-horizon
+    # reference peaked at about three of them
+    count, horizon = 200, 8760
+    peak = traced_peak_bytes(count, horizon)
+    assert peak < count * horizon * 8
+    # doubling the horizon may add only O(horizon) output, a few floats per hour
+    grown = traced_peak_bytes(count, 2 * horizon) - peak
+    assert grown < 8 * horizon * 8
 
 
 class TestDatasetCsv:
@@ -317,6 +429,17 @@ class TestDatasetCsv:
         write_dataset(dataset, str(path))
         first = path.read_text().splitlines()[0]
         assert first == "t,hour,price_usd_per_mwh,consumption_mwh"
+
+    @pytest.mark.parametrize("column", ["prices", "consumptions"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_write_refuses_non_finite_naming_index(self, tmp_path, column, bad):
+        values = {"prices": np.full(4, 30.0), "consumptions": np.full(4, 1.5)}
+        values[column][[2, 3]] = bad
+        dataset = TimeSeriesDataset(hours=np.arange(4), **values)
+        path = tmp_path / "data.csv"
+        with pytest.raises(DataError, match="dataset row 2: non-finite price or consumption"):
+            write_dataset(dataset, str(path))
+        assert not path.exists()
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "data.csv"
