@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
 from .metrics import RECURRENT_WARMUP
-from .models.common import TrainConfig
+from .models.common import TrainConfig, model_class
 
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
 
@@ -203,22 +203,23 @@ def parse_config(document: dict | None) -> RunConfig:
     # Each split must hold what the families the benchmark trains need: rows
     # at the largest order (feature_rows) and, on the train split, one window
     # (build_sequence_dataset); recurrent scoring also drops a warm-up.
-    kinds = set(benchmark.kinds)
+    carries_state = [model_class(kind).recurrent for kind in benchmark.kinds]
+    direct, recurrent = not all(carries_state), any(carries_state)
     splits = {"train": benchmark.train_len, "test": simulation.horizon - benchmark.train_len}
     for name, length in splits.items():
-        if kinds & {"linear", "fnn"} and max(benchmark.orders) >= length:
+        if direct and max(benchmark.orders) >= length:
             raise ConfigError(
                 f"benchmark.orders: order {max(benchmark.orders)} needs a {name} split"
                 f" longer than it, got {length} intervals (benchmark.train_len"
                 f" {benchmark.train_len}, simulation.horizon {simulation.horizon})"
             )
-        if kinds & {"rnn", "lstm"} and length <= RECURRENT_WARMUP + 1:
+        if recurrent and length <= RECURRENT_WARMUP + 1:
             raise ConfigError(
                 f"benchmark.train_len: recurrent evaluation needs a {name} split of more"
                 f" than {RECURRENT_WARMUP + 1} intervals, got {length}"
                 f" (simulation.horizon {simulation.horizon})"
             )
-    if kinds & {"rnn", "lstm"} and training.window_length >= benchmark.train_len:
+    if recurrent and training.window_length >= benchmark.train_len:
         raise ConfigError(
             f"training.window_length: a window of {training.window_length} steps needs a"
             f" train split of more intervals, got benchmark.train_len {benchmark.train_len}"

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DataError
 from .eucsim import TimeSeriesDataset
 
 TIME_ENCODINGS = ("scalar", "one_hot", "none")
@@ -109,9 +110,17 @@ def identity_scaler(n_features: int) -> Scaler:
 
 
 def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    """Chronological prefix/suffix split, no shuffling."""
+    """Chronological prefix/suffix split, no shuffling, of a series whose
+    prices and consumptions are all finite."""
     if not 0 < train_len < len(ts):
         raise ValueError(f"train_len must be in (0, {len(ts)}), got {train_len}")
+    bad = np.flatnonzero(~(np.isfinite(ts.prices) & np.isfinite(ts.consumptions)))
+    if len(bad):
+        i = bad[0]
+        raise DataError(
+            f"price {ts.prices[i]} and consumption {ts.consumptions[i]} at index {i}"
+            " must both be finite"
+        )
 
     def part(span: slice) -> TimeSeriesDataset:
         return TimeSeriesDataset(

@@ -11,6 +11,7 @@ from .errors import DataError
 from .eucsim import TimeSeriesDataset
 from .features import feature_layout, feature_rows
 from .ioutil import atomic_write_text
+from .models.common import model_class
 
 REPORT_SCHEMA_VERSION = 1
 RECURRENT_WARMUP = 24  # leading predictions dropped while state leaves zero
@@ -66,7 +67,7 @@ class EvalReport:
 
 def model_name(kind: str, order: int) -> str:
     """Display label: direct families carry their order, recurrent do not."""
-    if kind in ("rnn", "lstm"):
+    if model_class(kind).recurrent:
         return kind
     return f"{kind} n={order}"
 
@@ -85,15 +86,14 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
             f" {list(model.feature_layout)}, data produces"
             f" {list(feature_layout(cfg))}"
         )
-    state = model.initial_state(1)
-    warmup = RECURRENT_WARMUP if state else 0
+    warmup = RECURRENT_WARMUP if model.recurrent else 0
     if len(dataset) <= cfg.order + warmup:
         raise ValueError(
             f"evaluation of {model.kind} needs more than {cfg.order + warmup}"
             f" intervals, got {len(dataset)}"
         )
     x = model.scaler.transform_inputs(feature_rows(dataset, cfg.order, len(dataset), cfg))
-    outputs, _ = model.run(x[None], state)
+    outputs, _ = model.run(x[None], model.initial_state(1))
     predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
     actual = dataset.consumptions[cfg.order + warmup :]
 

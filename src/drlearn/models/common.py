@@ -1,6 +1,7 @@
 """What the model families share: the one declaration of their parameters,
-which drives init, the flat parameter list and persistence, and the
-training plumbing of the gradient-trained families."""
+which drives init, the flat parameter list and persistence, whether a
+family carries state, and the Adam loop that trains the gradient-trained
+families."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import NumericalError
+from ..features import identity_scaler
+from . import adam
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,13 @@ class ParamModel:
     the optimizer, the *_loss_and_grads kernels and gradcheck work on it,
     and init_params, model_from_params, flat_params and the JSON params
     document all follow the declaration.
+    recurrent is the one place that says whether a family carries its own
+    state (RNN, LSTM) or reads an explicit order-n lag window (linear, FNN).
     """
 
     kind: str
     readout = ("out_weight", "out_bias")
+    recurrent = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -89,13 +95,17 @@ class ParamModel:
         """
         if type(other) is not type(self):
             return NotImplemented
-        scalers = [[getattr(m.scaler, f.name) for f in fields(m.scaler)] for m in (self, other)]
         return (
-            all_equal(flat_params(self), flat_params(other))
+            all_equal(self.prediction_reads(), other.prediction_reads())
             and tuple(self.feature_layout) == tuple(other.feature_layout)
-            and all_equal(*scalers)
             and self.state_config == other.state_config
         )
+
+    def prediction_reads(self) -> list[np.ndarray]:
+        """Every array the model's predictions read: the flat parameter list,
+        then the scaler's statistics in field order."""
+        scaler = [np.asarray(getattr(self.scaler, f.name)) for f in fields(self.scaler)]
+        return flat_params(self) + scaler
 
     def hidden_sizes(self) -> list[int]:
         """Width of every layer, read off the first per-layer field."""
@@ -189,9 +199,28 @@ def flat_params(model) -> list[np.ndarray]:
     ]
 
 
-def check_finite_loss(loss: float, step: int) -> None:
-    if not np.isfinite(loss):
-        raise NumericalError(f"non-finite loss {loss} at training step {step}")
+def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
+    """Adam on seeded minibatches of dataset with the family's loss_and_grads,
+    clipping the global gradient norm when the family is recurrent; returns
+    the model and the loss curve. Clipping and the optimizer step go through
+    the adam module, so a wrapper put there sees every call."""
+    inputs = np.asarray(dataset.inputs, dtype=float)
+    targets = np.asarray(dataset.targets, dtype=float)
+    rng = np.random.default_rng(cfg.rng_seed)
+    params = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
+    optimizer = adam.Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    losses = np.empty(cfg.steps)
+    for step, idx in enumerate(minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)):
+        loss, grads = loss_and_grads(params, inputs[idx], targets[idx])
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite loss {loss} at training step {step}")
+        losses[step] = loss
+        if model_class(kind).recurrent:
+            adam.clip_global_norm(grads, cfg.gradient_clip_norm)
+        optimizer.step(params, grads)
+    if scaler is None:
+        scaler = identity_scaler(inputs.shape[-1])
+    return model_from_params(kind, params, dataset.feature_layout, scaler, state_config), losses
 
 
 def minibatch_indices(

@@ -6,19 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, StateConfig, SupervisedSet, identity_scaler
-from .adam import Adam
-from .common import (
-    BIAS,
-    FAN_IN,
-    ParamModel,
-    TrainConfig,
-    check_finite_loss,
-    init_params,
-    layer_param,
-    minibatch_indices,
-    model_from_params,
-)
+from ..features import Scaler, StateConfig, SupervisedSet
+from .common import BIAS, FAN_IN, ParamModel, TrainConfig, layer_param, train_adam
 
 
 @dataclass(eq=False)  # ParamModel.__eq__
@@ -105,28 +94,9 @@ def train_fnn(
     state_config: StateConfig | None = None,
 ) -> tuple[FnnModel, np.ndarray]:
     """Adam training on seeded minibatches; returns the model and loss curve."""
-    inputs = np.asarray(dataset.inputs, dtype=float)
-    targets = np.asarray(dataset.targets, dtype=float)
-    if len(targets) < 1:
+    if len(dataset.targets) < 1:
         raise ValueError("cannot train on an empty dataset")
-    n_features = inputs.shape[1]
-
-    rng = np.random.default_rng(cfg.rng_seed)
-    params = init_params("fnn", n_features, hidden_sizes, rng)
-    optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
-
-    losses = np.empty(cfg.steps)
-    for step, idx in enumerate(
-        minibatch_indices(rng, len(targets), cfg.batch_size, cfg.steps)
-    ):
-        loss, grads = fnn_loss_and_grads(params, inputs[idx], targets[idx])
-        check_finite_loss(loss, step)
-        losses[step] = loss
-        optimizer.step(params, grads)
-
-    if scaler is None:
-        scaler = identity_scaler(n_features)
     if state_config is None:
         state_config = StateConfig(order=0, time_encoding="none")
-    model = model_from_params("fnn", params, dataset.feature_layout, scaler, state_config)
-    return model, losses
+    # the kernel is looked up here, at call time, so a wrapper put on it is called
+    return train_adam("fnn", fnn_loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..eucsim import TimeSeriesDataset
 from ..features import StateConfig, feature_rows
-from .common import all_equal, flat_params
+from .common import all_equal
 from .fnn import FnnModel
 from .linear import LinearModel
 from .recurrent import LstmModel, RnnModel
@@ -45,16 +45,11 @@ class _Replayed:
 def _replay_reads(model: Model, history: TimeSeriesDataset, n: int) -> list[np.ndarray]:
     """The arrays a replay of history's first n intervals reads: the history,
     then the model's parameters and scaler."""
-    scaler = model.scaler
     return [
         history.prices[:n],
         history.consumptions[:n],
         history.hours[:n],
-        *flat_params(model),
-        scaler.input_mean,
-        scaler.input_std,
-        np.asarray(scaler.target_mean),
-        np.asarray(scaler.target_std),
+        *model.prediction_reads(),
     ]
 
 
@@ -69,9 +64,9 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
     however a series is split, and feature_rows builds each row on its own.
     A direct model's state is empty, so it replays nothing.
     """
+    if not model.recurrent:
+        return []
     state = model.initial_state(1)
-    if not state:
-        return state
     cfg = model.state_config
     encoding = (cfg, history.intervals_per_day)
     resume = cfg.order

@@ -6,19 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, SequenceSet, StateConfig, identity_scaler
-from .adam import Adam, clip_global_norm
+from ..features import Scaler, SequenceSet, StateConfig
 from .common import (
     BIAS,
     FAN_IN,
+    MODEL_CLASSES,
     SQUARE,
     ParamModel,
     TrainConfig,
-    check_finite_loss,
-    init_params,
     layer_param,
-    minibatch_indices,
     model_from_params,
+    train_adam,
 )
 
 RUN_BLOCK_STEPS = 256  # steps whose input projection run holds at once
@@ -72,6 +70,8 @@ class _Recurrent(ParamModel):
     dz from the gradient dh of its output h and the carry from the step
     after it (None at the last step).
     """
+
+    recurrent = True
 
     def run(self, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
         """Standardized predictions (batch, steps) for (batch, steps, features)
@@ -342,37 +342,18 @@ def train_recurrent(
     state_config: StateConfig | None = None,
 ) -> tuple[RnnModel | LstmModel, np.ndarray]:
     """Adam over minibatches of windows with global-norm gradient clipping."""
-    if kind not in ("rnn", "lstm"):
+    if kind not in MODEL_CLASSES or not MODEL_CLASSES[kind].recurrent:
         raise ValueError(f"unknown recurrent kind {kind!r}")
     if state_config is not None and state_config.order != 1:
         raise ValueError(
             f"state_config.order must be 1 for {kind}: each step carries the latest"
             f" observation and the state the rest, got {state_config.order}"
         )
-    inputs = np.asarray(dataset.inputs, dtype=float)
-    targets = np.asarray(dataset.targets, dtype=float)
+    inputs = np.asarray(dataset.inputs)
     if inputs.ndim != 3 or len(inputs) < 1:
         raise ValueError("need at least one (steps, features) window")
-    n_features = inputs.shape[2]
-
-    rng = np.random.default_rng(cfg.rng_seed)
-    params = init_params(kind, n_features, hidden_sizes, rng)
-    loss_and_grads = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
-    optimizer = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
-
-    losses = np.empty(cfg.steps)
-    for step, idx in enumerate(
-        minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)
-    ):
-        loss, grads = loss_and_grads(params, inputs[idx], targets[idx])
-        check_finite_loss(loss, step)
-        losses[step] = loss
-        clip_global_norm(grads, cfg.gradient_clip_norm)
-        optimizer.step(params, grads)
-
-    if scaler is None:
-        scaler = identity_scaler(n_features)
     if state_config is None:
         state_config = StateConfig(order=1, time_encoding="scalar")
-    model = model_from_params(kind, params, dataset.feature_layout, scaler, state_config)
-    return model, losses
+    # the kernel is looked up here, at call time, so a wrapper put on it is called
+    loss_and_grads = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
+    return train_adam(kind, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config)

@@ -82,6 +82,16 @@ def _float(value, name: str) -> float:
     return float(value)
 
 
+def _state_int(state_config: dict, key: str) -> int:
+    """state_config[key] as a JSON integer: not 2.7 or 2.0, "2", or true."""
+    value = _require(state_config, key, "state_config")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(
+            f"schema violation: field '{key}' in state_config must be an integer, got {value!r}"
+        )
+    return value
+
+
 def _check_dim(condition: bool, detail: str) -> None:
     if not condition:
         raise ModelFormatError(f"dimension mismatch: {detail}")
@@ -113,16 +123,17 @@ def load_model(path: str):
     feature_layout = tuple(layout)
     n_features = len(feature_layout)
 
+    cls = MODEL_CLASSES[kind]
     sc = _require(document, "state_config", "document")
     try:
         state_config = StateConfig(
-            order=int(_require(sc, "order", "state_config")),
+            order=_state_int(sc, "order"),
             time_encoding=_require(sc, "time_encoding", "state_config"),
-            intervals_per_day=int(_require(sc, "intervals_per_day", "state_config")),
+            intervals_per_day=_state_int(sc, "intervals_per_day"),
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"schema violation: bad state_config ({exc})") from exc
-    if kind in ("rnn", "lstm") and state_config.order != 1:
+    if cls.recurrent and state_config.order != 1:
         raise ModelFormatError(
             f"schema violation: state_config.order must be 1 for {kind},"
             f" got {state_config.order}"
@@ -147,7 +158,6 @@ def load_model(path: str):
     params = _require(document, "params", "document")
     if not isinstance(params, dict):
         raise ModelFormatError("schema violation: params must be an object")
-    cls = MODEL_CLASSES[kind]
     layer_fields = cls.layer_fields()
     weight, bias = cls.readout
     names = [f.name for f in layer_fields] + [weight, bias]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, dump_config
+from .config import MODEL_KINDS, RunConfig, dump_config
 from .errors import DataError
 from .eucsim import (
     LoadProfile,
@@ -35,7 +35,8 @@ from .metrics import (
     write_report_document,
     write_violin_csv,
 )
-from .models import linear_fit, save_model, train_fnn, train_recurrent
+from .models import LinearModel, linear_fit, save_model, train_fnn, train_recurrent
+from .models.common import model_class
 from .ioutil import atomic_write_text
 
 
@@ -90,30 +91,25 @@ class TrainedModel:
 
 def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order: int) -> TrainedModel:
     """Fit one model on the train split and evaluate it on both splits."""
+    cls = model_class(kind)
     train_ts, test_ts = split(dataset, config.benchmark.train_len)
-    train_cfg = config.train_config()
-    losses = None
-    if kind in ("linear", "fnn"):
-        state_cfg = config.state_config(order)
-        raw = build_direct_dataset(train_ts, state_cfg)
-        scaler = fit_scaler(raw)
-        scaled = apply_scaler(scaler, raw)
-        if kind == "linear":
-            model = linear_fit(scaled, scaler=scaler, state_config=state_cfg)
-        else:
-            model, losses = train_fnn(
-                scaled, list(config.training.fnn_hidden), train_cfg, scaler, state_cfg
-            )
-    elif kind in ("rnn", "lstm"):
-        order = 1  # recurrent steps always carry exactly the latest observation
-        state_cfg = config.state_config(order)
+    order = 1 if cls.recurrent else order  # a recurrent step carries the latest observation
+    state_cfg = config.state_config(order)
+    if cls.recurrent:
         raw = build_sequence_dataset(train_ts, config.training.window_length, state_cfg)
-        scaler = fit_scaler(raw)
-        scaled = apply_scaler(scaler, raw)
-        hidden = config.training.rnn_hidden if kind == "rnn" else config.training.lstm_hidden
-        model, losses = train_recurrent(scaled, kind, list(hidden), train_cfg, scaler, state_cfg)
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raw = build_direct_dataset(train_ts, state_cfg)
+    scaler = fit_scaler(raw)
+    scaled = apply_scaler(scaler, raw)
+    train_cfg = config.train_config()
+    if cls is LinearModel:
+        model, losses = linear_fit(scaled, scaler=scaler, state_config=state_cfg), None
+    else:
+        hidden = list(getattr(config.training, f"{kind}_hidden"))
+        if cls.recurrent:
+            model, losses = train_recurrent(scaled, kind, hidden, train_cfg, scaler, state_cfg)
+        else:
+            model, losses = train_fnn(scaled, hidden, train_cfg, scaler, state_cfg)
     return TrainedModel(
         kind=kind,
         order=order,
@@ -125,25 +121,28 @@ def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order:
 
 
 def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
-    """(kind, order) pairs: every order for direct families, one per recurrent."""
-    jobs: list[tuple[str, int]] = []
-    for kind in ("linear", "fnn"):
-        if kind in config.benchmark.kinds:
-            jobs.extend((kind, order) for order in config.benchmark.orders)
-    for kind in ("rnn", "lstm"):
-        if kind in config.benchmark.kinds:
-            jobs.append((kind, 1))
-    return jobs
+    """(kind, order) pairs in MODEL_KINDS order: every order for a direct
+    family, order 1 alone for a recurrent one."""
+    return [
+        (kind, order)
+        for kind in MODEL_KINDS
+        if kind in config.benchmark.kinds
+        for order in ((1,) if model_class(kind).recurrent else config.benchmark.orders)
+    ]
 
 
 def _file_name(kind: str, order: int) -> str:
-    if kind in ("rnn", "lstm"):
-        return kind
-    return f"{kind}_n{order}"
+    """The model name as a file name: "linear n=2" becomes linear_n2."""
+    return model_name(kind, order).replace(" n=", "_n")
 
 
 # Pool jobs go in longest first, so the LSTM does not start last and set the wall time.
 SUBMIT_ORDER = ("lstm", "rnn", "fnn", "linear")
+
+DIRECT_TITLES = {
+    "linear": "Dynamic demand-response model, linear family",
+    "fnn": "Dynamic demand-response model, feedforward family",
+}
 
 
 def openblas_function(name: str, argtypes: list, restype):
@@ -209,12 +208,14 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
 
         jobs = benchmark_jobs(config)
         trained: list[TrainedModel] = []
-        if workers > 1:
+        if workers > 1 and jobs:
             stage = "train (worker pool)"
             # imported here, not at the top: a process that only serves never loads it
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            # a fork pool starts all its workers at the first submit: no more than the jobs
+            size = min(workers, len(jobs))
+            with ProcessPoolExecutor(max_workers=size, initializer=_one_blas_thread) as pool:
                 by_length = sorted(range(len(jobs)), key=lambda j: SUBMIT_ORDER.index(jobs[j][0]))
                 futures = {j: pool.submit(train_model, config, dataset, *jobs[j]) for j in by_length}
                 for j, (kind, order) in enumerate(jobs):  # the report order
@@ -240,14 +241,12 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
 
         tables: dict[str, str] = {}
         orders = config.benchmark.orders
-        for kind, title in (
-            ("linear", "Dynamic demand-response model, linear family"),
-            ("fnn", "Dynamic demand-response model, feedforward family"),
-        ):
-            if kind in config.benchmark.kinds:
-                columns = [(str(n), model_name(kind, n)) for n in orders]
-                tables[kind] = table_from_reports(title, "order n", columns, reports)
-        recurrent = [k for k in ("rnn", "lstm") if k in config.benchmark.kinds]
+        kinds = [k for k in MODEL_KINDS if k in config.benchmark.kinds]
+        direct = [k for k in kinds if not model_class(k).recurrent]
+        recurrent = [k for k in kinds if model_class(k).recurrent]
+        for kind in direct:
+            columns = [(str(n), model_name(kind, n)) for n in orders]
+            tables[kind] = table_from_reports(DIRECT_TITLES[kind], "order n", columns, reports)
         if recurrent:
             columns = [(k.upper(), k) for k in recurrent]
             tables["recurrent"] = table_from_reports(
@@ -260,13 +259,7 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
 
         stage = "violin data"
         by_name = {entry.name: entry for entry in trained}
-        violin_names = []
-        if orders:
-            top = max(orders)
-            violin_names.extend(
-                model_name(k, top) for k in ("linear", "fnn") if k in config.benchmark.kinds
-            )
-        violin_names.extend(k for k in recurrent)
+        violin_names = [model_name(k, max(orders)) for k in direct if orders] + recurrent
         violin_reports = [by_name[n].test_report for n in violin_names if n in by_name]
         violin_path = os.path.join(out_dir, "violin.csv")
         write_violin_csv(violin_reports, violin_path)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from drlearn.errors import DataError
 from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import (
     TIME_ENCODINGS,
@@ -267,6 +268,13 @@ class TestSplit:
         ts = random_dataset(48, seed=9)
         with pytest.raises(ValueError):
             split(ts, bad)
+
+    @pytest.mark.parametrize("column, value", [("consumptions", np.nan), ("prices", np.inf)])
+    def test_non_finite_value_rejected_with_its_index(self, column, value):
+        ts = random_dataset(48, seed=9)
+        getattr(ts, column)[40] = value
+        with pytest.raises(DataError, match="at index 40 must both be finite"):
+            split(ts, 30)
 
 
 class TestScaler:

@@ -6,6 +6,8 @@ import sys
 import tomllib
 
 import drlearn
+from drlearn.config import MODEL_KINDS
+from drlearn.models.common import MODEL_CLASSES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +30,8 @@ def test_serving_imports_neither_yaml_nor_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_model_kinds_match_the_registry_and_rnn_lstm_are_recurrent():
+    assert set(MODEL_KINDS) == set(MODEL_CLASSES)
+    assert {kind for kind in MODEL_KINDS if MODEL_CLASSES[kind].recurrent} == {"rnn", "lstm"}

@@ -91,6 +91,16 @@ class TestTrainModel:
         entry = train_model(config, dataset, "fnn", 1)
         assert entry.final_loss is not None and np.isfinite(entry.final_loss)
 
+    @pytest.mark.parametrize("column, value", [("consumptions", np.nan), ("prices", np.inf)])
+    def test_non_finite_data_rejected_before_fitting(self, capfd, column, value):
+        # a NaN reaching the least-squares fit made LAPACK print to stderr and fail
+        config = tiny_config()
+        dataset = simulate_from_config(config)
+        getattr(dataset, column)[100] = value
+        with pytest.raises(DataError, match="at index 100 must both be finite"):
+            train_model(config, dataset, "linear", 1)
+        assert capfd.readouterr().err == ""
+
     def test_unknown_kind_rejected(self):
         config = tiny_config()
         dataset = simulate_from_config(config)
@@ -197,3 +207,20 @@ def test_pool_pins_workers_and_submits_longest_first(tmp_path, monkeypatch):
     assert submitted == longest_first
     # the results still come back in job order
     assert [(entry.kind, entry.order) for entry in result.trained] == benchmark_jobs(config)
+
+
+def test_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+    init = ProcessPoolExecutor.__init__
+
+    def recording_init(pool, *args, **kwargs):
+        sizes.append(kwargs.get("max_workers"))
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_init)
+    config = tiny_config(benchmark={"kinds": ["linear"], "orders": [0, 1]})
+    run_benchmark(config, str(tmp_path / "bench"), workers=4)
+    assert sizes == [2]

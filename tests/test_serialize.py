@@ -303,6 +303,17 @@ class TestLoadDiagnostics:
         with pytest.raises(ModelFormatError, match="bad state_config"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("field", ["order", "intervals_per_day"])
+    @pytest.mark.parametrize("value", [2.7, "2", True])
+    def test_state_config_integers_must_be_json_integers(self, tmp_path, field, value):
+        # int() would read 2.7 and "2" as 2 and true as 1
+        path, doc = saved_document(tmp_path, kind="linear")
+        doc["state_config"][field] = value
+        path.write_text(json.dumps(doc))
+        message = f"field '{field}' in state_config must be an integer"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(str(path))
+
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_recurrent_state_order_must_be_one(self, tmp_path, kind):
         path, doc = saved_document(tmp_path, kind=kind)
