@@ -5,12 +5,13 @@ families."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import NumericalError
-from ..features import identity_scaler
+from ..features import Scaler, StateConfig, identity_scaler
 from . import adam
 
 
@@ -59,6 +60,7 @@ def layer_param(shape: tuple[str, ...], start: float | None = None):
     return field(metadata={"shape": shape, "start": start})
 
 
+@dataclass(eq=False)  # a generated __eq__ would compare arrays with == and raise
 class ParamModel:
     """Base of the model families, each of which declares its parameters once.
 
@@ -70,49 +72,59 @@ class ParamModel:
     the optimizer, the *_loss_and_grads kernels and gradcheck work on it,
     and init_params, model_from_params, flat_params and the JSON params
     document all follow the declaration.
+    The arrays live in one 1-D float64 buffer that the fields view (write
+    into them, do not rebind them). Per layer, blocks holds a SQUARE, a FAN_IN
+    and a BIAS block of it, stacking the arrays of each rule in declaration
+    order, (4u, u), (4u, fan_in) and (4u,) for the LSTM; the readout follows.
     recurrent is the one place that says whether a family carries its own
     state (RNN, LSTM) or reads an explicit order-n lag window (linear, FNN).
     """
 
-    kind: str
     readout = ("out_weight", "out_bias")
     recurrent = False
+    feature_layout: tuple[str, ...]
+    scaler: Scaler
+    state_config: StateConfig
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "kind" in vars(cls):
             MODEL_CLASSES[cls.kind] = cls
 
+    def __post_init__(self) -> None:
+        """Copy the given arrays into a new buffer that the fields then view."""
+        given = flat_params(self)
+        rules = [f.metadata["shape"] for f in self.layer_fields()]
+        n_features = np.shape(given[rules.index(FAN_IN) if len(given) > 2 else -2])[-1]
+        self.buffer, self.blocks, views = new_buffer(self.kind, n_features, self.hidden_sizes())
+        for view, value in zip(views, given, strict=True):
+            view[...] = value
+        vars(self).update(_field_values(type(self), views))
+
     @classmethod
     def layer_fields(cls) -> list:
         return [f for f in fields(cls) if "shape" in f.metadata]
 
     def __eq__(self, other) -> bool:
-        """Same family, parameters, feature layout, scaler and state config.
-
-        The families are dataclasses with eq=False, since the generated
-        __eq__ would compare arrays with == and raise.
-        """
+        """Same family, layer widths, parameters, feature layout, scaler and state config."""
         if type(other) is not type(self):
             return NotImplemented
         return (
-            all_equal(self.prediction_reads(), other.prediction_reads())
+            self.hidden_sizes() == other.hidden_sizes()
+            and all_equal(self.prediction_reads(), other.prediction_reads())
             and tuple(self.feature_layout) == tuple(other.feature_layout)
             and self.state_config == other.state_config
         )
 
     def prediction_reads(self) -> list[np.ndarray]:
-        """Every array the model's predictions read: the flat parameter list,
+        """Every array the model's predictions read: the parameter buffer,
         then the scaler's statistics in field order."""
-        scaler = [np.asarray(getattr(self.scaler, f.name)) for f in fields(self.scaler)]
-        return flat_params(self) + scaler
+        scaler = self.scaler
+        return [self.buffer, *(np.asarray(getattr(scaler, f.name)) for f in fields(scaler))]
 
     def hidden_sizes(self) -> list[int]:
         """Width of every layer, read off the first per-layer field."""
-        layer_fields = self.layer_fields()
-        if not layer_fields:
-            return []
-        return [a.shape[0] for a in getattr(self, layer_fields[0].name)]
+        return [len(a) for f in self.layer_fields()[:1] for a in getattr(self, f.name)]
 
     def initial_state(self, batch: int) -> list:
         """Empty: a direct family's feature row holds all the history it reads.
@@ -164,51 +176,72 @@ def param_layout(kind: str, n_features: int, hidden_sizes: list[int]):
 def init_params(
     kind: str, n_features: int, hidden_sizes: list[int], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Initial flat parameter list of a family, drawn in flat-list order."""
-    params = []
-    for _, _, shape, start in param_layout(kind, n_features, hidden_sizes):
+    """Initial flat parameter list of a family, drawn in flat-list order into
+    views of a new buffer."""
+    _, _, params = new_buffer(kind, n_features, hidden_sizes)
+    for p, (_, _, shape, start) in zip(params, param_layout(kind, n_features, hidden_sizes)):
         if start is not None:
-            params.append(np.full(shape, start))
+            p[...] = start
         elif len(shape) == 2:
-            params.append(glorot_uniform(rng, *shape))
+            p[...] = glorot_uniform(rng, *shape)
         else:  # the readout weight, into a single output unit
-            params.append(glorot_uniform(rng, 1, *shape)[0])
+            p[...] = glorot_uniform(rng, 1, *shape)[0]
     return params
 
 
-def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
-    """The model holding the flat list's arrays themselves, not copies."""
-    cls = model_class(kind)
+def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
+    """A new, unset buffer laid out as ParamModel describes, its blocks (per
+    layer, shape rule -> stacked block) and the flat list, all views of it."""
+    rules = [f.metadata["shape"] for f in model_class(kind).layer_fields()]
+    layout = param_layout(kind, n_features, hidden_sizes)
+    buffer = np.empty(sum(math.prod(shape) for _, _, shape, _ in layout))
+    blocks, views, offset, fan_in = [], [], 0, n_features
+    for units in hidden_sizes:
+        dims = {"units": units, "fan_in": fan_in}
+        blocks.append({})
+        for rule in (SQUARE, FAN_IN, BIAS):
+            shape = (rules.count(rule) * units, *(dims[d] for d in rule[1:]))
+            blocks[-1][rule] = buffer[offset : offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
+        views += [blocks[-1][r][rules[:k].count(r) * units :][:units] for k, r in enumerate(rules)]
+        fan_in = units
+    return buffer, blocks, views + [buffer[offset:-1], buffer[-1:].reshape(())]
+
+
+def _field_values(cls, params: list) -> dict:
     names = [f.name for f in cls.layer_fields()]
-    layers = params[:-2]
-    values = {name: list(layers[k :: len(names)]) for k, name in enumerate(names)}
+    values = {name: list(params[k : -2 : len(names)]) for k, name in enumerate(names)}
     weight, bias = cls.readout
-    values[weight], values[bias] = params[-2], float(params[-1])
-    return cls(
-        **values, feature_layout=feature_layout, scaler=scaler, state_config=state_config
-    )
+    values[weight], values[bias] = params[-2], params[-1]
+    return values
+
+
+def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
+    """The model over a new buffer holding a copy of the flat list."""
+    cls = model_class(kind)
+    values = _field_values(cls, params)
+    return cls(**values, feature_layout=feature_layout, scaler=scaler, state_config=state_config)
 
 
 def flat_params(model) -> list[np.ndarray]:
-    """The model's flat parameter list; the inverse of model_from_params."""
+    """The model's flat list, views of its buffer; the inverse of model_from_params."""
     layers = zip(*(getattr(model, f.name) for f in model.layer_fields()))
     weight, bias = model.readout
-    return [a for layer in layers for a in layer] + [
-        getattr(model, weight),
-        np.asarray(getattr(model, bias)),
-    ]
+    return [a for layer in layers for a in layer] + [getattr(model, weight), getattr(model, bias)]
 
 
 def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
     """Adam on seeded minibatches of dataset with the family's loss_and_grads,
     clipping the global gradient norm when the family is recurrent; returns
-    the model and the loss curve. Clipping and the optimizer step go through
-    the adam module, so a wrapper put there sees every call."""
+    the model and the loss curve. Adam steps the whole buffer as one array;
+    clipping sums the norm over the flat list. Both go through the adam
+    module, so a wrapper put there sees every call."""
     inputs = np.asarray(dataset.inputs, dtype=float)
     targets = np.asarray(dataset.targets, dtype=float)
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
-    optimizer = adam.Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    buffer = params[0].base
+    optimizer = adam.Adam([buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     losses = np.empty(cfg.steps)
     for step, idx in enumerate(minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)):
         loss, grads = loss_and_grads(params, inputs[idx], targets[idx])
@@ -217,7 +250,8 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, st
         losses[step] = loss
         if model_class(kind).recurrent:
             adam.clip_global_norm(grads, cfg.gradient_clip_norm)
-        optimizer.step(params, grads)
+        # params and the kernels' gradients are views of one vector each, laid out alike
+        optimizer.step([buffer], [grads[0].base])
     if scaler is None:
         scaler = identity_scaler(inputs.shape[-1])
     return model_from_params(kind, params, dataset.feature_layout, scaler, state_config), losses

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import Scaler, StateConfig, SupervisedSet
-from .common import BIAS, FAN_IN, ParamModel, TrainConfig, layer_param, train_adam
+from .common import BIAS, FAN_IN, ParamModel, TrainConfig, layer_param, new_buffer, train_adam
 
 
 @dataclass(eq=False)  # ParamModel.__eq__
@@ -20,9 +20,6 @@ class FnnModel(ParamModel):
     hidden_biases: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray  # (units_last,)
     out_bias: float
-    feature_layout: tuple[str, ...]
-    scaler: Scaler
-    state_config: StateConfig
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Standardized predictions for a (samples, features) matrix."""
@@ -47,13 +44,13 @@ def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
 def fnn_loss_and_grads(
     params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Minibatch MSE and its gradient with respect to every parameter.
+    """Minibatch MSE and its gradient, the flat list's views of one vector
+    laid out like the parameter buffer.
 
     The ReLU subgradient at exactly zero is taken as zero, matching the
     forward pass mask convention.
     """
     weights, biases = params[0:-2:2], params[1:-2:2]
-    n_layers = len(weights)
     w_out, b_out = params[-2], params[-1]
 
     activations = [inputs]
@@ -70,20 +67,18 @@ def fnn_loss_and_grads(
     residual = y - targets
     loss = float(np.mean(residual**2))
 
+    _, _, grads = new_buffer("fnn", inputs.shape[-1], [len(w) for w in weights])
     dy = 2.0 * residual / m
-    g_w_out = activations[-1].T @ dy
-    g_b_out = np.asarray(dy.sum())
+    np.matmul(activations[-1].T, dy, out=grads[-2])
+    dy.sum(out=grads[-1])
     dh = np.outer(dy, w_out)
-
-    grads: list[np.ndarray | None] = [None] * len(params)
-    grads[-2], grads[-1] = g_w_out, g_b_out
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(weights) - 1, -1, -1):
         dz = dh * (pre_acts[l] > 0.0)
-        grads[2 * l] = dz.T @ activations[l]
-        grads[2 * l + 1] = dz.sum(axis=0)
+        np.matmul(dz.T, activations[l], out=grads[2 * l])
+        dz.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
             dh = dz @ weights[l]
-    return loss, grads  # type: ignore[return-value]
+    return loss, grads
 
 
 def train_fnn(

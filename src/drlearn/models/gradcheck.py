@@ -39,18 +39,17 @@ def gradient_check(
             p += rng.uniform(-0.5, 0.5, p.shape)
 
     _, grads = loss_and_grads(params, inputs, targets)
+    # params and grads are views of one vector each, laid out alike
+    buffer, grad = params[0].base, grads[0].base
     worst = 0.0
-    for p, g in zip(params, grads):
-        flat_p = p.reshape(-1)
-        flat_g = np.asarray(g).reshape(-1)
-        for j in range(flat_p.size):
-            saved = flat_p[j]
-            flat_p[j] = saved + FD_STEP
-            up, _ = loss_and_grads(params, inputs, targets)
-            flat_p[j] = saved - FD_STEP
-            down, _ = loss_and_grads(params, inputs, targets)
-            flat_p[j] = saved
-            fd = (up - down) / (2.0 * FD_STEP)
-            denom = max(abs(flat_g[j]), abs(fd), REL_FLOOR)
-            worst = max(worst, abs(flat_g[j] - fd) / denom)
+    for j in range(buffer.size):
+        saved = buffer[j]
+        buffer[j] = saved + FD_STEP
+        up, _ = loss_and_grads(params, inputs, targets)
+        buffer[j] = saved - FD_STEP
+        down, _ = loss_and_grads(params, inputs, targets)
+        buffer[j] = saved
+        fd = (up - down) / (2.0 * FD_STEP)
+        denom = max(abs(grad[j]), abs(fd), REL_FLOOR)
+        worst = max(worst, abs(grad[j] - fd) / denom)
     return worst

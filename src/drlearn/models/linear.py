@@ -22,9 +22,6 @@ class LinearModel(ParamModel):
 
     weights: np.ndarray
     bias: float
-    feature_layout: tuple[str, ...]
-    scaler: Scaler
-    state_config: StateConfig
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Predictions in standardized target space for standardized inputs."""

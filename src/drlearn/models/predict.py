@@ -30,7 +30,7 @@ def _hours(history: TimeSeriesDataset, start: int, stop: int) -> np.ndarray:
 class _Replayed:
     """A model's state after feature rows [order, n) of a history, with
     copies of every value that replay read: the encoding, and the arrays
-    _replay_reads lists.
+    _replay_reads lists (one of them the parameter buffer).
 
     An entry is replaced whole, never changed, and run does not write into
     the state it is given, so the state can seed any later call.
@@ -44,7 +44,7 @@ class _Replayed:
 
 def _replay_reads(model: Model, history: TimeSeriesDataset, n: int) -> list[np.ndarray]:
     """The arrays a replay of history's first n intervals reads: the history,
-    then the model's parameters and scaler."""
+    then the model's parameter buffer and scaler."""
     return [
         history.prices[:n],
         history.consumptions[:n],

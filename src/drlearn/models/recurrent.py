@@ -16,6 +16,7 @@ from .common import (
     TrainConfig,
     layer_param,
     model_from_params,
+    new_buffer,
     train_adam,
 )
 
@@ -63,8 +64,8 @@ class _Recurrent(ParamModel):
     Kocisky & Blunsom 2016). It rounds differently from run and makes no
     bitwise promise.
 
-    Subclasses provide _layers() -> [(w_h, w_x, b)] with the gate blocks
-    side by side, _hidden(layer_state) -> h, _cell(z, layer_state) -> (h,
+    Both read the weights through _layers, views of the buffer's blocks.
+    Subclasses provide _hidden(layer_state) -> h, _cell(z, layer_state) -> (h,
     new layer_state, cache) for the gate pre-activations z, and
     _cell_backward(dz, dh, carry, cache) -> carry, which writes the step's
     dz from the gradient dh of its output h and the carry from the step
@@ -112,6 +113,11 @@ class _Recurrent(ParamModel):
         outputs += self.out_bias
         return outputs.T, new_state
 
+    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per layer w_h (units, gates * units), w_x (fan_in, gates * units) and
+        b (gates * units,): the buffer's blocks, transposed, not copied."""
+        return [(b[SQUARE].T, b[FAN_IN].T, b[BIAS]) for b in self.blocks]
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Standardized predictions for (batch, steps, features) windows from zero state."""
         return self.run(inputs, self.initial_state(len(inputs)))[0]
@@ -121,13 +127,14 @@ class _Recurrent(ParamModel):
         cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
     ) -> tuple[float, list[np.ndarray]]:
         """MSE over every step of every window, and its gradient by full BPTT,
-        both over the family's flat parameter list."""
-        # a model over params' own arrays, for the fused weights and zero state serving uses
+        the flat list's views of one vector laid out like the parameter buffer."""
+        # a model over a copy of params, for the fused weights and zero state serving uses
         model = model_from_params(cls.kind, params, (), None, None)
         w_out, b_out = params[-2], params[-1]
         x = np.ascontiguousarray(np.transpose(inputs, (1, 0, 2)), dtype=float)  # time-major
         steps, batch, _ = x.shape
         layers = model._layers()
+        _, grad_blocks, grads = new_buffer(cls.kind, x.shape[-1], model.hidden_sizes())
 
         tapes = []  # per layer: its input, hidden states (slot 0 zero) and cell caches
         for (w_h, w_x, b), state in zip(layers, model.initial_state(batch)):
@@ -150,7 +157,8 @@ class _Recurrent(ParamModel):
         residual = x @ w_out + b_out - np.transpose(targets)
         loss = float(np.sum(residual**2) / m)
         d_out = 2.0 * residual / m
-        grads = [x.reshape(m, -1).T @ d_out.reshape(m), np.asarray(d_out.sum())]
+        np.matmul(x.reshape(m, -1).T, d_out.reshape(m), out=grads[-2])
+        d_out.sum(out=grads[-1])
 
         d_above = d_out[..., None] * w_out  # gradient into each step's output h
         for l in range(len(layers) - 1, -1, -1):
@@ -162,9 +170,9 @@ class _Recurrent(ParamModel):
                 dh = d_above[t] if t == steps - 1 else d_above[t] + dz[t + 1] @ w_h.T
                 carry = cls._cell_backward(dz[t], dh, carry, caches[t])
             dz = dz.reshape(m, -1)
-            fused = (dz.T @ hidden[:-1].reshape(m, units), dz.T @ x.reshape(m, -1), dz.sum(axis=0))
-            # row block k of each fused gradient is gate k's array in the flat list
-            grads[:0] = [g[k : k + units] for k in range(0, width, units) for g in fused]
+            np.matmul(dz.T, hidden[:-1].reshape(m, units), out=grad_blocks[l][SQUARE])
+            np.matmul(dz.T, x.reshape(m, -1), out=grad_blocks[l][FAN_IN])
+            dz.sum(axis=0, out=grad_blocks[l][BIAS])
             if l:
                 d_above = (dz @ w_x.T).reshape(steps, batch, -1)
         return loss, grads
@@ -181,17 +189,11 @@ class RnnModel(_Recurrent):
     b: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray  # (units_last,)
     out_bias: float
-    feature_layout: tuple[str, ...]
-    scaler: Scaler
-    state_config: StateConfig
 
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
 
     def initial_state(self, batch: int) -> list[np.ndarray]:
         return [np.zeros((batch, units)) for units in self.hidden_sizes()]
-
-    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [(w_h.T, w_x.T, b) for w_h, w_x, b in zip(self.w_h, self.w_x, self.b)]
 
     @staticmethod
     def _hidden(layer_state: np.ndarray) -> np.ndarray:
@@ -231,33 +233,12 @@ class LstmModel(_Recurrent):
     b_c: list[np.ndarray] = layer_param(BIAS, start=0.0)
     out_weight: np.ndarray
     out_bias: float
-    feature_layout: tuple[str, ...]
-    scaler: Scaler
-    state_config: StateConfig
 
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
 
     def initial_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer (hidden, cell), both zero."""
         return [(np.zeros((batch, u)), np.zeros((batch, u))) for u in self.hidden_sizes()]
-
-    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per layer w_h (units, 4 units), w_x (fan_in, 4 units) and b (4 units,),
-        gate blocks in forget, input, output, candidate order."""
-        gates = (
-            (self.w_fh, self.w_fx, self.b_f),
-            (self.w_ih, self.w_ix, self.b_i),
-            (self.w_oh, self.w_ox, self.b_o),
-            (self.w_ch, self.w_cx, self.b_c),
-        )
-        return [
-            (
-                np.concatenate([w_h[l].T for w_h, _, _ in gates], axis=1),
-                np.concatenate([w_x[l].T for _, w_x, _ in gates], axis=1),
-                np.concatenate([b[l] for _, _, b in gates]),
-            )
-            for l in range(len(self.w_fh))
-        ]
 
     @staticmethod
     def _hidden(layer_state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import ModelFormatError
 from ..features import Scaler, StateConfig
 from ..ioutil import atomic_write_text
-from .common import MODEL_CLASSES, flat_params, param_layout
+from .common import MODEL_CLASSES, model_from_params, param_layout
 
 SCHEMA_VERSION = 1
 
@@ -19,10 +19,7 @@ def _params_document(model) -> dict:
     """The params object: each per-layer field as a list of nested lists, in
     declaration order, then the readout weight and bias."""
     document = {f.name: [a.tolist() for a in getattr(model, f.name)] for f in model.layer_fields()}
-    weight, bias = model.readout
-    document[weight] = getattr(model, weight).tolist()
-    document[bias] = getattr(model, bias)
-    return document
+    return document | {name: getattr(model, name).tolist() for name in model.readout}
 
 
 def save_model(model, path: str) -> None:
@@ -168,21 +165,17 @@ def load_model(path: str):
             f" unexpected {sorted(extra)}"
         )
 
-    values = {
-        f.name: _array_list(params[f.name], f.name, len(f.metadata["shape"]))
-        for f in layer_fields
-    }
+    values = [
+        _array_list(params[f.name], f.name, len(f.metadata["shape"])) for f in layer_fields
+    ]
     _check_dim(
-        len({len(arrays) for arrays in values.values()}) <= 1,
-        f"{'/'.join(values)} disagree on layer count",
+        len(set(map(len, values))) <= 1,
+        f"{'/'.join(f.name for f in layer_fields)} disagree on layer count",
     )
-    values[weight] = _array(params[weight], weight, 1)
-    values[bias] = _float(params[bias], bias)
-    model = cls(
-        **values, feature_layout=feature_layout, scaler=scaler, state_config=state_config
-    )
-    layout = param_layout(kind, n_features, model.hidden_sizes())
-    for array, (name, layer, shape, _) in zip(flat_params(model), layout):
+    hidden_sizes = [len(a) for a in values[0]] if values else []
+    flat = [a for layer in zip(*values) for a in layer]
+    flat += [_array(params[weight], weight, 1), _float(params[bias], bias)]
+    for a, (name, layer, shape, _) in zip(flat, param_layout(kind, n_features, hidden_sizes)):
         where = name if layer is None else f"{name}[{layer}]"
-        _check_dim(array.shape == shape, f"{where} expected shape {shape}, got {array.shape}")
-    return model
+        _check_dim(np.shape(a) == shape, f"{where} expected shape {shape}, got {np.shape(a)}")
+    return model_from_params(kind, flat, feature_layout, scaler, state_config)
