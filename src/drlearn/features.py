@@ -152,6 +152,15 @@ def sequence_layout(cfg: StateConfig) -> tuple[str, ...]:
     return feature_layout(replace(cfg, order=1))
 
 
+def check_intervals(ts: TimeSeriesDataset, cfg: StateConfig) -> None:
+    """Raise DataError unless ts divides a day into cfg's number of intervals."""
+    if ts.intervals_per_day != cfg.intervals_per_day:
+        raise DataError(
+            f"intervals_per_day mismatch: model expects {cfg.intervals_per_day},"
+            f" data has {ts.intervals_per_day}"
+        )
+
+
 def feature_rows(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig) -> np.ndarray:
     """Feature rows for intervals [start, stop), columns as in feature_layout(cfg).
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from .eucsim import TimeSeriesDataset
-from .features import feature_layout, feature_rows
+from .features import check_intervals, feature_layout, feature_rows
 from .ioutil import atomic_write_text
 from .models.common import model_class
 
@@ -80,6 +80,7 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
     RECURRENT_WARMUP predictions are excluded from scoring.
     """
     cfg = model.state_config
+    check_intervals(dataset, cfg)
     if feature_layout(cfg) != model.feature_layout:
         raise DataError(
             "feature layout mismatch: model expects"

@@ -236,6 +236,8 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, st
     the model and the loss curve. Adam steps the whole buffer as one array;
     clipping sums the norm over the flat list. Both go through the adam
     module, so a wrapper put there sees every call."""
+    if not hidden_sizes:
+        raise ValueError(f"{kind} needs at least one hidden layer, got hidden_sizes {hidden_sizes}")
     inputs = np.asarray(dataset.inputs, dtype=float)
     targets = np.asarray(dataset.targets, dtype=float)
     rng = np.random.default_rng(cfg.rng_seed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eucsim import TimeSeriesDataset
-from ..features import StateConfig, feature_rows
+from ..features import StateConfig, check_intervals, feature_rows
 from .common import all_equal
 from .fnn import FnnModel
 from .linear import LinearModel
@@ -29,15 +29,15 @@ def _hours(history: TimeSeriesDataset, start: int, stop: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Replayed:
     """A model's state after feature rows [order, n) of a history, with
-    copies of every value that replay read: the encoding, and the arrays
-    _replay_reads lists (one of them the parameter buffer).
+    copies of every value that replay read: the model's state config, and
+    the arrays _replay_reads lists (one of them the parameter buffer).
 
     An entry is replaced whole, never changed, and run does not write into
     the state it is given, so the state can seed any later call.
     """
 
     n: int
-    encoding: tuple[StateConfig, int]  # the model's state_config, history's intervals_per_day
+    encoding: StateConfig
     reads: list[np.ndarray]
     state: list
 
@@ -68,13 +68,12 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
         return []
     state = model.initial_state(1)
     cfg = model.state_config
-    encoding = (cfg, history.intervals_per_day)
     resume = cfg.order
     entry = getattr(model, "_replayed", None)
     if (
         entry is not None
         and entry.n <= start
-        and entry.encoding == encoding
+        and entry.encoding == cfg
         and all_equal(entry.reads, _replay_reads(model, history, entry.n))
     ):
         resume, state = entry.n, entry.state
@@ -82,8 +81,14 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
         rows = model.scaler.transform_inputs(feature_rows(history, resume, start, cfg))
         _, state = model.run(rows[None], state)
         reads = [np.array(a) for a in _replay_reads(model, history, start)]
-        model._replayed = _Replayed(start, encoding, reads, state)
+        model._replayed = _Replayed(start, cfg, reads, state)
     return state
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"{name} {values[bad[0]]} at index {bad[0]} is not finite")
 
 
 def _serve(
@@ -100,6 +105,12 @@ def _serve(
     the consumption that later rows read.
     """
     cfg = model.state_config
+    check_intervals(history, cfg)
+    if prices.ndim != 1:
+        raise ValueError(f"posted prices must be 1-D, got shape {prices.shape}")
+    _check_finite("posted price", prices)
+    if teacher_consumptions is not None:
+        _check_finite("teacher consumption", teacher_consumptions)
     if start < cfg.order:
         raise ValueError(f"need {cfg.order} preceding intervals, only {start} available")
     state = _replayed_state(model, history, start)

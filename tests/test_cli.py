@@ -229,6 +229,25 @@ class TestEval:
         ]) == 0
         assert json.loads(report_path.read_text())["records"][0]["split"] == "train"
 
+    def test_interval_count_mismatch_exits_2(self, tmp_path, config_path, capsys):
+        # hours 0..11 of a 12-interval day are valid hours of a 24-interval one,
+        # so a 24-interval model trains on the data and must not score it
+        half_days = tmp_path / "half.yaml"
+        half_days.write_text(TINY_CONFIG.replace("horizon: 480", "horizon: 480\n  intervals_per_day: 12"))
+        data, model_path = str(tmp_path / "d.csv"), str(tmp_path / "m.json")
+        assert main(["simulate", "--config", str(half_days), "--out", data]) == 0
+        assert main([
+            "train", "--config", config_path, "--data", data,
+            "--model", "linear", "--order", "1", "--out", model_path,
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "eval", "--config", str(half_days), "--model", model_path,
+            "--data", data, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "intervals_per_day mismatch: model expects 24, data has 12" in capsys.readouterr().err
+
     def test_corrupt_model_exits_2(self, tmp_path, config_path, dataset_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

@@ -205,6 +205,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train_fnn(ds, [4], TrainConfig(steps=5))
 
+    def test_zero_layers_rejected(self):
+        # load_model would refuse the saved file: hidden_weights must be non-empty
+        ds = SupervisedSet(
+            inputs=np.ones((8, 2)), targets=np.ones(8), feature_layout=("a", "b")
+        )
+        with pytest.raises(ValueError, match="fnn needs at least one hidden layer"):
+            train_fnn(ds, [], TrainConfig(steps=5))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_numerical_error(self):
         ds = SupervisedSet(

@@ -167,6 +167,15 @@ class TestEvaluate:
             state_config=cfg,
         )
 
+    def test_interval_count_mismatch_rejected(self):
+        # a 24-interval model would read hour h of a 12-interval day as h / 24
+        ts = price_tracking_series()
+        half_days = TimeSeriesDataset(
+            prices=ts.prices, consumptions=ts.consumptions, hours=ts.hours % 12, intervals_per_day=12
+        )
+        with pytest.raises(DataError, match="model expects 24, data has 12"):
+            evaluate(perfect_linear_model(), half_days, "test")
+
     def test_recurrent_warmup_exclusion(self):
         ts = constant_series(length=120)
         report = evaluate(self.make_rnn(), ts, "test")

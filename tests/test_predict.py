@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drlearn.errors import DataError
 from drlearn.eucsim import (
     TimeSeriesDataset,
     generate_profile,
@@ -282,6 +283,42 @@ class TestErrorPaths:
             )
 
 
+class TestPostedInputChecks:
+    @pytest.mark.parametrize("fixture", ["linear_model", "rnn_model"])
+    def test_interval_count_mismatch_rejected(self, fixture, series, request):
+        model = request.getfixturevalue(fixture)
+        half_days = TimeSeriesDataset(
+            prices=series.prices,
+            consumptions=series.consumptions,
+            hours=series.hours % 12,
+            intervals_per_day=12,
+        )
+        with pytest.raises(DataError, match="model expects 24, data has 12"):
+            predict_one_step(model, half_days, 30.0, TRAIN_LEN)
+        with pytest.raises(DataError, match="model expects 24, data has 12"):
+            rollout(model, tail_history(half_days, 0, TRAIN_LEN), np.array([30.0]))
+
+    @pytest.mark.parametrize("fixture", ["fnn_model", "lstm_model"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_price_rejected(self, fixture, bad, series, request):
+        model = request.getfixturevalue(fixture)
+        with pytest.raises(ValueError, match="posted price .* at index 0 is not finite"):
+            predict_one_step(model, series, bad, TRAIN_LEN)
+        history = tail_history(series, 0, TRAIN_LEN)
+        with pytest.raises(ValueError, match="posted price .* at index 2 is not finite"):
+            rollout(model, history, np.array([30.0, 31.0, bad]))
+
+    def test_non_finite_teacher_consumption_rejected(self, series, rnn_model):
+        history = tail_history(series, 0, TRAIN_LEN)
+        with pytest.raises(ValueError, match="teacher consumption nan at index 1 is not finite"):
+            rollout(rnn_model, history, np.full(3, 30.0), np.array([50.0, np.nan, 50.0]))
+
+    def test_two_dimensional_prices_rejected(self, series, rnn_model):
+        history = tail_history(series, 0, TRAIN_LEN)
+        with pytest.raises(ValueError, match=r"posted prices must be 1-D, got shape \(3, 2\)"):
+            rollout(rnn_model, history, np.full((3, 2), 30.0))
+
+
 def random_served_model(kind, encoding, seed):
     """A two-layer recurrent model with seeded weights and scaler."""
     cfg = StateConfig(order=1, time_encoding=encoding)
@@ -421,6 +458,10 @@ class TestSavedState:
             else:
                 t = last = data.draw(st.integers(1, length), label="t")
                 prices = series.prices[t : t + 4] if t < length else np.full(4, 33.0)
+                if not np.all(np.isfinite(prices)):  # an edit put NaN among the posted prices
+                    with pytest.raises(ValueError, match="posted price nan"):
+                        rollout(model, tail_history(series, 0, t), prices)
+                    continue
                 got = rollout(model, tail_history(series, 0, t), prices)
                 want = rollout(fresh_copy(model), tail_history(series, 0, t), prices)
                 assert np.array_equal(got, want, equal_nan=True)

@@ -437,6 +437,13 @@ class TestTraining:
             )
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_zero_layers_rejected(self, kind):
+        # with no layer, run would never write the readout of its output
+        ds = self.make_windows(10)
+        with pytest.raises(ValueError, match=f"{kind} needs at least one hidden layer"):
+            train_recurrent(ds, kind, [], TrainConfig(steps=5))
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_stacked_layers_train(self, kind):
         ds = self.make_windows(8)
         model, losses = train_recurrent(ds, kind, [6, 4], TrainConfig(steps=60, rng_seed=1))
