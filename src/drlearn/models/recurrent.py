@@ -134,9 +134,8 @@ class _Recurrent(ParamModel):
         x = np.ascontiguousarray(np.transpose(inputs, (1, 0, 2)), dtype=float)  # time-major
         steps, batch, _ = x.shape
         layers = model._layers()
-        _, grad_blocks, grads = new_buffer(cls.kind, x.shape[-1], model.hidden_sizes())
 
-        tapes = []  # per layer: its input, hidden states (slot 0 zero) and cell caches
+        tapes = []  # per layer: its input, pre-activations, hidden states (slot 0 zero), cell caches
         for (w_h, w_x, b), state in zip(layers, model.initial_state(batch)):
             units = w_h.shape[0]
             # bias added in place: "... @ w_x + b" makes numpy check whether it may
@@ -150,9 +149,10 @@ class _Recurrent(ParamModel):
                 z[t] += hidden[t] @ w_h
                 hidden[t + 1], state, cache = cls._cell(z[t], state)
                 caches.append(cache)
-            tapes.append((x, hidden, caches))
+            tapes.append((x, z, hidden, caches))
             x = hidden[1:]
 
+        _, grad_blocks, grads = new_buffer(cls.kind, inputs.shape[-1], model.hidden_sizes())
         m = batch * steps
         residual = x @ w_out + b_out - np.transpose(targets)
         loss = float(np.sum(residual**2) / m)
@@ -162,9 +162,10 @@ class _Recurrent(ParamModel):
 
         d_above = d_out[..., None] * w_out  # gradient into each step's output h
         for l in range(len(layers) - 1, -1, -1):
-            (w_h, w_x, _), (x, hidden, caches) = layers[l], tapes[l]
-            units, width = w_h.shape
-            dz = np.empty((steps, batch, width))
+            # each step's gate gradient dz overwrites its pre-activation z, which
+            # _cell read and no cache holds
+            (w_h, w_x, _), (x, dz, hidden, caches) = layers[l], tapes[l]
+            units = w_h.shape[0]
             carry = None
             for t in range(steps - 1, -1, -1):
                 dh = d_above[t] if t == steps - 1 else d_above[t] + dz[t + 1] @ w_h.T
