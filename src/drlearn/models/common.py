@@ -95,6 +95,7 @@ class ParamModel:
         """Copy the given arrays into a new buffer that the fields then view."""
         given = flat_params(self)
         rules = [f.metadata["shape"] for f in self.layer_fields()]
+        # the first layer's fan-in, or the readout weight's width when there are no layers
         n_features = np.shape(given[rules.index(FAN_IN) if len(given) > 2 else -2])[-1]
         self.buffer, self.blocks, views = new_buffer(self.kind, n_features, self.hidden_sizes())
         for view, value in zip(views, given, strict=True):
@@ -211,9 +212,7 @@ def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
 def _field_values(cls, params: list) -> dict:
     names = [f.name for f in cls.layer_fields()]
     values = {name: list(params[k : -2 : len(names)]) for k, name in enumerate(names)}
-    weight, bias = cls.readout
-    values[weight], values[bias] = params[-2], params[-1]
-    return values
+    return values | dict(zip(cls.readout, params[-2:]))
 
 
 def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
@@ -226,8 +225,7 @@ def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scale
 def flat_params(model) -> list[np.ndarray]:
     """The model's flat list, views of its buffer; the inverse of model_from_params."""
     layers = zip(*(getattr(model, f.name) for f in model.layer_fields()))
-    weight, bias = model.readout
-    return [a for layer in layers for a in layer] + [getattr(model, weight), getattr(model, bias)]
+    return [a for layer in layers for a in layer] + [getattr(model, name) for name in model.readout]
 
 
 def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
