@@ -59,14 +59,16 @@ class _Recurrent(ParamModel):
     Training runs one core too, loss_and_grads, on the same fused weights
     and the same _cell. Its forward hoists the input projection of every
     step into one matmul and keeps the cache each _cell returns; its
-    backward stores each step's gate gradient dz and forms the weight
+    backward writes each step's gate gradient dz over that step's
+    pre-activations, which nothing reads after _cell, and forms the weight
     gradients after the time loop with one matmul or sum each (Appleyard,
     Kocisky & Blunsom 2016). It rounds differently from run and makes no
     bitwise promise.
 
     Both read the weights through _layers, views of the buffer's blocks.
     Subclasses provide _hidden(layer_state) -> h, _cell(z, layer_state) -> (h,
-    new layer_state, cache) for the gate pre-activations z, and
+    new layer_state, cache) for the gate pre-activations z, holding no view
+    of z, and
     _cell_backward(dz, dh, carry, cache) -> carry, which writes the step's
     dz from the gradient dh of its output h and the carry from the step
     after it (None at the last step).
@@ -135,7 +137,7 @@ class _Recurrent(ParamModel):
         steps, batch, _ = x.shape
         layers = model._layers()
 
-        tapes = []  # per layer: its input, pre-activations, hidden states (slot 0 zero), cell caches
+        tapes = []  # per layer: input, pre-activations, hidden states (slot 0 zero), cell caches
         for (w_h, w_x, b), state in zip(layers, model.initial_state(batch)):
             units = w_h.shape[0]
             # bias added in place: "... @ w_x + b" makes numpy check whether it may
@@ -162,9 +164,7 @@ class _Recurrent(ParamModel):
 
         d_above = d_out[..., None] * w_out  # gradient into each step's output h
         for l in range(len(layers) - 1, -1, -1):
-            # each step's gate gradient dz overwrites its pre-activation z, which
-            # _cell read and no cache holds
-            (w_h, w_x, _), (x, dz, hidden, caches) = layers[l], tapes[l]
+            (w_h, w_x, _), (x, dz, hidden, caches) = layers[l], tapes[l]  # dz over z
             units = w_h.shape[0]
             carry = None
             for t in range(steps - 1, -1, -1):

@@ -233,7 +233,9 @@ class TestEval:
         # hours 0..11 of a 12-interval day are valid hours of a 24-interval one,
         # so a 24-interval model trains on the data and must not score it
         half_days = tmp_path / "half.yaml"
-        half_days.write_text(TINY_CONFIG.replace("horizon: 480", "horizon: 480\n  intervals_per_day: 12"))
+        half_days.write_text(
+            TINY_CONFIG.replace("horizon: 480", "horizon: 480\n  intervals_per_day: 12")
+        )
         data, model_path = str(tmp_path / "d.csv"), str(tmp_path / "m.json")
         assert main(["simulate", "--config", str(half_days), "--out", data]) == 0
         assert main([

@@ -171,7 +171,10 @@ class TestEvaluate:
         # a 24-interval model would read hour h of a 12-interval day as h / 24
         ts = price_tracking_series()
         half_days = TimeSeriesDataset(
-            prices=ts.prices, consumptions=ts.consumptions, hours=ts.hours % 12, intervals_per_day=12
+            prices=ts.prices,
+            consumptions=ts.consumptions,
+            hours=ts.hours % 12,
+            intervals_per_day=12,
         )
         with pytest.raises(DataError, match="model expects 24, data has 12"):
             evaluate(perfect_linear_model(), half_days, "test")

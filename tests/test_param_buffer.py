@@ -38,7 +38,8 @@ def built(kind: str, way: str, tmp_path):
         save_model(model, str(tmp_path / "m.json"))
         return load_model(str(tmp_path / "m.json"))
     if way == "constructor":
-        values = {f.name: [np.array(a) for a in getattr(model, f.name)] for f in model.layer_fields()}
+        fields = model.layer_fields()
+        values = {f.name: [np.array(a) for a in getattr(model, f.name)] for f in fields}
         weight, bias = model.readout
         values[weight], values[bias] = np.array(getattr(model, weight)), float(getattr(model, bias))
         return type(model)(**values, feature_layout=LAYOUT, scaler=model.scaler, state_config=CFG)
@@ -74,7 +75,7 @@ def test_lstm_layer_is_gate_stacked():
     assert blocks[SQUARE].shape == (4 * units, units)
     assert blocks[FAN_IN].shape == (4 * units, fan_in)
     assert blocks[BIAS].shape == (4 * units,)
-    gates = (("w_fh", "w_fx", "b_f"), ("w_ih", "w_ix", "b_i"), ("w_oh", "w_ox", "b_o"), ("w_ch", "w_cx", "b_c"))
+    gates = [(f"w_{g}h", f"w_{g}x", f"b_{g}") for g in "fioc"]
     for k, names in enumerate(gates):
         rows = slice(k * units, (k + 1) * units)
         for rule, name in zip((SQUARE, FAN_IN, BIAS), names):
