@@ -3,37 +3,23 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
 from .metrics import RECURRENT_WARMUP
-from .models.common import TrainConfig, model_class
+from .models.common import TrainConfig, bound_violation, bounded, model_class
 
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
-
-
-def _checked(
-    default,
-    minimum: int | None = None,
-    choices: tuple[str, ...] | None = None,
-    within: tuple[float, float] | None = None,
-):
-    """A field with a default whose parse also checks `minimum` (integers and
-    integer-list entries), `choices` (strings and string-list entries) or
-    `within`, a half-open interval [low, high) for a float."""
-    return field(
-        default=default, metadata={"minimum": minimum, "choices": choices, "within": within}
-    )
 
 
 @dataclass(frozen=True)
 class SimulationBlock:
     """Population, horizon, prices, and the seeds that generated them."""
 
-    euc_count: int = _checked(100, minimum=1)
-    horizon: int = _checked(8760, minimum=1)
-    intervals_per_day: int = _checked(24, minimum=1)
+    euc_count: int = bounded(100, minimum=1)
+    horizon: int = bounded(8760, minimum=1)
+    intervals_per_day: int = bounded(24, minimum=1)
     price_low: float = 20.0
     price_high: float = 50.0
     noise_std: float = 0.1
@@ -50,31 +36,23 @@ class SimulationBlock:
 
 
 @dataclass(frozen=True)
-class TrainingBlock:
-    """Optimizer schedule and per-family architectures."""
+class TrainingBlock(TrainConfig):
+    """The optimizer schedule (TrainConfig) and the per-family architectures."""
 
-    learning_rate: float = 0.001
-    steps: int = _checked(10000, minimum=1)
-    batch_size: int = _checked(32, minimum=1)
-    beta1: float = _checked(0.9, within=(0.0, 1.0))
-    beta2: float = _checked(0.999, within=(0.0, 1.0))
-    epsilon: float = 1e-8
-    gradient_clip_norm: float = 5.0
-    rng_seed: int = 0
-    fnn_hidden: tuple[int, ...] = _checked((32, 32), minimum=1)
-    rnn_hidden: tuple[int, ...] = _checked((32,), minimum=1)
-    lstm_hidden: tuple[int, ...] = _checked((32,), minimum=1)
-    window_length: int = _checked(48, minimum=2)
-    time_encoding: str = _checked("scalar", choices=TIME_ENCODINGS)
+    fnn_hidden: tuple[int, ...] = bounded((32, 32), minimum=1)
+    rnn_hidden: tuple[int, ...] = bounded((32,), minimum=1)
+    lstm_hidden: tuple[int, ...] = bounded((32,), minimum=1)
+    window_length: int = bounded(48, minimum=2)
+    time_encoding: str = bounded("scalar", choices=TIME_ENCODINGS)
 
 
 @dataclass(frozen=True)
 class BenchmarkBlock:
     """Which models the benchmark trains and how the data is split."""
 
-    train_len: int = _checked(7296, minimum=1)
-    orders: tuple[int, ...] = _checked((0, 1, 2, 3, 4, 5), minimum=0)
-    kinds: tuple[str, ...] = _checked(MODEL_KINDS, choices=MODEL_KINDS)
+    train_len: int = bounded(7296, minimum=1)
+    orders: tuple[int, ...] = bounded((0, 1, 2, 3, 4, 5), minimum=0)
+    kinds: tuple[str, ...] = bounded(MODEL_KINDS, choices=MODEL_KINDS)
     output_dir: str = "benchmark_out"
 
 
@@ -85,7 +63,7 @@ class RunConfig:
     benchmark: BenchmarkBlock = BenchmarkBlock()
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self.training, f.name) for f in fields(TrainConfig)})
+        return self.training
 
     def state_config(self, order: int) -> StateConfig:
         return StateConfig(
@@ -103,17 +81,16 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _parse_value(path: str, value, default, minimum: int | None = None, choices=None, within=None):
+def _parse_value(path: str, value, default, **bounds):
     """Check value against the type of the field's default: bool, int,
-    float (finite), or str (None allowed only where the default is None)."""
+    float, or str (None allowed only where the default is None), then
+    against the field's bounds (bound_violation)."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
     elif isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     elif isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -121,15 +98,11 @@ def _parse_value(path: str, value, default, minimum: int | None = None, choices=
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf if value > 0 else -math.inf
-        if within is not None and not within[0] <= value < within[1]:
-            raise ConfigError(f"{path}: must be in [{within[0]:g}, {within[1]:g}), got {value}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: must be a finite number, got {value}")
-    elif value is not None or default is not None:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
+    elif (value is not None or default is not None) and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    problem = bound_violation(value, **bounds)
+    if problem is not None:
+        raise ConfigError(f"{path}: {problem}")
     return value
 
 
@@ -153,7 +126,10 @@ def _parse_block(cls, section: str, raw):
     unknown = set(raw) - set(values)
     if unknown:
         raise ConfigError(f"{section}.{sorted(unknown)[0]}: unknown field")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a bound that the block's __post_init__ checks
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def parse_config(document: dict | None) -> RunConfig:
@@ -189,12 +165,11 @@ def parse_config(document: dict | None) -> RunConfig:
         )
 
     training = _parse_block(TrainingBlock, "training", document.get("training"))
-    if training.learning_rate <= 0:
-        raise ConfigError(f"training.learning_rate: must be > 0, got {training.learning_rate}")
-    if training.gradient_clip_norm <= 0 or training.epsilon <= 0:
-        raise ConfigError("training.gradient_clip_norm: clip norm and epsilon must be > 0")
 
     benchmark = _parse_block(BenchmarkBlock, "benchmark", document.get("benchmark"))
+    for k, order in enumerate(benchmark.orders):
+        if order in benchmark.orders[:k]:
+            raise ConfigError(f"benchmark.orders[{k}]: order {order} is repeated")
     if benchmark.train_len >= simulation.horizon:
         raise ConfigError(
             f"benchmark.train_len: must be < simulation.horizon"

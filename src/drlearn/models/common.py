@@ -15,24 +15,54 @@ from ..features import Scaler, StateConfig, identity_scaler
 from . import adam
 
 
+def bounded(default, minimum=None, choices=None, within=None):
+    """A field with a default and the bounds that bound_violation checks:
+    `minimum` (integers and integer-list entries), `choices` (strings and
+    string-list entries) or `within`, a half-open interval [low, high) for a
+    float."""
+    return field(
+        default=default, metadata={"minimum": minimum, "choices": choices, "within": within}
+    )
+
+
+def bound_violation(value, minimum=None, choices=None, within=None) -> str | None:
+    """Why value breaks its field's bounds or is a non-finite float, or None."""
+    if minimum is not None and value < minimum:
+        return f"must be >= {minimum}, got {value}"
+    if within is not None and not within[0] <= value < within[1]:
+        return f"must be in [{within[0]:g}, {within[1]:g}), got {value}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be a finite number, got {value}"
+    if choices is not None and value not in choices:
+        return f"must be one of {sorted(choices)}, got {value!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings shared by all trained families."""
+    """Optimizer and schedule settings shared by all trained families; the
+    training section of a config file is this plus the pipeline's fields."""
 
     learning_rate: float = 0.001
-    steps: int = 10000
-    batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
+    steps: int = bounded(10000, minimum=1)
+    batch_size: int = bounded(32, minimum=1)
+    beta1: float = bounded(0.9, within=(0.0, 1.0))
+    beta2: float = bounded(0.999, within=(0.0, 1.0))
     epsilon: float = 1e-8
     rng_seed: int = 0
     gradient_clip_norm: float = 5.0  # applied to recurrent training only
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.steps < 1:
-            raise ValueError("learning_rate, steps, and batch_size must be positive")
-        if self.gradient_clip_norm <= 0 or self.epsilon <= 0:
-            raise ValueError("gradient_clip_norm and epsilon must be positive")
+        """Raise a ValueError naming the first setting out of its declared
+        bounds, non-finite, or, for the step size, epsilon and clip norm, not > 0."""
+        for f in fields(TrainConfig):
+            value = getattr(self, f.name)
+            problem = bound_violation(value, **f.metadata)
+            positive = f.name in ("learning_rate", "epsilon", "gradient_clip_norm")
+            if problem is None and positive and not value > 0:
+                problem = f"must be > 0, got {value}"
+            if problem is not None:
+                raise ValueError(f"{f.name}: {problem}")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

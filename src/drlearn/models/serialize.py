@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,16 +29,9 @@ def save_model(model, path: str) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": model.kind,
         "feature_layout": list(model.feature_layout),
-        "state_config": {
-            "order": model.state_config.order,
-            "time_encoding": model.state_config.time_encoding,
-            "intervals_per_day": model.state_config.intervals_per_day,
-        },
+        "state_config": asdict(model.state_config),
         "scaler": {
-            "input_mean": model.scaler.input_mean.tolist(),
-            "input_std": model.scaler.input_std.tolist(),
-            "target_mean": model.scaler.target_mean,
-            "target_std": model.scaler.target_std,
+            f.name: np.asarray(getattr(model.scaler, f.name)).tolist() for f in fields(Scaler)
         },
         "params": _params_document(model),
     }
@@ -79,12 +73,13 @@ def _float(value, name: str) -> float:
     return float(value)
 
 
-def _state_int(state_config: dict, key: str) -> int:
-    """state_config[key] as a JSON integer: not 2.7 or 2.0, "2", or true."""
-    value = _require(state_config, key, "state_config")
-    if isinstance(value, bool) or not isinstance(value, int):
+def _state_value(state_config: dict, f):
+    """state_config[f.name]; for an int field (order, intervals_per_day) a JSON
+    integer: not 2.7 or 2.0, "2", or true."""
+    value = _require(state_config, f.name, "state_config")
+    if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
         raise ModelFormatError(
-            f"schema violation: field '{key}' in state_config must be an integer, got {value!r}"
+            f"schema violation: field '{f.name}' in state_config must be an integer, got {value!r}"
         )
     return value
 
@@ -123,11 +118,7 @@ def load_model(path: str):
     cls = MODEL_CLASSES[kind]
     sc = _require(document, "state_config", "document")
     try:
-        state_config = StateConfig(
-            order=_state_int(sc, "order"),
-            time_encoding=_require(sc, "time_encoding", "state_config"),
-            intervals_per_day=_state_int(sc, "intervals_per_day"),
-        )
+        state_config = StateConfig(**{f.name: _state_value(sc, f) for f in fields(StateConfig)})
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"schema violation: bad state_config ({exc})") from exc
     if cls.recurrent and state_config.order != 1:
@@ -137,20 +128,19 @@ def load_model(path: str):
         )
 
     sl = _require(document, "scaler", "document")
-    scaler = Scaler(
-        input_mean=_array(_require(sl, "input_mean", "scaler"), "input_mean", 1),
-        input_std=_array(_require(sl, "input_std", "scaler"), "input_std", 1),
-        target_mean=_float(_require(sl, "target_mean", "scaler"), "target_mean"),
-        target_std=_float(_require(sl, "target_std", "scaler"), "target_std"),
-    )
+    values = {}
+    for f in fields(Scaler):  # per-feature arrays, then the target's numbers
+        value = _require(sl, f.name, "scaler")
+        is_array = f.type == "np.ndarray"
+        values[f.name] = _array(value, f.name, 1) if is_array else _float(value, f.name)
+    scaler = Scaler(**values)
     _check_dim(
         scaler.input_mean.shape == (n_features,) and scaler.input_std.shape == (n_features,),
         f"scaler expects {n_features} features to match the layout",
     )
-    if not np.all(scaler.input_std > 0.0):
-        raise ModelFormatError("schema violation: field 'input_std' must be positive")
-    if not scaler.target_std > 0.0:
-        raise ModelFormatError("schema violation: field 'target_std' must be positive")
+    for name in ("input_std", "target_std"):
+        if not np.all(values[name] > 0.0):
+            raise ModelFormatError(f"schema violation: field '{name}' must be positive")
 
     params = _require(document, "params", "document")
     if not isinstance(params, dict):

@@ -15,6 +15,7 @@ from drlearn.config import (
 )
 from drlearn.errors import ConfigError
 from drlearn.features import StateConfig
+from drlearn.models import TrainConfig
 
 
 FLOAT_FIELDS = [
@@ -228,6 +229,38 @@ class TestFieldDiagnostics:
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError, match="simulation.price_high: must be a finite number, got inf"):
             parse_config({"simulation": {"price_high": 10**400}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", -0.5),
+            ("beta1", 1.0),
+            ("beta2", 1.0),
+            ("beta1", float("nan")),
+            ("learning_rate", float("nan")),
+            ("learning_rate", 0.0),
+            ("epsilon", float("inf")),  # every Adam step would be 0
+            ("gradient_clip_norm", -1.0),
+            ("steps", 0),
+            ("batch_size", 0),
+        ],
+        ids=str,
+    )
+    def test_library_train_config_rejects_what_a_config_file_rejects(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^training\.{key}: must be"):
+            parse_config({"training": {key: value}})
+        with pytest.raises(ValueError, match=rf"^{key}: must be"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["epsilon", "gradient_clip_norm"])
+    def test_non_positive_setting_names_its_own_field(self, key):
+        with pytest.raises(ConfigError, match=rf"^training\.{key}: must be > 0, got 0\.0$"):
+            parse_config({"training": {key: 0}})
+
+    def test_repeated_order_rejected_naming_value_and_index(self):
+        with pytest.raises(ConfigError, match=r"^benchmark\.orders\[2\]: order 1 is repeated$"):
+            parse_config({"benchmark": {"orders": [0, 1, 1]}})
+        assert parse_config({"benchmark": {"orders": [1, 0]}}).benchmark.orders == (1, 0)
 
 
 class TestLoadAndDump:

@@ -1,9 +1,12 @@
 """Package metadata tests."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 import tomllib
+
+import pytest
 
 import drlearn
 from drlearn.config import MODEL_KINDS
@@ -30,6 +33,15 @@ def test_serving_imports_neither_yaml_nor_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.walk_packages(drlearn.__path__, "drlearn.")]
+)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # A circular import fails only for the modules that enter the cycle first.
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True, timeout=60)
 
 
 def test_model_kinds_match_the_registry_and_rnn_lstm_are_recurrent():

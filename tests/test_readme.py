@@ -1,17 +1,25 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written, and its configuration reference
+lists every field at its default."""
 
 import pathlib
 import re
+import shlex
+from dataclasses import fields
+
+import yaml
+
+from drlearn import cli
+from drlearn.config import RunConfig, parse_config
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_block(heading: str) -> str:
-    """The first fenced python block under a second-level heading."""
+def readme_block(heading: str, language: str = "python") -> str:
+    """The first fenced block in language under a second-level heading."""
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, f"no python block under '## {heading}'"
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match, f"no {language} block under '## {heading}'"
     return match.group(1)
 
 
@@ -25,3 +33,27 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     # the benchmark trains the same LSTM as the block's own train_model call
     assert namespace["saved"] == namespace["entry"].model
     assert namespace["yhat"] > 0
+
+
+def test_configuration_reference_is_the_defaults_and_names_every_field():
+    document = yaml.safe_load(readme_block("Configuration reference", "yaml"))
+    assert parse_config(document) == RunConfig()
+    for section in fields(RunConfig):
+        block = getattr(RunConfig(), section.name)
+        assert set(document[section.name]) == {f.name for f in fields(block)}, section.name
+
+
+def test_quick_start_steps_run(tmp_path, monkeypatch):
+    # The block's last step, the default benchmark, is run by test_acceptance.py.
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)
+        for line in readme_block("Quick start", "sh").splitlines()
+        if line.startswith("drlearn ")
+    ]
+    steps = [argv for argv in commands if argv[1] in ("simulate", "train", "eval")]
+    assert [argv[1] for argv in steps] == ["simulate", "train", "eval"]
+    for argv in steps:
+        assert cli.main(argv[1:]) == 0, argv
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out).stat().st_size > 0, out
