@@ -261,30 +261,31 @@ def flat_params(model) -> list[np.ndarray]:
 def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
     """Adam on seeded minibatches of dataset with the family's loss_and_grads,
     clipping the global gradient norm when the family is recurrent; returns
-    the model and the loss curve. Adam steps the whole buffer as one array;
-    clipping sums the norm over the flat list. Both go through the adam
-    module, so a wrapper put there sees every call."""
+    the model it trained in place and the loss curve. Adam steps the model's
+    buffer as one array; clipping sums the norm over the flat list. Both go
+    through the adam module, so a wrapper put there sees every call."""
     if not hidden_sizes:
         raise ValueError(f"{kind} needs at least one hidden layer, got hidden_sizes {hidden_sizes}")
     inputs = np.asarray(dataset.inputs, dtype=float)
     targets = np.asarray(dataset.targets, dtype=float)
     rng = np.random.default_rng(cfg.rng_seed)
-    params = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
-    buffer = params[0].base
-    optimizer = adam.Adam([buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    if scaler is None:
+        scaler = identity_scaler(inputs.shape[-1])
+    initial = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
+    model = model_from_params(kind, initial, dataset.feature_layout, scaler, state_config)
+    params = flat_params(model)
+    optimizer = adam.Adam([model.buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     losses = np.empty(cfg.steps)
     for step, idx in enumerate(minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)):
         loss, grads = loss_and_grads(params, inputs[idx], targets[idx])
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss {loss} at training step {step}")
         losses[step] = loss
-        if model_class(kind).recurrent:
+        if model.recurrent:
             adam.clip_global_norm(grads, cfg.gradient_clip_norm)
         # params and the kernels' gradients are views of one vector each, laid out alike
-        optimizer.step([buffer], [grads[0].base])
-    if scaler is None:
-        scaler = identity_scaler(inputs.shape[-1])
-    return model_from_params(kind, params, dataset.feature_layout, scaler, state_config), losses
+        optimizer.step([model.buffer], [grads[0].base])
+    return model, losses
 
 
 def minibatch_indices(

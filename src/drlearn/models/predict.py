@@ -144,6 +144,8 @@ def predict_one_step(
     a recurrent model replays only the part of the prefix its last replay
     did not cover (see _replayed_state).
     """
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise TypeError(f"t must be an integer, got {type(t).__name__} {t!r}")
     if t > len(history):
         raise ValueError(
             f"cannot predict interval {t}: history holds only {len(history)} intervals"
@@ -166,6 +168,10 @@ def rollout(
     future_prices = np.asarray(future_prices, dtype=float)
     if teacher_consumptions is not None:
         teacher_consumptions = np.asarray(teacher_consumptions, dtype=float)
+        if teacher_consumptions.ndim != 1:
+            raise ValueError(
+                f"teacher_consumptions must be 1-D, got shape {teacher_consumptions.shape}"
+            )
         if len(teacher_consumptions) != len(future_prices):
             raise ValueError("teacher_consumptions must match future_prices in length")
     return _serve(model, history, len(history), future_prices, teacher_consumptions)

@@ -66,15 +66,23 @@ class _Recurrent(ParamModel):
     bitwise promise.
 
     Both read the weights through _layers, views of the buffer's blocks.
-    Subclasses provide _hidden(layer_state) -> h, _cell(z, layer_state) -> (h,
-    new layer_state, cache) for the gate pre-activations z, holding no view
-    of z, and
+    A layer's state is a tuple of state_arrays (batch, units) arrays whose
+    first is the layer's output h: (h,) for the RNN, (h, c) for the LSTM;
+    initial_state gives one zero tuple per layer. Subclasses declare
+    state_arrays and provide _cell(z, layer_state) -> (new layer_state,
+    cache) for the gate pre-activations z, holding no view of z, and
     _cell_backward(dz, dh, carry, cache) -> carry, which writes the step's
     dz from the gradient dh of its output h and the carry from the step
     after it (None at the last step).
     """
 
     recurrent = True
+    state_arrays: int  # arrays per layer state, h first
+
+    def initial_state(self, batch: int) -> list[tuple[np.ndarray, ...]]:
+        """Per layer a tuple of state_arrays zero (batch, units) arrays."""
+        shapes = [(batch, units) for units in self.hidden_sizes()]
+        return [tuple(np.zeros(shape) for _ in range(self.state_arrays)) for shape in shapes]
 
     def run(self, inputs: np.ndarray, state: list) -> tuple[np.ndarray, list]:
         """Standardized predictions (batch, steps) for (batch, steps, features)
@@ -102,15 +110,14 @@ class _Recurrent(ParamModel):
             top = l == len(layers) - 1
             if not top:
                 layer_in = np.empty((steps, batch, w_h.shape[0]))
-            h = self._hidden(layer_state)
             for t in range(steps):
-                z = h @ w_h
+                z = layer_state[0] @ w_h
                 z += proj[t]
-                h, layer_state, _ = self._cell(z, layer_state)
+                layer_state, _ = self._cell(z, layer_state)
                 if top:
-                    np.matmul(h, self.out_weight, out=outputs[t])
+                    np.matmul(layer_state[0], self.out_weight, out=outputs[t])
                 else:
-                    layer_in[t] = h
+                    layer_in[t] = layer_state[0]
             new_state.append(layer_state)
         outputs += self.out_bias
         return outputs.T, new_state
@@ -145,11 +152,12 @@ class _Recurrent(ParamModel):
             z = (x.reshape(steps * batch, -1) @ w_x).reshape(steps, batch, -1)
             z += b
             hidden = np.empty((steps + 1, batch, units))
-            hidden[0] = cls._hidden(state)
+            hidden[0] = state[0]
             caches = []
             for t in range(steps):
                 z[t] += hidden[t] @ w_h
-                hidden[t + 1], state, cache = cls._cell(z[t], state)
+                state, cache = cls._cell(z[t], state)
+                hidden[t + 1] = state[0]
                 caches.append(cache)
             tapes.append((x, z, hidden, caches))
             x = hidden[1:]
@@ -191,19 +199,14 @@ class RnnModel(_Recurrent):
     out_weight: np.ndarray  # (units_last,)
     out_bias: float
 
+    state_arrays = 1  # (h,)
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
 
-    def initial_state(self, batch: int) -> list[np.ndarray]:
-        return [np.zeros((batch, units)) for units in self.hidden_sizes()]
-
     @staticmethod
-    def _hidden(layer_state: np.ndarray) -> np.ndarray:
-        return layer_state
-
-    @staticmethod
-    def _cell(z: np.ndarray, layer_state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _cell(z: np.ndarray, layer_state: tuple[np.ndarray]) -> tuple[tuple, np.ndarray]:
+        """The state (h,) and h itself as the cache."""
         h = np.tanh(z)
-        return h, h, h
+        return (h,), h
 
     @staticmethod
     def _cell_backward(dz: np.ndarray, dh: np.ndarray, carry: None, h: np.ndarray) -> None:
@@ -235,20 +238,13 @@ class LstmModel(_Recurrent):
     out_weight: np.ndarray
     out_bias: float
 
+    state_arrays = 2  # (h, c)
     step = _Recurrent.step  # a class attribute of its own, so it can be wrapped per class
-
-    def initial_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per layer (hidden, cell), both zero."""
-        return [(np.zeros((batch, u)), np.zeros((batch, u))) for u in self.hidden_sizes()]
-
-    @staticmethod
-    def _hidden(layer_state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return layer_state[0]
 
     @staticmethod
     def _cell(z: np.ndarray, layer_state: tuple[np.ndarray, np.ndarray]) -> tuple:
-        """h, the state (h, c), and the cache (sigmoid gates, candidate,
-        tanh(c), previous c) for _cell_backward."""
+        """The state (h, c) and the cache (sigmoid gates, candidate, tanh(c),
+        previous c) for _cell_backward."""
         c_prev = layer_state[1]
         units = c_prev.shape[1]
         gates = sigmoid(z[:, : 3 * units])  # forget, input, output
@@ -256,7 +252,7 @@ class LstmModel(_Recurrent):
         c = gates[:, :units] * c_prev + gates[:, units : 2 * units] * cand
         tanh_c = np.tanh(c)
         h = gates[:, 2 * units :] * tanh_c
-        return h, (h, c), (gates, cand, tanh_c, c_prev)
+        return (h, c), (gates, cand, tanh_c, c_prev)
 
     @staticmethod
     def _cell_backward(dz: np.ndarray, dh: np.ndarray, dc_next, cache: tuple) -> np.ndarray:

@@ -14,6 +14,8 @@ from ..ioutil import atomic_write_text
 from .common import MODEL_CLASSES, model_from_params, param_layout
 
 SCHEMA_VERSION = 1
+# the top-level keys save_model writes, the only ones load_model accepts
+DOCUMENT_FIELDS = ("schema_version", "kind", "feature_layout", "state_config", "scaler", "params")
 
 
 def _params_document(model) -> dict:
@@ -42,6 +44,13 @@ def _require(mapping: dict, key: str, where: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ModelFormatError(f"schema violation: missing field '{key}' in {where}")
     return mapping[key]
+
+
+def _reject_unknown(mapping: dict, known, where: str) -> None:
+    """Name the first key of mapping (when it is an object) that known lacks."""
+    unknown = sorted(set(mapping) - set(known)) if isinstance(mapping, dict) else []
+    if unknown:
+        raise ModelFormatError(f"schema violation: unknown field '{unknown[0]}' in {where}")
 
 
 def _array(value, name: str, ndim: int) -> np.ndarray:
@@ -105,6 +114,7 @@ def load_model(path: str):
             f"version mismatch: file has schema_version {version!r},"
             f" this build reads {SCHEMA_VERSION}"
         )
+    _reject_unknown(document, DOCUMENT_FIELDS, "document")
     kind = _require(document, "kind", "document")
     if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise ModelFormatError(f"schema violation: unknown model kind {kind!r}")
@@ -117,6 +127,7 @@ def load_model(path: str):
 
     cls = MODEL_CLASSES[kind]
     sc = _require(document, "state_config", "document")
+    _reject_unknown(sc, [f.name for f in fields(StateConfig)], "state_config")
     try:
         state_config = StateConfig(**{f.name: _state_value(sc, f) for f in fields(StateConfig)})
     except (TypeError, ValueError) as exc:
@@ -128,6 +139,7 @@ def load_model(path: str):
         )
 
     sl = _require(document, "scaler", "document")
+    _reject_unknown(sl, [f.name for f in fields(Scaler)], "scaler")
     values = {}
     for f in fields(Scaler):  # per-feature arrays, then the target's numbers
         value = _require(sl, f.name, "scaler")

@@ -318,6 +318,28 @@ class TestPostedInputChecks:
         with pytest.raises(ValueError, match=r"posted prices must be 1-D, got shape \(3, 2\)"):
             rollout(rnn_model, history, np.full((3, 2), 30.0))
 
+    @pytest.mark.parametrize(
+        "t, teacher, error, message",
+        [
+            (
+                None,
+                np.full((3, 2), 50.0),
+                ValueError,
+                r"teacher_consumptions must be 1-D, got shape \(3, 2\)",
+            ),
+            (1.5, None, TypeError, r"t must be an integer, got float 1\.5"),
+            (10.0, None, TypeError, r"t must be an integer, got float 10\.0"),
+        ],
+        ids=["2-D teacher", "t 1.5", "t 10.0"],
+    )
+    def test_bad_serving_argument_named(self, series, rnn_model, t, teacher, error, message):
+        history = tail_history(series, 0, TRAIN_LEN)
+        with pytest.raises(error, match=message):
+            if t is None:
+                rollout(rnn_model, history, np.full(3, 30.0), teacher)
+            else:
+                predict_one_step(rnn_model, history, 30.0, t)
+
 
 def random_served_model(kind, encoding, seed):
     """A two-layer recurrent model with seeded weights and scaler."""

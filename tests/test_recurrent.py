@@ -270,6 +270,21 @@ class TestRun:
             y, state = model.step(x[:, t], state)
             assert np.array_equal(batch_out[:, t], y)
 
+    @pytest.mark.parametrize("kind, arrays", [("rnn", 1), ("lstm", 2)])
+    @pytest.mark.parametrize("hidden", [[5], [4, 3]])
+    def test_every_layer_state_is_a_tuple_with_h_first(self, kind, arrays, hidden):
+        model = random_model(kind, hidden)
+        initial = model.initial_state(2)
+        outputs, state = model.run(np.random.default_rng(13).normal(size=(2, 6, 4)), initial)
+        for layers in (initial, state):
+            assert len(layers) == len(hidden)
+            for layer_state, units in zip(layers, hidden):
+                assert isinstance(layer_state, tuple) and len(layer_state) == arrays
+                assert all(a.shape == (2, units) for a in layer_state)
+        assert all(np.all(a == 0.0) for layer_state in initial for a in layer_state)
+        h = state[-1][0]
+        assert np.array_equal(h @ model.out_weight + model.out_bias, outputs[:, -1])
+
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_empty_run_keeps_state(self, kind):
         model = random_model(kind, [4])

@@ -356,6 +356,21 @@ class TestLoadDiagnostics:
         with pytest.raises(ModelFormatError, match=f"field '{field}' must be positive"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("state_config", "orderr", 3), ("scaler", "target_scale", 9.0), (None, "extra_top", 1)],
+    )
+    def test_unknown_key_named(self, tmp_path, section, key, value):
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        with open(source) as handle:
+            doc = json.load(handle)
+        (doc if section is None else doc[section])[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        where = section or "document"
+        with pytest.raises(ModelFormatError, match=f"unknown field '{key}' in {where}"):
+            load_model(str(path))
+
     def test_top_level_array_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2, 3]\n")

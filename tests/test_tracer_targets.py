@@ -1,0 +1,81 @@
+"""The perfbench tracer still finds every function it wraps, and training
+still calls the wrapped kernels once per step.
+
+The per-layer metrics of perfbench/run.py count spans of the names in
+tracing.TARGETS. A refactor that renames a target, or that makes training
+call a kernel some other way than through the module attribute the tracer
+replaces, would blank those metrics without failing anything else.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+# Tracer.install finds each module it wraps in sys.modules, so all are imported
+import drlearn.ioutil
+import drlearn.metrics
+import drlearn.models.predict
+import drlearn.models.serialize
+import drlearn.pipeline
+from drlearn.features import SequenceSet, SupervisedSet
+from drlearn.models import TrainConfig, fnn, recurrent
+
+STEPS = 7
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_counts(train) -> dict[str, int]:
+    """Span counts by name while train runs under an installed Tracer."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()  # raises when a target no longer exists
+        train()
+    finally:
+        tracer.uninstall()
+    counts: dict[str, int] = {}
+    for name, *_ in tracer.spans:
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def train_fnn():
+    rng = np.random.default_rng(0)
+    dataset = SupervisedSet(
+        inputs=rng.normal(size=(40, 3)), targets=rng.normal(size=40), feature_layout=("a", "b", "c")
+    )
+    fnn.train_fnn(dataset, [4], TrainConfig(steps=STEPS, batch_size=8))
+
+
+def train_recurrent(kind):
+    rng = np.random.default_rng(1)
+    dataset = SequenceSet(
+        inputs=rng.normal(size=(10, 5, 3)),
+        targets=rng.normal(size=(10, 5)),
+        window_length=5,
+        feature_layout=("a", "b", "c"),
+    )
+    recurrent.train_recurrent(dataset, kind, [4, 3], TrainConfig(steps=STEPS, batch_size=4))
+
+
+@pytest.mark.parametrize(
+    "train, kernel",
+    [
+        (train_fnn, "models.fnn.fnn_loss_and_grads"),
+        (lambda: train_recurrent("rnn"), "models.recurrent.rnn_loss_and_grads"),
+        (lambda: train_recurrent("lstm"), "models.recurrent.lstm_loss_and_grads"),
+    ],
+    ids=["fnn", "rnn", "lstm"],
+)
+def test_every_training_step_is_traced(train, kernel):
+    counts = traced_counts(train)
+    assert counts.get(kernel) == STEPS
+    assert counts.get("models.adam.step") == STEPS
