@@ -114,13 +114,7 @@ def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, Tim
     prices and consumptions are all finite."""
     if not 0 < train_len < len(ts):
         raise ValueError(f"train_len must be in (0, {len(ts)}), got {train_len}")
-    bad = np.flatnonzero(~(np.isfinite(ts.prices) & np.isfinite(ts.consumptions)))
-    if len(bad):
-        i = bad[0]
-        raise DataError(
-            f"price {ts.prices[i]} and consumption {ts.consumptions[i]} at index {i}"
-            " must both be finite"
-        )
+    check_finite(ts)
 
     def part(span: slice) -> TimeSeriesDataset:
         return TimeSeriesDataset(
@@ -131,6 +125,17 @@ def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, Tim
         )
 
     return part(slice(None, train_len)), part(slice(train_len, None))
+
+
+def check_finite(ts: TimeSeriesDataset) -> None:
+    """Raise DataError naming the first index whose price or consumption is not finite."""
+    bad = np.flatnonzero(~(np.isfinite(ts.prices) & np.isfinite(ts.consumptions)))
+    if len(bad):
+        i = bad[0]
+        raise DataError(
+            f"price {ts.prices[i]} and consumption {ts.consumptions[i]} at index {i}"
+            " must both be finite"
+        )
 
 
 def feature_layout(cfg: StateConfig) -> tuple[str, ...]:
@@ -152,12 +157,19 @@ def sequence_layout(cfg: StateConfig) -> tuple[str, ...]:
     return feature_layout(replace(cfg, order=1))
 
 
-def check_intervals(ts: TimeSeriesDataset, cfg: StateConfig) -> None:
-    """Raise DataError unless ts divides a day into cfg's number of intervals."""
+def check_rows(ts: TimeSeriesDataset, cfg: StateConfig, layout: tuple[str, ...]) -> None:
+    """Raise DataError unless ts divides a day into cfg's number of intervals
+    and the rows feature_rows builds from ts under cfg have the columns layout
+    names, in order."""
     if ts.intervals_per_day != cfg.intervals_per_day:
         raise DataError(
             f"intervals_per_day mismatch: model expects {cfg.intervals_per_day},"
             f" data has {ts.intervals_per_day}"
+        )
+    if feature_layout(cfg) != tuple(layout):
+        raise DataError(
+            f"feature layout mismatch: model expects {list(layout)},"
+            f" data produces {list(feature_layout(cfg))}"
         )
 
 

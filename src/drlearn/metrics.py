@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from .eucsim import TimeSeriesDataset
-from .features import check_intervals, feature_layout, feature_rows
+from .features import check_finite, check_rows, feature_rows
 from .ioutil import atomic_write_text
 from .models.common import model_class
 
@@ -80,13 +80,8 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
     RECURRENT_WARMUP predictions are excluded from scoring.
     """
     cfg = model.state_config
-    check_intervals(dataset, cfg)
-    if feature_layout(cfg) != model.feature_layout:
-        raise DataError(
-            "feature layout mismatch: model expects"
-            f" {list(model.feature_layout)}, data produces"
-            f" {list(feature_layout(cfg))}"
-        )
+    check_rows(dataset, cfg, model.feature_layout)
+    check_finite(dataset)
     warmup = RECURRENT_WARMUP if model.recurrent else 0
     if len(dataset) <= cfg.order + warmup:
         raise ValueError(

@@ -130,7 +130,7 @@ class ParamModel:
         self.buffer, self.blocks, views = new_buffer(self.kind, n_features, self.hidden_sizes())
         for view, value in zip(views, given, strict=True):
             view[...] = value
-        vars(self).update(_field_values(type(self), views))
+        vars(self).update(field_values(type(self), views))
 
     @classmethod
     def layer_fields(cls) -> list:
@@ -239,16 +239,31 @@ def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
     return buffer, blocks, views + [buffer[offset:-1], buffer[-1:].reshape(())]
 
 
-def _field_values(cls, params: list) -> dict:
+def field_values(cls, params: list) -> dict:
+    """Field name -> value for a family's flat list: each per-layer field's
+    arrays, one per layer, then the readout pair."""
     names = [f.name for f in cls.layer_fields()]
     values = {name: list(params[k : -2 : len(names)]) for k, name in enumerate(names)}
     return values | dict(zip(cls.readout, params[-2:]))
 
 
+def readout_loss(top: np.ndarray, w_out, b_out, targets: np.ndarray, grads: list) -> tuple:
+    """MSE of the scalar readout top @ w_out + b_out against targets, for top
+    of shape targets.shape + (units,). Writes the readout weight and bias
+    gradients into grads[-2:] and returns the loss and the gradient into top."""
+    residual = top @ w_out + b_out - targets
+    m = residual.size
+    loss = float(np.sum(residual**2) / m)
+    d_out = 2.0 * residual / m
+    np.matmul(top.reshape(m, -1).T, d_out.reshape(m), out=grads[-2])
+    d_out.sum(out=grads[-1])
+    return loss, d_out[..., None] * w_out
+
+
 def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
     """The model over a new buffer holding a copy of the flat list."""
     cls = model_class(kind)
-    values = _field_values(cls, params)
+    values = field_values(cls, params)
     return cls(**values, feature_layout=feature_layout, scaler=scaler, state_config=state_config)
 
 

@@ -7,7 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import Scaler, StateConfig, SupervisedSet
-from .common import BIAS, FAN_IN, ParamModel, TrainConfig, layer_param, new_buffer, train_adam
+from .common import (
+    BIAS,
+    FAN_IN,
+    ParamModel,
+    TrainConfig,
+    field_values,
+    layer_param,
+    new_buffer,
+    readout_loss,
+    train_adam,
+)
 
 
 @dataclass(eq=False)  # ParamModel.__eq__
@@ -28,6 +38,35 @@ class FnnModel(ParamModel):
             h = np.maximum(h @ w.T + b, 0.0)
         return h @ self.out_weight + self.out_bias
 
+    @classmethod
+    def loss_and_grads(
+        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, list[np.ndarray]]:
+        """Minibatch MSE and its gradient, the flat list's views of one vector
+        laid out like the parameter buffer.
+
+        The ReLU subgradient at exactly zero is taken as zero, matching the
+        forward pass mask convention.
+        """
+        values = field_values(cls, params)
+        weights = values["hidden_weights"]
+        activations = [inputs]
+        pre_acts = []
+        for w, b in zip(weights, values["hidden_biases"]):
+            z = activations[-1] @ w.T + b
+            pre_acts.append(z)
+            activations.append(np.maximum(z, 0.0))
+
+        _, grad_blocks, grads = new_buffer(cls.kind, inputs.shape[-1], [len(w) for w in weights])
+        loss, dh = readout_loss(activations[-1], *params[-2:], targets, grads)
+        for l in range(len(weights) - 1, -1, -1):
+            dz = dh * (pre_acts[l] > 0.0)
+            np.matmul(dz.T, activations[l], out=grad_blocks[l][FAN_IN])
+            dz.sum(axis=0, out=grad_blocks[l][BIAS])
+            if l > 0:
+                dh = dz @ weights[l]
+        return loss, grads
+
 
 def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
     """Consumption prediction in MWh for one raw (unstandardized) feature row."""
@@ -41,44 +80,7 @@ def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
     return float(model.scaler.inverse_targets(y)[0])
 
 
-def fnn_loss_and_grads(
-    params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """Minibatch MSE and its gradient, the flat list's views of one vector
-    laid out like the parameter buffer.
-
-    The ReLU subgradient at exactly zero is taken as zero, matching the
-    forward pass mask convention.
-    """
-    weights, biases = params[0:-2:2], params[1:-2:2]
-    w_out, b_out = params[-2], params[-1]
-
-    activations = [inputs]
-    pre_acts = []
-    h = inputs
-    for w, b in zip(weights, biases):
-        z = h @ w.T + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-        activations.append(h)
-    y = h @ w_out + b_out
-
-    m = len(targets)
-    residual = y - targets
-    loss = float(np.mean(residual**2))
-
-    _, _, grads = new_buffer("fnn", inputs.shape[-1], [len(w) for w in weights])
-    dy = 2.0 * residual / m
-    np.matmul(activations[-1].T, dy, out=grads[-2])
-    dy.sum(out=grads[-1])
-    dh = np.outer(dy, w_out)
-    for l in range(len(weights) - 1, -1, -1):
-        dz = dh * (pre_acts[l] > 0.0)
-        np.matmul(dz.T, activations[l], out=grads[2 * l])
-        dz.sum(axis=0, out=grads[2 * l + 1])
-        if l > 0:
-            dh = dz @ weights[l]
-    return loss, grads
+fnn_loss_and_grads = FnnModel.loss_and_grads
 
 
 def train_fnn(

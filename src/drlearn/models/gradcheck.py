@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import init_params
-from .fnn import fnn_loss_and_grads
-from .recurrent import lstm_loss_and_grads, rnn_loss_and_grads
+from .common import MODEL_CLASSES, init_params
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3  # denominators below this are treated as this
@@ -29,10 +27,9 @@ def gradient_check(
     targets = np.asarray(targets, dtype=float)
     rng = np.random.default_rng(rng_seed)
     n_features = inputs.shape[-1]
-    kernels = {"fnn": fnn_loss_and_grads, "rnn": rnn_loss_and_grads, "lstm": lstm_loss_and_grads}
-    if kind not in kernels:
+    loss_and_grads = getattr(MODEL_CLASSES.get(kind), "loss_and_grads", None)
+    if loss_and_grads is None:  # not a gradient-trained family
         raise ValueError(f"unknown model kind {kind!r}")
-    loss_and_grads = kernels[kind]
     params = init_params(kind, n_features, hidden_sizes, rng)
     for p in params:
         if p.ndim <= 1:

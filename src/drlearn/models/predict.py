@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eucsim import TimeSeriesDataset
-from ..features import StateConfig, check_intervals, feature_rows
+from ..features import StateConfig, check_rows, feature_rows
 from .common import all_equal
 from .fnn import FnnModel
 from .linear import LinearModel
@@ -105,7 +105,7 @@ def _serve(
     the consumption that later rows read.
     """
     cfg = model.state_config
-    check_intervals(history, cfg)
+    check_rows(history, cfg, model.feature_layout)
     if prices.ndim != 1:
         raise ValueError(f"posted prices must be 1-D, got shape {prices.shape}")
     _check_finite("posted price", prices)

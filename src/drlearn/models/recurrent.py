@@ -17,6 +17,7 @@ from .common import (
     layer_param,
     model_from_params,
     new_buffer,
+    readout_loss,
     train_adam,
 )
 
@@ -139,7 +140,6 @@ class _Recurrent(ParamModel):
         the flat list's views of one vector laid out like the parameter buffer."""
         # a model over a copy of params, for the fused weights and zero state serving uses
         model = model_from_params(cls.kind, params, (), None, None)
-        w_out, b_out = params[-2], params[-1]
         x = np.ascontiguousarray(np.transpose(inputs, (1, 0, 2)), dtype=float)  # time-major
         steps, batch, _ = x.shape
         layers = model._layers()
@@ -163,14 +163,8 @@ class _Recurrent(ParamModel):
             x = hidden[1:]
 
         _, grad_blocks, grads = new_buffer(cls.kind, inputs.shape[-1], model.hidden_sizes())
+        loss, d_above = readout_loss(x, *params[-2:], np.transpose(targets), grads)
         m = batch * steps
-        residual = x @ w_out + b_out - np.transpose(targets)
-        loss = float(np.sum(residual**2) / m)
-        d_out = 2.0 * residual / m
-        np.matmul(x.reshape(m, -1).T, d_out.reshape(m), out=grads[-2])
-        d_out.sum(out=grads[-1])
-
-        d_above = d_out[..., None] * w_out  # gradient into each step's output h
         for l in range(len(layers) - 1, -1, -1):
             (w_h, w_x, _), (x, dz, hidden, caches) = layers[l], tapes[l]  # dz over z
             units = w_h.shape[0]
@@ -273,7 +267,8 @@ class LstmModel(_Recurrent):
         return dc * gates[:, :units]
 
 
-def _window_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarray:
+def rnn_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarray:
+    """MWh predictions for one raw feature window, zero initial state."""
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[1] != len(model.feature_layout):
         raise ValueError(
@@ -287,28 +282,9 @@ def _window_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarr
     return model.scaler.inverse_targets(y[0])
 
 
-def rnn_forward(model: RnnModel, window: np.ndarray) -> np.ndarray:
-    """MWh predictions for one raw feature window, zero initial state."""
-    return _window_forward(model, window)
-
-
-def lstm_forward(model: LstmModel, window: np.ndarray) -> np.ndarray:
-    """MWh predictions for one raw feature window, zero initial states."""
-    return _window_forward(model, window)
-
-
-def rnn_loss_and_grads(
-    params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """MSE over every step of every window, gradients by full BPTT."""
-    return RnnModel.loss_and_grads(params, inputs, targets)
-
-
-def lstm_loss_and_grads(
-    params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    """MSE over every step of every window, gradients by full BPTT."""
-    return LstmModel.loss_and_grads(params, inputs, targets)
+lstm_forward = rnn_forward
+rnn_loss_and_grads = RnnModel.loss_and_grads
+lstm_loss_and_grads = LstmModel.loss_and_grads
 
 
 def train_recurrent(

@@ -179,6 +179,15 @@ class TestEvaluate:
         with pytest.raises(DataError, match="model expects 24, data has 12"):
             evaluate(perfect_linear_model(), half_days, "test")
 
+    def test_non_finite_series_rejected(self):
+        # a NaN consumption would otherwise reach the report as a NaN MAPE
+        ts = constant_series(length=60)
+        ts.consumptions[40] = np.nan
+        with pytest.raises(
+            DataError, match="price 30.0 and consumption nan at index 40 must both be finite"
+        ):
+            evaluate(self.make_rnn(), ts, "test")
+
     def test_recurrent_warmup_exclusion(self):
         ts = constant_series(length=120)
         report = evaluate(self.make_rnn(), ts, "test")

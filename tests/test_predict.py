@@ -1,6 +1,8 @@
 """Prediction tests: one-step vs batch, warm-up, rollouts, error paths, and
 the state a recurrent model keeps between queries."""
 
+import json
+import os
 import sys
 import threading
 
@@ -35,6 +37,7 @@ from drlearn.models import (
     flat_params,
     init_params,
     linear_fit,
+    load_model,
     model_from_params,
     predict_one_step,
     rollout,
@@ -339,6 +342,26 @@ class TestPostedInputChecks:
                 rollout(rnn_model, history, np.full(3, 30.0), teacher)
             else:
                 predict_one_step(rnn_model, history, 30.0, t)
+
+
+    @pytest.mark.parametrize("query", ["one-step", "rollout"])
+    def test_feature_layout_mismatch_rejected(self, query, tmp_path):
+        # load_model accepts any layout; serving builds rows from the state config
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        with open(source) as handle:
+            document = json.load(handle)
+        document["feature_layout"].reverse()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(document))
+        model = load_model(str(path))
+        history = random_walk_series(0, length=60)
+        with pytest.raises(
+            DataError, match=r"feature layout mismatch: model expects \['price', 'hour_frac'"
+        ):
+            if query == "one-step":
+                predict_one_step(model, history, 35.0, 40)
+            else:
+                rollout(model, history, np.full(3, 35.0))
 
 
 def random_served_model(kind, encoding, seed):

@@ -1,5 +1,6 @@
-"""The perfbench tracer still finds every function it wraps, and training
-still calls the wrapped kernels once per step.
+"""The perfbench tracer still finds every function it wraps, training still
+calls the wrapped kernels once per step, and serving still calls the wrapped
+queries and recurrent steps.
 
 The per-layer metrics of perfbench/run.py count spans of the names in
 tracing.TARGETS. A refactor that renames a target, or that makes training
@@ -19,11 +20,13 @@ import drlearn.metrics
 import drlearn.models.predict
 import drlearn.models.serialize
 import drlearn.pipeline
+from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import SequenceSet, SupervisedSet
 from drlearn.models import TrainConfig, fnn, recurrent
 
 STEPS = 7
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+V1_LSTM = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
 
 
 def load_tracing():
@@ -79,3 +82,28 @@ def test_every_training_step_is_traced(train, kernel):
     counts = traced_counts(train)
     assert counts.get(kernel) == STEPS
     assert counts.get("models.adam.step") == STEPS
+
+
+def serve_lstm():
+    """Three one-step queries and one 5-hour rollout of a two-layer LSTM, each
+    called through the drlearn.models attribute, as perfbench/workloads.py
+    calls them: a name imported before the tracer is installed is not wrapped."""
+    rng = np.random.default_rng(2)
+    history = TimeSeriesDataset(
+        prices=rng.uniform(20.0, 50.0, 60),
+        consumptions=rng.uniform(10.0, 90.0, 60),
+        hours=np.arange(60, dtype=np.int64) % 24,
+    )
+    model = drlearn.models.load_model(V1_LSTM)
+    for t in (30, 40, 41):
+        drlearn.models.predict_one_step(model, history, 35.0, t)
+    drlearn.models.rollout(model, history, np.full(5, 35.0))
+
+
+def test_every_serving_query_and_step_is_traced():
+    # replays go through run, which the tracer does not wrap: one step per query
+    # hour and per rollout hour
+    counts = traced_counts(serve_lstm)
+    assert counts.get("models.predict.predict_one_step") == 3
+    assert counts.get("models.predict.rollout") == 1
+    assert counts.get("models.recurrent.step") == 8
