@@ -11,7 +11,6 @@ dataset that the learning side of the toolkit consumes.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -290,6 +289,15 @@ def _blocks(horizon: int):
         t0 += n
 
 
+def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a.T into out, 64 rows of a at a time. A band stays in cache and
+    in the TLB while it is written; a.T.copy() reads from every row of a
+    for each row it writes."""
+    for r in range(0, a.shape[0], 64):
+        out[:, r : r + 64] = a[r : r + 64].T
+    return out
+
+
 def simulate(
     population: Population,
     prices: np.ndarray,
@@ -350,16 +358,26 @@ def simulate(
     totals = np.empty(horizon)
     trace = np.empty((k, horizon)) if return_per_euc else None
     demand = consumption = None  # carried from one block into the next
+    # Every block reuses four work arrays; its (k, n) and (n, k) arrays are
+    # C-ordered views of their first k * n values. Not one (4, size) array:
+    # numpy asks for huge pages at 4 MiB and up, which added 12 MB of peak RSS.
+    size = k * max(n for _, n in _blocks(horizon))
+    work = [np.empty(size) for _ in range(4)]
+    scratch = np.empty(k)
     for t0, n in _blocks(horizon):
-        gauss = np.empty((k, n))
+        w0, w1, w2, w3 = (w[: k * n] for w in work)
+        gauss = w0.reshape(k, n)
         for i, stream in enumerate(streams):
-            gauss[i] = stream.normal(1.0, noise_std, n)
+            stream.standard_normal(n, out=gauss[i])
+        # normal(1.0, noise_std) draws 1.0 + noise_std * z: these are its bits
+        gauss *= noise_std
+        gauss += 1.0
         # peaks * profile * max(gauss, 0), in that operand order
         np.maximum(gauss, 0.0, out=gauss)
-        new_demand = peaks[:, None] * profile.values[None, t0 : t0 + n]
+        new_demand = np.multiply(peaks[:, None], profile.values[None, t0 : t0 + n], out=w1.reshape(k, n))
         new_demand *= gauss
-        new_demand = new_demand.T.copy()  # time-major: one contiguous row per hour
-        shift = prices[t0 : t0 + n, None] / two_rhos
+        new_demand = _transposed(new_demand, w0.reshape(n, k))  # time-major, where gauss was
+        shift = np.divide(prices[t0 : t0 + n, None], two_rhos, out=w2.reshape(n, k))
 
         alphas = None  # alphas[j]: the backlog rate carried into hour t0 + j
         if alpha_streams is not None:
@@ -368,19 +386,26 @@ def simulate(
             for i, stream in enumerate(alpha_streams):
                 alphas[first:, i] = stream.uniform(0.0, 1.0, n - first)
 
-        block = np.empty((n, k))
+        # demand = alpha * (demand - consumption) + new_demand[j] and consumption =
+        # max(min_fracs * demand, demand + shift[j]), in place, operands in order
+        block = w3.reshape(n, k)
         for j in range(n):
             if t0 + j == 0:
-                demand = new_demand[0]
+                demand = new_demand[0].copy()
             else:
                 alpha = base_alphas if alphas is None else alphas[j]
-                demand = alpha * (demand - consumption) + new_demand[j]
-            consumption = np.maximum(min_fracs * demand, demand + shift[j], out=block[j])
+                np.subtract(demand, consumption, out=scratch)
+                np.multiply(alpha, scratch, out=scratch)
+                np.add(scratch, new_demand[j], out=demand)
+            consumption = block[j]
+            np.multiply(min_fracs, demand, out=scratch)
+            np.add(demand, shift[j], out=consumption)
+            np.maximum(scratch, consumption, out=consumption)
 
         # Customer-major, so the sum adds the customers one after another, as
         # the whole-horizon sum did; summing the time-major block along its
         # rows would add them pairwise and change the bits (see _blocks).
-        block = block.T.copy()
+        block = _transposed(block, w1.reshape(k, n))
         totals[t0 : t0 + n] = block.sum(axis=0)
         if trace is not None:
             trace[:, t0 : t0 + n] = block
@@ -400,20 +425,31 @@ def write_dataset(dataset: TimeSeriesDataset, path: str) -> None:
     """Write the dataset CSV: t,hour,price_usd_per_mwh,consumption_mwh.
 
     Prices and consumptions are written with full round-trip precision, and
-    the file appears atomically. A non-finite price or consumption is
-    refused, naming its index, before anything is written.
+    the file appears atomically. A row that read_dataset would refuse (a
+    non-finite price or consumption, a negative price or a consumption that
+    is not positive) is refused, naming its index, before anything is written.
     """
-    bad = np.flatnonzero(~(np.isfinite(dataset.prices) & np.isfinite(dataset.consumptions)))
+    prices = np.asarray(dataset.prices, dtype=float)
+    consumptions = np.asarray(dataset.consumptions, dtype=float)
+    finite = np.isfinite(prices) & np.isfinite(consumptions)
+    bad = np.flatnonzero(~(finite & (prices >= 0) & (consumptions > 0)))
     if len(bad):
-        raise DataError(f"dataset row {bad[0]}: non-finite price or consumption")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(DATASET_HEADER)
-    for t in range(len(dataset)):
-        writer.writerow(
-            [t, int(dataset.hours[t]), repr(float(dataset.prices[t])), repr(float(dataset.consumptions[t]))]
-        )
-    atomic_write_text(path, buffer.getvalue())
+        i = bad[0]
+        if not finite[i]:
+            raise DataError(f"dataset row {i}: non-finite price or consumption")
+        if prices[i] < 0:
+            raise DataError(f"dataset row {i}: negative price {float(prices[i])}")
+        # read_dataset refuses it too: percentage errors divide by it
+        raise DataError(f"dataset row {i}: consumption {float(consumptions[i])} is not positive")
+    line = "{},{},{!r},{!r}\n".format
+    columns = (np.asarray(dataset.hours).astype(np.int64), prices, consumptions)  # hour 3.0 is 3
+    # 4096 rows at a time, as a string per row of the whole file would take several
+    # times its size; the chunks are freed once joined, before the text is written
+    chunks = (
+        "".join(map(line, range(t, t + 4096), *(c[t : t + 4096].tolist() for c in columns)))
+        for t in range(0, len(dataset), 4096)
+    )
+    atomic_write_text(path, "".join([",".join(DATASET_HEADER) + "\n", *chunks]))
 
 
 def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:

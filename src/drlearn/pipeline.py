@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,21 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
+@contextmanager
+def _serial_one_blas_thread():
+    """Run the serial jobs at one OpenBLAS thread, if one is loaded, and then
+    restore the caller's count, also when a job fails. Their matrices are
+    small: in-round linear fits took about ten times as long at two threads."""
+    get_threads = openblas_function("get_num_threads", [], ctypes.c_int)
+    threads = None if get_threads is None else get_threads()
+    _one_blas_thread()
+    try:
+        yield
+    finally:
+        if threads is not None:
+            openblas_function("set_num_threads", [ctypes.c_int], None)(threads)
+
+
 @dataclass(frozen=True)
 class BenchmarkResult:
     trained: list[TrainedModel]
@@ -222,9 +238,10 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
                     stage = f"train {_file_name(kind, order)} (worker pool)"
                     trained.append(futures[j].result())
         else:
-            for kind, order in jobs:
-                stage = f"train {_file_name(kind, order)}"
-                trained.append(train_model(config, dataset, kind, order))
+            with _serial_one_blas_thread():
+                for kind, order in jobs:
+                    stage = f"train {_file_name(kind, order)}"
+                    trained.append(train_model(config, dataset, kind, order))
         for entry in trained:
             stage = f"save {entry.name}"
             path = os.path.join(models_dir, _file_name(entry.kind, entry.order) + ".json")

@@ -100,6 +100,37 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
 
 
+# one customer with wide noise: the simulated consumption at hour 0 is 0.0,
+# which read_dataset and the percentage errors refuse
+ZERO_CONSUMPTION_CONFIG = """\
+simulation: {euc_count: 1, noise_std: 3.0, horizon: 240, noise_seed: 1}
+training: {steps: 20}
+benchmark: {train_len: 192}
+"""
+
+
+class TestZeroConsumption:
+    @pytest.fixture
+    def zero_config(self, tmp_path):
+        path = tmp_path / "zero.yaml"
+        path.write_text(ZERO_CONSUMPTION_CONFIG)
+        return str(path)
+
+    def test_simulate_exits_2_writing_nothing(self, tmp_path, zero_config, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", zero_config, "--out", str(out)]) == 2
+        assert "dataset row 0: consumption 0.0 is not positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_fails_in_simulate_stage(self, tmp_path, zero_config, capsys):
+        out_dir = tmp_path / "bench"
+        assert main(["benchmark", "--config", zero_config, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "benchmark stage 'simulate' failed: dataset row 0: consumption 0.0" in err
+        assert not (out_dir / "dataset.csv").exists()
+        assert list((out_dir / "models").iterdir()) == []
+
+
 class TestTrain:
     def test_linear_order0_parameter_count(self, tmp_path, config_path, dataset_path, capsys):
         out = tmp_path / "linear.json"

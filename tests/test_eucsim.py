@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dataset_csv_reference
 import sim_reference
 from drlearn.errors import DataError
 from drlearn.eucsim import (
@@ -361,8 +362,9 @@ class TestStreamedSimulator:
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-alpha", "resampled-alpha"])
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     # numpy sums 8 or more contiguous values pairwise, so 20 customers catch a
-    # total that adds them in another order
-    @pytest.mark.parametrize("count", [1, 7, 20])
+    # total that adds them in another order; 130 customers make three
+    # transpose bands, the last one partial
+    @pytest.mark.parametrize("count", [1, 7, 20, 130])
     @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda h: f"h{h}")
     def test_bit_equal_to_reference(self, horizon, count, noise_std, resample):
         # any profile length works, not only whole days
@@ -441,6 +443,30 @@ class TestDatasetCsv:
             write_dataset(dataset, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "column, bad, message",
+        [
+            ("consumptions", 0.0, "consumption 0.0 is not positive"),
+            ("consumptions", -2.5, "consumption -2.5 is not positive"),
+            ("prices", -30.0, "negative price -30.0"),
+        ],
+        ids=["zero-consumption", "negative-consumption", "negative-price"],
+    )
+    def test_write_refuses_what_read_refuses_naming_index(self, tmp_path, column, bad, message):
+        values = {"prices": np.full(4, 30.0), "consumptions": np.full(4, 1.5)}
+        values[column][[2, 3]] = bad
+        dataset = TimeSeriesDataset(hours=np.arange(4), **values)
+        path = tmp_path / "data.csv"
+        with pytest.raises(DataError, match=f"dataset row 2: {message}"):
+            write_dataset(dataset, str(path))
+        assert not path.exists()
+
+    def test_write_accepts_zero_price(self, tmp_path):
+        dataset = TimeSeriesDataset(prices=np.zeros(2), consumptions=np.ones(2), hours=np.arange(2))
+        path = tmp_path / "data.csv"
+        write_dataset(dataset, str(path))
+        assert np.array_equal(read_dataset(str(path)).prices, dataset.prices)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b,c,d\n0,0,30.0,1.5\n")
@@ -493,6 +519,40 @@ class TestDatasetCsv:
         )
         with pytest.raises(DataError, match=f"line 3: {message}"):
             read_dataset(str(path))
+
+
+class TestDatasetCsvReference:
+    """write_dataset's bytes against the row-at-a-time csv.writer reference."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, dataset):
+        path = tmp_path / "data.csv"
+        write_dataset(dataset, str(path))
+        assert path.read_bytes() == dataset_csv_reference.dataset_csv(dataset).encode()
+
+    def test_simulated_series_across_chunks(self, tmp_path):
+        horizon = 9000  # two full chunks of 4096 rows and a partial third
+        population = sample_population(3, 4)
+        profile = LoadProfile(values=np.linspace(0.4, 1.0, horizon), source="synthetic")
+        dataset = simulate(population, sample_prices(horizon, 20.0, 50.0, 8), profile)
+        self.assert_same_bytes(tmp_path, dataset)
+
+    def test_edge_values(self, tmp_path):
+        values = np.array([1e-300, 1.2345678901234567e16, 40.0, 0.1])
+        dataset = TimeSeriesDataset(prices=values, consumptions=values[::-1].copy(), hours=np.arange(4))
+        self.assert_same_bytes(tmp_path, dataset)
+        assert (tmp_path / "data.csv").read_text().splitlines()[1] == "0,0,1e-300,0.1"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, float], ids=["int64", "int32", "float"])
+    def test_hours_of_any_dtype(self, tmp_path, dtype):
+        hours = (np.arange(30) % 24).astype(dtype)
+        dataset = TimeSeriesDataset(prices=np.full(30, 30.0), consumptions=np.full(30, 1.5), hours=hours)
+        self.assert_same_bytes(tmp_path, dataset)
+        assert (tmp_path / "data.csv").read_text().splitlines()[4] == "3,3,30.0,1.5"
+
+    def test_one_row(self, tmp_path):
+        dataset = TimeSeriesDataset(prices=np.array([30.0]), consumptions=np.array([1.5]), hours=np.array([0]))
+        self.assert_same_bytes(tmp_path, dataset)
 
 
 class TestTimeSeriesDataset:

@@ -184,6 +184,48 @@ def test_pool_worker_runs_one_blas_thread():
         assert pool.submit(blas_threads).result() == 1
 
 
+class TestSerialBlasThreads:
+    """The serial path trains at one BLAS thread and gives the caller its
+    thread count back afterwards."""
+
+    @pytest.fixture
+    def two_threads(self):
+        if blas_threads() is None:
+            pytest.skip("numpy loaded no OpenBLAS")
+        set_threads = pipeline.openblas_function("set_num_threads", [ctypes.c_int], None)
+        before = blas_threads()
+        set_threads(2)
+        yield
+        set_threads(before)
+
+    @staticmethod
+    def record_threads(monkeypatch, fail=False):
+        seen = []
+        train = pipeline.train_model
+
+        def recording_train(*args):
+            seen.append(blas_threads())
+            if fail:
+                raise ValueError("job failed")
+            return train(*args)
+
+        monkeypatch.setattr(pipeline, "train_model", recording_train)
+        return seen
+
+    def test_jobs_run_at_one_thread_and_count_is_restored(self, tmp_path, monkeypatch, two_threads):
+        seen = self.record_threads(monkeypatch)
+        run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(tmp_path / "bench"))
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    def test_count_is_restored_when_a_job_fails(self, tmp_path, monkeypatch, two_threads):
+        seen = self.record_threads(monkeypatch, fail=True)
+        with pytest.raises(ValueError, match="'train linear_n0' failed: job failed"):
+            run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(tmp_path / "bench"))
+        assert seen == [1]
+        assert blas_threads() == 2
+
+
 def test_pool_pins_workers_and_submits_longest_first(tmp_path, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 

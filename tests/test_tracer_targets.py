@@ -20,6 +20,7 @@ import drlearn.metrics
 import drlearn.models.predict
 import drlearn.models.serialize
 import drlearn.pipeline
+from drlearn.config import parse_config
 from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import SequenceSet, SupervisedSet
 from drlearn.models import TrainConfig, fnn, recurrent
@@ -107,3 +108,18 @@ def test_every_serving_query_and_step_is_traced():
     assert counts.get("models.predict.predict_one_step") == 3
     assert counts.get("models.predict.rollout") == 1
     assert counts.get("models.recurrent.step") == 8
+
+
+def test_population_path_is_traced(tmp_path):
+    # the population-scale workload in small: a serial, linear-only benchmark
+    # whose simulate, write_dataset and fits set that workload's layer figures
+    config = parse_config({
+        "simulation": {"euc_count": 8, "horizon": 480},
+        "benchmark": {"train_len": 360, "orders": [0, 1, 2], "kinds": ["linear"]},
+    })
+    counts = traced_counts(lambda: drlearn.pipeline.run_benchmark(config, str(tmp_path / "bench")))
+    assert counts.get("eucsim.simulate") == 1
+    assert counts.get("eucsim.write_dataset") == 1
+    assert counts.get("pipeline.train_model") == 3
+    assert counts.get("models.linear.linear_fit") == 3
+    assert counts.get("metrics.evaluate") == 6  # train and test split per model
