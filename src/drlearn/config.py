@@ -209,10 +209,12 @@ def load_config(path: str | None) -> RunConfig:
         return RunConfig()
     import yaml  # here, not at the top: a process that only serves never loads it
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             document = yaml.safe_load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(document)

@@ -235,7 +235,7 @@ def load_profile(path: str) -> LoadProfile:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read profile file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -458,7 +458,7 @@ def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     if not rows or rows[0] != DATASET_HEADER:
         raise DataError(

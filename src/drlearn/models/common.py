@@ -311,6 +311,8 @@ def minibatch_indices(
     Batches are consecutive slices of a fresh permutation; a trailing
     partial slice is dropped when n_samples >= batch_size.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     batch_size = min(batch_size, n_samples)
     per_epoch = n_samples // batch_size
     emitted = 0

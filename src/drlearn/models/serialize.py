@@ -101,8 +101,10 @@ def _check_dim(condition: bool, detail: str) -> None:
 def load_model(path: str):
     """Rebuild a saved model, naming version, schema, and dimension faults."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"schema violation: {path} is not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"schema violation: {path} is not valid JSON ({exc})") from exc
     if not isinstance(document, dict):

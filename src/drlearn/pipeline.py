@@ -91,34 +91,36 @@ class TrainedModel:
 
 
 def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order: int) -> TrainedModel:
-    """Fit one model on the train split and evaluate it on both splits."""
-    cls = model_class(kind)
-    train_ts, test_ts = split(dataset, config.benchmark.train_len)
-    order = 1 if cls.recurrent else order  # a recurrent step carries the latest observation
-    state_cfg = config.state_config(order)
-    if cls.recurrent:
-        raw = build_sequence_dataset(train_ts, config.training.window_length, state_cfg)
-    else:
-        raw = build_direct_dataset(train_ts, state_cfg)
-    scaler = fit_scaler(raw)
-    scaled = apply_scaler(scaler, raw)
-    train_cfg = config.train_config()
-    if cls is LinearModel:
-        model, losses = linear_fit(scaled, scaler=scaler, state_config=state_cfg), None
-    else:
-        hidden = list(getattr(config.training, f"{kind}_hidden"))
+    """Fit one model on the train split and evaluate it on both splits, at one
+    OpenBLAS thread (see `_single_blas_thread`)."""
+    with _single_blas_thread():
+        cls = model_class(kind)
+        train_ts, test_ts = split(dataset, config.benchmark.train_len)
+        order = 1 if cls.recurrent else order  # a recurrent step carries the latest observation
+        state_cfg = config.state_config(order)
         if cls.recurrent:
-            model, losses = train_recurrent(scaled, kind, hidden, train_cfg, scaler, state_cfg)
+            raw = build_sequence_dataset(train_ts, config.training.window_length, state_cfg)
         else:
-            model, losses = train_fnn(scaled, hidden, train_cfg, scaler, state_cfg)
-    return TrainedModel(
-        kind=kind,
-        order=order,
-        model=model,
-        final_loss=None if losses is None else float(losses[-1]),
-        train_report=evaluate(model, train_ts, "train"),
-        test_report=evaluate(model, test_ts, "test"),
-    )
+            raw = build_direct_dataset(train_ts, state_cfg)
+        scaler = fit_scaler(raw)
+        scaled = apply_scaler(scaler, raw)
+        train_cfg = config.train_config()
+        if cls is LinearModel:
+            model, losses = linear_fit(scaled, scaler=scaler, state_config=state_cfg), None
+        else:
+            hidden = list(getattr(config.training, f"{kind}_hidden"))
+            if cls.recurrent:
+                model, losses = train_recurrent(scaled, kind, hidden, train_cfg, scaler, state_cfg)
+            else:
+                model, losses = train_fnn(scaled, hidden, train_cfg, scaler, state_cfg)
+        return TrainedModel(
+            kind=kind,
+            order=order,
+            model=model,
+            final_loss=None if losses is None else float(losses[-1]),
+            train_report=evaluate(model, train_ts, "train"),
+            test_report=evaluate(model, test_ts, "test"),
+        )
 
 
 def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
@@ -147,21 +149,26 @@ DIRECT_TITLES = {
 
 
 def openblas_function(name: str, argtypes: list, restype):
-    """The function `name` (such as "set_num_threads") of the OpenBLAS that
+    """The function `name` (such as "get_num_threads") of the OpenBLAS that
     this process loaded, typed by argtypes and restype, or None when no
-    OpenBLAS is loaded.
+    loadable OpenBLAS is mapped.
 
     numpy may carry OpenBLAS under a prefixed, suffixed name
-    (scipy_openblas_set_num_threads64_), so the library is found in the
+    (scipy_openblas_get_num_threads64_), so the library is found in the
     process's memory map and each spelling is tried.
     """
     try:
         with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+            # the pathname, the sixth field, may itself hold spaces
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
     except OSError:
         return None
+    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
     for path in sorted(paths):
-        library = ctypes.CDLL(path)
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # mapped, but not loadable by that name (say, a deleted file)
+            continue
         for prefix in ("openblas", "scipy_openblas"):
             for suffix in ("", "64_"):
                 function = getattr(library, f"{prefix}_{name}{suffix}", None)
@@ -171,27 +178,22 @@ def openblas_function(name: str, argtypes: list, restype):
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool worker initializer: each worker already owns a core, so its BLAS
-    calls run on one thread; more would oversubscribe the cores."""
-    set_threads = openblas_function("set_num_threads", [ctypes.c_int], None)
-    if set_threads is not None:
-        set_threads(1)
-
-
 @contextmanager
-def _serial_one_blas_thread():
-    """Run the serial jobs at one OpenBLAS thread, if one is loaded, and then
-    restore the caller's count, also when a job fails. Their matrices are
-    small: in-round linear fits took about ten times as long at two threads."""
-    get_threads = openblas_function("get_num_threads", [], ctypes.c_int)
-    threads = None if get_threads is None else get_threads()
-    _one_blas_thread()
+def _single_blas_thread():
+    """Run the block at one OpenBLAS thread, if one is loaded, and give the
+    caller its process-wide count back after, also when the block raises.
+    The models' matrices are small: a second thread costs CPU and saves
+    little or no time, and a pool worker already owns a core."""
+    set_threads = openblas_function("set_num_threads", [ctypes.c_int], None)
+    if set_threads is None:
+        yield
+        return
+    threads = openblas_function("get_num_threads", [], ctypes.c_int)()
+    set_threads(1)
     try:
         yield
     finally:
-        if threads is not None:
-            openblas_function("set_num_threads", [ctypes.c_int], None)(threads)
+        set_threads(threads)
 
 
 @dataclass(frozen=True)
@@ -231,17 +233,16 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
 
             # a fork pool starts all its workers at the first submit: no more than the jobs
             size = min(workers, len(jobs))
-            with ProcessPoolExecutor(max_workers=size, initializer=_one_blas_thread) as pool:
+            with ProcessPoolExecutor(max_workers=size) as pool:
                 by_length = sorted(range(len(jobs)), key=lambda j: SUBMIT_ORDER.index(jobs[j][0]))
                 futures = {j: pool.submit(train_model, config, dataset, *jobs[j]) for j in by_length}
                 for j, (kind, order) in enumerate(jobs):  # the report order
                     stage = f"train {_file_name(kind, order)} (worker pool)"
                     trained.append(futures[j].result())
         else:
-            with _serial_one_blas_thread():
-                for kind, order in jobs:
-                    stage = f"train {_file_name(kind, order)}"
-                    trained.append(train_model(config, dataset, kind, order))
+            for kind, order in jobs:
+                stage = f"train {_file_name(kind, order)}"
+                trained.append(train_model(config, dataset, kind, order))
         for entry in trained:
             stage = f"save {entry.name}"
             path = os.path.join(models_dir, _file_name(entry.kind, entry.order) + ".json")

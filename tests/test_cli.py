@@ -99,6 +99,18 @@ class TestSimulate:
         assert main(["explode"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", ["directory", "non-UTF-8 file"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, make):
+        path = tmp_path / "config.yaml"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfesimulation: {}\n")
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # one customer with wide noise: the simulated consumption at hour 0 is 0.0,
 # which read_dataset and the percentage errors refuse

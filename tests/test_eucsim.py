@@ -208,6 +208,12 @@ class TestLoadProfile:
         with pytest.raises(DataError):
             load_profile(str(tmp_path / "absent.csv"))
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_bytes(b"\xff\xfe0.5\n")
+        with pytest.raises(DataError, match=f"cannot read profile file {path}"):
+            load_profile(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("# only comments\n")
@@ -482,6 +488,12 @@ class TestDatasetCsv:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_dataset(str(tmp_path / "none.csv"))
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xff\xfet,hour,price_usd_per_mwh,consumption_mwh\n")
+        with pytest.raises(DataError, match=f"cannot read dataset file {path}"):
+            read_dataset(str(path))
 
     def test_rejects_empty_body(self, tmp_path):
         path = tmp_path / "data.csv"

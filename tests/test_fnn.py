@@ -266,3 +266,7 @@ class TestOptimizerPlumbing:
         rng = np.random.default_rng(2)
         batches = list(minibatch_indices(rng, 10, 32, 3))
         assert all(len(b) == 10 for b in batches)
+
+    def test_empty_sample_set_rejected(self):
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            list(minibatch_indices(np.random.default_rng(3), 0, 32, 1))

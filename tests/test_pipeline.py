@@ -1,14 +1,17 @@
 """Pipeline tests: config-driven simulation, job layout, failure cleanup."""
 
 import ctypes
+import io
 import os
 
 import numpy as np
 import pytest
 
 from drlearn import pipeline
-from drlearn.config import parse_config
+from drlearn.cli import main
+from drlearn.config import dump_config, parse_config
 from drlearn.errors import DataError
+from drlearn.eucsim import write_dataset
 from drlearn.pipeline import (
     benchmark_jobs,
     run_benchmark,
@@ -175,76 +178,118 @@ def blas_threads():
     return None if get_threads is None else get_threads()
 
 
-def test_pool_worker_runs_one_blas_thread():
+@pytest.mark.parametrize("with_spaced_copy", [False, True])
+def test_openblas_maps_paths_with_spaces_and_skips_unloadable(
+    tmp_path, monkeypatch, with_spaced_copy
+):
+    # the maps pathname is everything after the fifth field; a mapped
+    # library that cannot be loaded is passed over, not raised
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    with open("/proc/self/maps") as maps:
+        real = next(line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1])
+    lines = ["7f0000000000-7f0000001000 r-xp 00000000 08:01 1    /absent dir/libopenblas.so\n"]
+    if with_spaced_copy:
+        spaced = tmp_path / "sp ace" / os.path.basename(real)
+        spaced.parent.mkdir()
+        spaced.symlink_to(real)
+        lines.append(f"7f0000001000-7f0000002000 r-xp 00000000 08:01 2    {spaced}\n")
+    monkeypatch.setattr(pipeline, "open", lambda *args: io.StringIO("".join(lines)), raising=False)
+    get_threads = pipeline.openblas_function("get_num_threads", [], ctypes.c_int)
+    if with_spaced_copy:
+        assert get_threads() == threads
+    else:
+        assert get_threads is None
+
+
+@pytest.fixture
+def two_threads():
+    """The caller runs at two OpenBLAS threads, and has its count back after the test."""
     if blas_threads() is None:
         pytest.skip("numpy loaded no OpenBLAS")
-    from concurrent.futures import ProcessPoolExecutor
+    set_threads = pipeline.openblas_function("set_num_threads", [ctypes.c_int], None)
+    before = blas_threads()
+    set_threads(2)
+    yield
+    set_threads(before)
 
-    with ProcessPoolExecutor(max_workers=1, initializer=pipeline._one_blas_thread) as pool:
-        assert pool.submit(blas_threads).result() == 1
+
+def record_fit_threads(monkeypatch, tmp_path, fail=False):
+    """Make every linear fit inside train_model append the BLAS thread count it
+    runs at to a file, since pool workers are other processes; return a
+    function that reads the counts."""
+    log = tmp_path / "threads.log"
+    fit = pipeline.linear_fit
+
+    def recording_fit(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{blas_threads()}\n")
+        if fail:
+            raise ValueError("job failed")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "linear_fit", recording_fit)
+    return lambda: [int(n) for n in log.read_text().split()] if log.exists() else []
 
 
-class TestSerialBlasThreads:
-    """The serial path trains at one BLAS thread and gives the caller its
-    thread count back afterwards."""
+class TestTrainingBlasThreads:
+    """train_model trains at one BLAS thread wherever it is called, and gives
+    its caller the thread count back afterwards."""
 
-    @pytest.fixture
-    def two_threads(self):
-        if blas_threads() is None:
-            pytest.skip("numpy loaded no OpenBLAS")
-        set_threads = pipeline.openblas_function("set_num_threads", [ctypes.c_int], None)
-        before = blas_threads()
-        set_threads(2)
-        yield
-        set_threads(before)
-
-    @staticmethod
-    def record_threads(monkeypatch, fail=False):
-        seen = []
-        train = pipeline.train_model
-
-        def recording_train(*args):
-            seen.append(blas_threads())
-            if fail:
-                raise ValueError("job failed")
-            return train(*args)
-
-        monkeypatch.setattr(pipeline, "train_model", recording_train)
-        return seen
-
-    def test_jobs_run_at_one_thread_and_count_is_restored(self, tmp_path, monkeypatch, two_threads):
-        seen = self.record_threads(monkeypatch)
-        run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(tmp_path / "bench"))
-        assert seen == [1, 1]
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_jobs_run_at_one_thread_and_count_is_restored(
+        self, tmp_path, monkeypatch, two_threads, workers
+    ):
+        seen = record_fit_threads(monkeypatch, tmp_path)
+        config = tiny_config(benchmark={"kinds": ["linear"]})
+        run_benchmark(config, str(tmp_path / "bench"), workers=workers)
+        assert seen() == [1, 1]
         assert blas_threads() == 2
 
-    def test_count_is_restored_when_a_job_fails(self, tmp_path, monkeypatch, two_threads):
-        seen = self.record_threads(monkeypatch, fail=True)
-        with pytest.raises(ValueError, match="'train linear_n0' failed: job failed"):
-            run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(tmp_path / "bench"))
-        assert seen == [1]
+    @pytest.mark.parametrize(
+        "workers, stage, fits",
+        [(1, "'train linear_n0'", [1]), (2, r"'train linear_n0 \(worker pool\)'", [1, 1])],
+        ids=["serial", "pool"],
+    )
+    def test_count_is_restored_when_a_job_fails(
+        self, tmp_path, monkeypatch, two_threads, workers, stage, fits
+    ):
+        seen = record_fit_threads(monkeypatch, tmp_path, fail=True)
+        config = tiny_config(benchmark={"kinds": ["linear"]})
+        with pytest.raises(ValueError, match=f"{stage} failed: job failed"):
+            run_benchmark(config, str(tmp_path / "bench"), workers=workers)
+        assert seen() == fits
+        assert blas_threads() == 2
+
+    def test_cli_train_runs_at_one_thread(self, tmp_path, monkeypatch, two_threads):
+        config = tiny_config()
+        config_path, data_path = tmp_path / "config.yaml", tmp_path / "data.csv"
+        config_path.write_text(dump_config(config))
+        write_dataset(simulate_from_config(config), str(data_path))
+        seen = record_fit_threads(monkeypatch, tmp_path)
+        code = main([
+            "train", "--config", str(config_path), "--data", str(data_path),
+            "--model", "linear", "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 0
+        assert seen() == [1]
         assert blas_threads() == 2
 
 
-def test_pool_pins_workers_and_submits_longest_first(tmp_path, monkeypatch):
+def test_pool_submits_longest_first(tmp_path, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
-    initializers, submitted = [], []
-    init, submit = ProcessPoolExecutor.__init__, ProcessPoolExecutor.submit
-
-    def recording_init(pool, *args, **kwargs):
-        initializers.append(kwargs.get("initializer"))
-        init(pool, *args, **kwargs)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
 
     def recording_submit(pool, fn, *args):
         submitted.append(args[2:])
         return submit(pool, fn, *args)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_init)
     monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
     config = tiny_config(training={"steps": 5})
     result = run_benchmark(config, str(tmp_path / "bench"), workers=2)
-    assert initializers == [pipeline._one_blas_thread]
     longest_first = [("lstm", 1), ("rnn", 1), ("fnn", 0), ("fnn", 1), ("linear", 0), ("linear", 1)]
     assert submitted == longest_first
     # the results still come back in job order

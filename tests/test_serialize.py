@@ -380,3 +380,9 @@ class TestLoadDiagnostics:
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises((ModelFormatError, OSError)):
             load_model(str(tmp_path / "absent.json"))
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ModelFormatError, match=f"{path} is not UTF-8 text"):
+            load_model(str(path))
