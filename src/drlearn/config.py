@@ -29,10 +29,10 @@ class SimulationBlock:
     rho_scale: float = -100.0
     resample_alpha_hourly: bool = False
     profile_path: str | None = None  # file overrides the synthetic profile
-    population_seed: int = 7
-    profile_seed: int = 41
-    price_seed: int = 13
-    noise_seed: int = 17
+    population_seed: int = bounded(7, minimum=0)
+    profile_seed: int = bounded(41, minimum=0)
+    price_seed: int = bounded(13, minimum=0)
+    noise_seed: int = bounded(17, minimum=0)
 
 
 @dataclass(frozen=True)

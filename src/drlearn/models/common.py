@@ -49,7 +49,7 @@ class TrainConfig:
     beta1: float = bounded(0.9, within=(0.0, 1.0))
     beta2: float = bounded(0.999, within=(0.0, 1.0))
     epsilon: float = 1e-8
-    rng_seed: int = 0
+    rng_seed: int = bounded(0, minimum=0)
     gradient_clip_norm: float = 5.0  # applied to recurrent training only
 
     def __post_init__(self) -> None:
@@ -170,6 +170,11 @@ class ParamModel:
         outputs = self.forward(inputs.reshape(batch * steps, n_features))
         return outputs.reshape(batch, steps), state
 
+    def workspace(self, shape: tuple) -> Workspace:
+        """A Workspace for loss_and_grads on this model's flat list and
+        minibatches of the given shape."""
+        return Workspace(self.kind, flat_params(self), self.hidden_sizes(), shape)
+
     def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
         """One time step for a (batch, features) input; returns (y, new state)."""
         outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
@@ -239,6 +244,33 @@ def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
     return buffer, blocks, views + [buffer[offset:-1], buffer[-1:].reshape(())]
 
 
+class Workspace:
+    """What a family's loss_and_grads writes into, made once for a flat
+    parameter list and a minibatch shape, (batch, features) or (batch,
+    steps, features): the gradient vector grad, laid out like the parameter
+    buffer, its blocks and its flat list of views, which the kernel returns.
+    The recurrent families add their tape (_Recurrent.workspace).
+
+    A kernel given a workspace overwrites it, so what a call returned holds
+    until the next call with it. train_adam makes one per training call;
+    two threads must not share one.
+    """
+
+    def __init__(self, kind: str, params: list, hidden_sizes: list[int], shape: tuple):
+        self.kind, self.params, self.shape = kind, params, tuple(shape)
+        self.grad, self.grad_blocks, self.grads = new_buffer(kind, shape[-1], hidden_sizes)
+
+    def check(self, kind: str, params: list, inputs: np.ndarray) -> None:
+        """Raise a ValueError unless this workspace was made for kind, params and inputs' shape."""
+        if (kind, np.shape(inputs)) != (self.kind, self.shape):
+            raise ValueError(
+                f"workspace made for {self.kind} minibatches of shape {self.shape},"
+                f" got {kind} inputs of shape {np.shape(inputs)}"
+            )
+        if params[0] is not self.params[0]:
+            raise ValueError("workspace made for another parameter list")
+
+
 def field_values(cls, params: list) -> dict:
     """Field name -> value for a family's flat list: each per-layer field's
     arrays, one per layer, then the readout pair."""
@@ -247,17 +279,18 @@ def field_values(cls, params: list) -> dict:
     return values | dict(zip(cls.readout, params[-2:]))
 
 
-def readout_loss(top: np.ndarray, w_out, b_out, targets: np.ndarray, grads: list) -> tuple:
+def readout_loss(top: np.ndarray, w_out, b_out, targets: np.ndarray, grads: list, d_top=None):
     """MSE of the scalar readout top @ w_out + b_out against targets, for top
     of shape targets.shape + (units,). Writes the readout weight and bias
-    gradients into grads[-2:] and returns the loss and the gradient into top."""
+    gradients into grads[-2:] and returns the loss and the gradient into top,
+    written into d_top when one is given."""
     residual = top @ w_out + b_out - targets
     m = residual.size
     loss = float(np.sum(residual**2) / m)
     d_out = 2.0 * residual / m
     np.matmul(top.reshape(m, -1).T, d_out.reshape(m), out=grads[-2])
     d_out.sum(out=grads[-1])
-    return loss, d_out[..., None] * w_out
+    return loss, np.multiply(d_out[..., None], w_out, out=d_top)
 
 
 def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
@@ -276,9 +309,10 @@ def flat_params(model) -> list[np.ndarray]:
 def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
     """Adam on seeded minibatches of dataset with the family's loss_and_grads,
     clipping the global gradient norm when the family is recurrent; returns
-    the model it trained in place and the loss curve. Adam steps the model's
-    buffer as one array; clipping sums the norm over the flat list. Both go
-    through the adam module, so a wrapper put there sees every call."""
+    the model it trained in place and the loss curve. Every step writes its
+    gradient into one workspace, and Adam steps the model's buffer by the
+    workspace's gradient vector; clipping sums the norm over the flat list.
+    Both go through the adam module, so a wrapper put there sees every call."""
     if not hidden_sizes:
         raise ValueError(f"{kind} needs at least one hidden layer, got hidden_sizes {hidden_sizes}")
     inputs = np.asarray(dataset.inputs, dtype=float)
@@ -289,17 +323,17 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, st
     initial = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
     model = model_from_params(kind, initial, dataset.feature_layout, scaler, state_config)
     params = flat_params(model)
+    workspace = model.workspace((min(cfg.batch_size, len(inputs)), *inputs.shape[1:]))
     optimizer = adam.Adam([model.buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     losses = np.empty(cfg.steps)
     for step, idx in enumerate(minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)):
-        loss, grads = loss_and_grads(params, inputs[idx], targets[idx])
+        loss, grads = loss_and_grads(params, inputs[idx], targets[idx], workspace=workspace)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss {loss} at training step {step}")
         losses[step] = loss
         if model.recurrent:
             adam.clip_global_norm(grads, cfg.gradient_clip_norm)
-        # params and the kernels' gradients are views of one vector each, laid out alike
-        optimizer.step([model.buffer], [grads[0].base])
+        optimizer.step([model.buffer], [workspace.grad])
     return model, losses
 
 

@@ -12,9 +12,9 @@ from .common import (
     FAN_IN,
     ParamModel,
     TrainConfig,
+    Workspace,
     field_values,
     layer_param,
-    new_buffer,
     readout_loss,
     train_adam,
 )
@@ -40,16 +40,21 @@ class FnnModel(ParamModel):
 
     @classmethod
     def loss_and_grads(
-        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray
+        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace=None
     ) -> tuple[float, list[np.ndarray]]:
         """Minibatch MSE and its gradient, the flat list's views of one vector
-        laid out like the parameter buffer.
+        laid out like the parameter buffer: the vector of workspace, a
+        Workspace made for params and this shape of inputs, or a new one.
 
         The ReLU subgradient at exactly zero is taken as zero, matching the
         forward pass mask convention.
         """
         values = field_values(cls, params)
         weights = values["hidden_weights"]
+        if workspace is None:
+            workspace = Workspace(cls.kind, params, [len(w) for w in weights], np.shape(inputs))
+        else:
+            workspace.check(cls.kind, params, inputs)
         activations = [inputs]
         pre_acts = []
         for w, b in zip(weights, values["hidden_biases"]):
@@ -57,7 +62,7 @@ class FnnModel(ParamModel):
             pre_acts.append(z)
             activations.append(np.maximum(z, 0.0))
 
-        _, grad_blocks, grads = new_buffer(cls.kind, inputs.shape[-1], [len(w) for w in weights])
+        grad_blocks, grads = workspace.grad_blocks, workspace.grads
         loss, dh = readout_loss(activations[-1], *params[-2:], targets, grads)
         for l in range(len(weights) - 1, -1, -1):
             dz = dh * (pre_acts[l] > 0.0)

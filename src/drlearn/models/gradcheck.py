@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import MODEL_CLASSES, init_params
+from .common import MODEL_CLASSES, flat_params, init_params, model_from_params
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3  # denominators below this are treated as this
@@ -34,17 +34,19 @@ def gradient_check(
     for p in params:
         if p.ndim <= 1:
             p += rng.uniform(-0.5, 0.5, p.shape)
+    model = model_from_params(kind, params, (), None, None)
+    params, workspace = flat_params(model), model.workspace(inputs.shape)
 
-    _, grads = loss_and_grads(params, inputs, targets)
-    # params and grads are views of one vector each, laid out alike
-    buffer, grad = params[0].base, grads[0].base
+    loss_and_grads(params, inputs, targets, workspace=workspace)
+    # a copy: the finite-difference calls below overwrite the workspace
+    buffer, grad = model.buffer, workspace.grad.copy()
     worst = 0.0
     for j in range(buffer.size):
         saved = buffer[j]
         buffer[j] = saved + FD_STEP
-        up, _ = loss_and_grads(params, inputs, targets)
+        up, _ = loss_and_grads(params, inputs, targets, workspace=workspace)
         buffer[j] = saved - FD_STEP
-        down, _ = loss_and_grads(params, inputs, targets)
+        down, _ = loss_and_grads(params, inputs, targets, workspace=workspace)
         buffer[j] = saved
         fd = (up - down) / (2.0 * FD_STEP)
         denom = max(abs(grad[j]), abs(fd), REL_FLOOR)

@@ -53,7 +53,18 @@ def _reject_unknown(mapping: dict, known, where: str) -> None:
         raise ModelFormatError(f"schema violation: unknown field '{unknown[0]}' in {where}")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value, through its nested lists, holds true or false."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    if value and isinstance(value[0], list):
+        return any(map(_holds_bool, value))
+    return bool in map(type, value)
+
+
 def _array(value, name: str, ndim: int) -> np.ndarray:
+    if _holds_bool(value):  # numpy would read true as 1.0
+        raise ModelFormatError(f"schema violation: field '{name}' holds true or false, not a number")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -111,7 +122,7 @@ def load_model(path: str):
         raise ModelFormatError("schema violation: top level must be an object")
 
     version = _require(document, "schema_version", "document")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1 in Python
         raise ModelFormatError(
             f"version mismatch: file has schema_version {version!r},"
             f" this build reads {SCHEMA_VERSION}"

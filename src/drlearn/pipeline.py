@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -151,7 +153,15 @@ DIRECT_TITLES = {
 def openblas_function(name: str, argtypes: list, restype):
     """The function `name` (such as "get_num_threads") of the OpenBLAS that
     this process loaded, typed by argtypes and restype, or None when no
-    loadable OpenBLAS is mapped.
+    loadable OpenBLAS is mapped."""
+    functions = openblas_functions((name, argtypes, restype))
+    return None if functions is None else functions[0]
+
+
+def openblas_functions(*signatures: tuple) -> list | None:
+    """Per (name, argtypes, restype) signature, the typed function of the
+    OpenBLAS that this process loaded, all from the first mapped, loadable
+    OpenBLAS that has them all, or None. It reads the memory map once.
 
     numpy may carry OpenBLAS under a prefixed, suffixed name
     (scipy_openblas_get_num_threads64_), so the library is found in the
@@ -169,31 +179,62 @@ def openblas_function(name: str, argtypes: list, restype):
             library = ctypes.CDLL(path)
         except OSError:  # mapped, but not loadable by that name (say, a deleted file)
             continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                function = getattr(library, f"{prefix}_{name}{suffix}", None)
-                if function is not None:
-                    function.argtypes, function.restype = argtypes, restype
-                    return function
+        functions = [_openblas_symbol(library, *signature) for signature in signatures]
+        if None not in functions:
+            return functions
     return None
+
+
+def _openblas_symbol(library, name: str, argtypes: list, restype):
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_"):
+            function = getattr(library, f"{prefix}_{name}{suffix}", None)
+            if function is not None:
+                function.argtypes, function.restype = argtypes, restype
+                return function
+    return None
+
+
+@functools.cache
+def _blas_thread_functions() -> list | None:
+    """OpenBLAS's get_num_threads and set_num_threads, looked up once per
+    process: the loaded library does not change once numpy has loaded it,
+    and a forked worker inherits it."""
+    return openblas_functions(
+        ("get_num_threads", [], ctypes.c_int), ("set_num_threads", [ctypes.c_int], None)
+    )
+
+
+_pin_lock = threading.Lock()
+_pin = {"held": 0, "threads": None}  # pins held now, and the count the first one found
 
 
 @contextmanager
 def _single_blas_thread():
     """Run the block at one OpenBLAS thread, if one is loaded, and give the
     caller its process-wide count back after, also when the block raises.
+    Pins are counted under a lock: the first to enter keeps the count and
+    sets one thread, the last to leave restores it, so train_model calls
+    that overlap in threads end at the caller's count.
     The models' matrices are small: a second thread costs CPU and saves
     little or no time, and a pool worker already owns a core."""
-    set_threads = openblas_function("set_num_threads", [ctypes.c_int], None)
-    if set_threads is None:
+    functions = _blas_thread_functions()
+    if functions is None:
         yield
         return
-    threads = openblas_function("get_num_threads", [], ctypes.c_int)()
-    set_threads(1)
+    get_threads, set_threads = functions
+    with _pin_lock:
+        if _pin["held"] == 0:
+            _pin["threads"] = get_threads()
+            set_threads(1)
+        _pin["held"] += 1
     try:
         yield
     finally:
-        set_threads(threads)
+        with _pin_lock:
+            _pin["held"] -= 1
+            if _pin["held"] == 0:
+                set_threads(_pin["threads"])
 
 
 @dataclass(frozen=True)

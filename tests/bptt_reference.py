@@ -7,7 +7,9 @@ training core must reproduce their loss and gradients; tests compare the two.
 
 import numpy as np
 
-from drlearn.models.recurrent import sigmoid
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def rnn_loss_and_grads(

@@ -388,6 +388,24 @@ class TestBenchmark:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("simulation", "population_seed"),
+            ("simulation", "profile_seed"),
+            ("simulation", "price_seed"),
+            ("simulation", "noise_seed"),
+            ("training", "rng_seed"),
+        ],
+    )
+    def test_negative_seed_exits_1_naming_field(self, tmp_path, capsys, section, field):
+        config = tmp_path / "negative_seed.yaml"
+        config.write_text(TINY_CONFIG.replace(f"{section}:\n", f"{section}:\n  {field}: -1\n"))
+        out_dir = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert f"{section}.{field}: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_workers_exits_1(self, config_path, tmp_path):
         code = main([
             "benchmark", "--config", config_path,

@@ -1,8 +1,11 @@
 """Pipeline tests: config-driven simulation, job layout, failure cleanup."""
 
+import builtins
 import ctypes
 import io
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -275,6 +278,83 @@ class TestTrainingBlasThreads:
         assert code == 0
         assert seen() == [1]
         assert blas_threads() == 2
+
+
+def test_overlapping_train_model_threads_end_at_the_callers_count(monkeypatch, two_threads):
+    # thread a enters the pin, then b; a leaves while b still trains, then b
+    # leaves: the pins are counted, so the caller gets its two threads back
+    config = tiny_config(benchmark={"kinds": ["linear"]})
+    dataset = simulate_from_config(config)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+    fit = pipeline.linear_fit
+
+    def gated_fit(*args, **kwargs):
+        name = threading.current_thread().name
+        seen[name] = blas_threads()
+        (a_in if name == "a" else b_in).set()
+        assert (b_in if name == "a" else a_out).wait(10)
+        return fit(*args, **kwargs)
+
+    def run_a():
+        train_model(config, dataset, "linear", 0)
+        a_out.set()
+
+    def run_b():
+        assert a_in.wait(10)
+        train_model(config, dataset, "linear", 1)
+
+    monkeypatch.setattr(pipeline, "linear_fit", gated_fit)
+    threads = [threading.Thread(target=run_a, name="a"), threading.Thread(target=run_b, name="b")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {"a": 1, "b": 1}
+    assert blas_threads() == 2
+
+
+def test_blas_pin_holds_under_many_threads(two_threads):
+    # more threads than cores, switching often: inside, every thread sees one
+    # BLAS thread, and once all have left the caller has its two back
+    get_threads = pipeline._blas_thread_functions()[0]
+    seen, interval = [], sys.getswitchinterval()
+
+    def pin_often():
+        for _ in range(200):
+            with pipeline._single_blas_thread():
+                seen.append(get_threads())
+
+    threads = [threading.Thread(target=pin_often) for _ in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [1] * 1200
+    assert blas_threads() == 2
+
+
+def test_openblas_is_looked_up_once_per_process(monkeypatch):
+    config = tiny_config(benchmark={"kinds": ["linear"]})
+    dataset = simulate_from_config(config)
+    reads = []
+
+    def spying_open(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            reads.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    pipeline._blas_thread_functions.cache_clear()
+    monkeypatch.setattr(pipeline, "open", spying_open, raising=False)
+    for order in (0, 1, 0, 1, 0):
+        train_model(config, dataset, "linear", order)
+    assert len(reads) == 1
 
 
 def test_pool_submits_longest_first(tmp_path, monkeypatch):

@@ -371,6 +371,38 @@ class TestLoadDiagnostics:
         with pytest.raises(ModelFormatError, match=f"unknown field '{key}' in {where}"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "place, field",
+        [
+            (lambda doc: doc["scaler"]["input_mean"], "input_mean"),
+            (lambda doc: doc["params"]["w_fh"][1][1], r"w_fh\[1\]"),
+            (lambda doc: doc["params"]["out_weight"], "out_weight"),
+        ],
+        ids=["scaler", "layer-weight", "readout-weight"],
+    )
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_json_boolean_in_an_array_named(self, tmp_path, place, field, boolean):
+        # numpy reads true as 1.0 and false as 0.0
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        with open(source) as handle:
+            doc = json.load(handle)
+        place(doc)[0] = boolean
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"field '{field}' holds true or false"):
+            load_model(str(path))
+
+    def test_json_boolean_schema_version_rejected(self, tmp_path):
+        # true == 1 in Python, so it read as version 1
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        with open(source) as handle:
+            doc = json.load(handle)
+        doc["schema_version"] = True
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="file has schema_version True"):
+            load_model(str(path))
+
     def test_top_level_array_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2, 3]\n")
