@@ -11,6 +11,7 @@ dataset that the learning side of the toolkit consumes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
 # Hours simulated per block: simulate holds customers x SIM_BLOCK values at a
 # time instead of customers x horizon. The results do not depend on it.
-SIM_BLOCK = 1024
+SIM_BLOCK = 256
 
 
 def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
@@ -116,6 +117,30 @@ class TimeSeriesDataset:
 
     def __len__(self) -> int:
         return len(self.prices)
+
+
+def check_series(ts: TimeSeriesDataset, where=None) -> None:
+    """Raise DataError naming the first index of ts that breaks a series rule:
+    price and consumption finite, price >= 0 and consumption > 0 (percentage
+    errors divide by it). where(i) names index i first, as a file line or row.
+    Every boundary that learns from or scores a series checks it here."""
+    prices = np.asarray(ts.prices, dtype=float)
+    consumptions = np.asarray(ts.consumptions, dtype=float)
+    finite = np.isfinite(prices) & np.isfinite(consumptions)
+    bad = np.flatnonzero(~(finite & (prices >= 0) & (consumptions > 0)))
+    if len(bad):
+        i = int(bad[0])
+        price, consumption = float(prices[i]), float(consumptions[i])
+        if not finite[i]:
+            rule = (
+                f"non-finite price or consumption: price {price} and consumption"
+                f" {consumption} at index {i} must both be finite"
+            )
+        elif price < 0:
+            rule = f"negative price {price} at index {i}"
+        else:
+            rule = f"consumption {consumption} is not positive at index {i}"
+        raise DataError(rule if where is None else f"{where(i)}: {rule}")
 
 
 def optimal_consumption(demand: float, price: float, params: EucParams) -> float:
@@ -425,22 +450,12 @@ def write_dataset(dataset: TimeSeriesDataset, path: str) -> None:
     """Write the dataset CSV: t,hour,price_usd_per_mwh,consumption_mwh.
 
     Prices and consumptions are written with full round-trip precision, and
-    the file appears atomically. A row that read_dataset would refuse (a
-    non-finite price or consumption, a negative price or a consumption that
-    is not positive) is refused, naming its index, before anything is written.
+    the file appears atomically. A series that breaks a check_series rule is
+    refused, naming the row, before anything is written.
     """
+    check_series(dataset, "dataset row {}".format)
     prices = np.asarray(dataset.prices, dtype=float)
     consumptions = np.asarray(dataset.consumptions, dtype=float)
-    finite = np.isfinite(prices) & np.isfinite(consumptions)
-    bad = np.flatnonzero(~(finite & (prices >= 0) & (consumptions > 0)))
-    if len(bad):
-        i = bad[0]
-        if not finite[i]:
-            raise DataError(f"dataset row {i}: non-finite price or consumption")
-        if prices[i] < 0:
-            raise DataError(f"dataset row {i}: negative price {float(prices[i])}")
-        # read_dataset refuses it too: percentage errors divide by it
-        raise DataError(f"dataset row {i}: consumption {float(consumptions[i])} is not positive")
     line = "{},{},{!r},{!r}\n".format
     columns = (np.asarray(dataset.hours).astype(np.int64), prices, consumptions)  # hour 3.0 is 3
     # 4096 rows at a time, as a string per row of the whole file would take several
@@ -453,21 +468,27 @@ def write_dataset(dataset: TimeSeriesDataset, path: str) -> None:
 
 
 def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:
-    """Read a dataset CSV written by write_dataset."""
+    """Read a dataset CSV written by write_dataset. Its data rows must be plain
+    ASCII without '_' (int and float also read 1_000 and other scripts' digits),
+    and check_series checks the series, naming the line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            header = fh.readline()
+            body = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    if not rows or rows[0] != DATASET_HEADER:
+    if next(csv.reader([header]), None) != DATASET_HEADER:
         raise DataError(
             f"dataset file {path} must start with header {','.join(DATASET_HEADER)}"
         )
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    lax = not body.isascii() or "_" in body  # the whole text at once; a row only to name it
     prices, consumptions, hours = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 4:
             raise DataError(f"dataset row at line {lineno} has {len(row)} fields, expected 4")
+        if lax and any("_" in cell or not cell.isascii() for cell in row):
+            raise DataError(f"dataset row at line {lineno} is not plain ASCII without '_': {row}")
         try:
             t, hour, price, consumption = int(row[0]), int(row[1]), float(row[2]), float(row[3])
         except ValueError as exc:
@@ -478,22 +499,16 @@ def read_dataset(path: str, intervals_per_day: int = 24) -> TimeSeriesDataset:
             raise DataError(
                 f"dataset row at line {lineno}: hour {hour} outside [0, {intervals_per_day})"
             )
-        if not (math.isfinite(price) and math.isfinite(consumption)):
-            raise DataError(f"dataset row at line {lineno}: non-finite price or consumption")
-        if price < 0:
-            raise DataError(f"dataset row at line {lineno}: negative price {price}")
-        if consumption <= 0:  # percentage errors divide by it
-            raise DataError(
-                f"dataset row at line {lineno}: consumption {consumption} is not positive"
-            )
         hours.append(hour)
         prices.append(price)
         consumptions.append(consumption)
     if not prices:
         raise DataError(f"dataset file {path} contains no rows")
-    return TimeSeriesDataset(
+    dataset = TimeSeriesDataset(
         prices=np.asarray(prices),
         consumptions=np.asarray(consumptions),
         hours=np.asarray(hours, dtype=np.int64),
         intervals_per_day=intervals_per_day,
     )
+    check_series(dataset, lambda i: f"dataset row at line {i + 2}")
+    return dataset

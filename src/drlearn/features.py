@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .eucsim import TimeSeriesDataset
+from .eucsim import TimeSeriesDataset, check_series
 
 TIME_ENCODINGS = ("scalar", "one_hot", "none")
 
@@ -41,11 +41,7 @@ class StateConfig:
 
     @property
     def time_dim(self) -> int:
-        if self.time_encoding == "scalar":
-            return 1
-        if self.time_encoding == "one_hot":
-            return self.intervals_per_day
-        return 0
+        return {"scalar": 1, "one_hot": self.intervals_per_day}.get(self.time_encoding, 0)
 
 
 @dataclass(frozen=True)
@@ -110,11 +106,11 @@ def identity_scaler(n_features: int) -> Scaler:
 
 
 def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    """Chronological prefix/suffix split, no shuffling, of a series whose
-    prices and consumptions are all finite."""
+    """Chronological prefix/suffix split, no shuffling, of a series that
+    keeps the check_series rules."""
     if not 0 < train_len < len(ts):
         raise ValueError(f"train_len must be in (0, {len(ts)}), got {train_len}")
-    check_finite(ts)
+    check_series(ts)
 
     def part(span: slice) -> TimeSeriesDataset:
         return TimeSeriesDataset(
@@ -127,29 +123,11 @@ def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, Tim
     return part(slice(None, train_len)), part(slice(train_len, None))
 
 
-def check_finite(ts: TimeSeriesDataset) -> None:
-    """Raise DataError naming the first index whose price or consumption is not finite."""
-    bad = np.flatnonzero(~(np.isfinite(ts.prices) & np.isfinite(ts.consumptions)))
-    if len(bad):
-        i = bad[0]
-        raise DataError(
-            f"price {ts.prices[i]} and consumption {ts.consumptions[i]} at index {i}"
-            " must both be finite"
-        )
-
-
 def feature_layout(cfg: StateConfig) -> tuple[str, ...]:
     """Ordered column names for the direct state vector plus current price."""
-    names: list[str] = []
-    for i in range(cfg.order, 0, -1):
-        names.append(f"price_lag{i}")
-        names.append(f"consumption_lag{i}")
-    if cfg.time_encoding == "scalar":
-        names.append("hour_frac")
-    elif cfg.time_encoding == "one_hot":
-        names.extend(f"hour_{k}" for k in range(cfg.intervals_per_day))
-    names.append("price")
-    return tuple(names)
+    lags = [f"{v}_lag{i}" for i in range(cfg.order, 0, -1) for v in ("price", "consumption")]
+    hours = {"scalar": ["hour_frac"], "one_hot": [f"hour_{k}" for k in range(cfg.intervals_per_day)]}
+    return tuple(lags + hours.get(cfg.time_encoding, []) + ["price"])
 
 
 def sequence_layout(cfg: StateConfig) -> tuple[str, ...]:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .eucsim import TimeSeriesDataset
-from .features import check_finite, check_rows, feature_rows
+from .errors import DataError, NumericalError
+from .eucsim import TimeSeriesDataset, check_series
+from .features import check_rows, feature_rows
 from .ioutil import atomic_write_text
 from .models.common import model_class
 
@@ -67,9 +67,7 @@ class EvalReport:
 
 def model_name(kind: str, order: int) -> str:
     """Display label: direct families carry their order, recurrent do not."""
-    if model_class(kind).recurrent:
-        return kind
-    return f"{kind} n={order}"
+    return kind if model_class(kind).recurrent else f"{kind} n={order}"
 
 
 def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
@@ -78,30 +76,43 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
     The split runs as a single sequence through the model from its initial
     state. A model that carries state starts it at zero, so its first
     RECURRENT_WARMUP predictions are excluded from scoring.
+    The split must keep the check_series rules. A non-finite prediction or
+    percentage error (an overflowing model, a subnormal consumption) raises
+    NumericalError naming its index in the split, with no numpy warning.
     """
     cfg = model.state_config
     check_rows(dataset, cfg, model.feature_layout)
-    check_finite(dataset)
+    check_series(dataset)
     warmup = RECURRENT_WARMUP if model.recurrent else 0
-    if len(dataset) <= cfg.order + warmup:
+    first = cfg.order + warmup  # the index of the first scored interval
+    if len(dataset) <= first:
         raise ValueError(
-            f"evaluation of {model.kind} needs more than {cfg.order + warmup}"
-            f" intervals, got {len(dataset)}"
+            f"evaluation of {model.kind} needs more than {first} intervals, got {len(dataset)}"
         )
-    x = model.scaler.transform_inputs(feature_rows(dataset, cfg.order, len(dataset), cfg))
-    outputs, _ = model.run(x[None], model.initial_state(1))
-    predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
-    actual = dataset.consumptions[cfg.order + warmup :]
-
-    samples = ape_samples(actual, predicted)
+    with np.errstate(all="ignore"):
+        x = model.scaler.transform_inputs(feature_rows(dataset, cfg.order, len(dataset), cfg))
+        outputs, _ = model.run(x[None], model.initial_state(1))
+        predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
+        actual = dataset.consumptions[first:]
+        samples = ape_samples(actual, predicted)
+        mape_pct, sdape_pct = float(np.mean(samples)), float(np.std(samples))
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if len(bad):
+        i = int(bad[0])
+        raise NumericalError(
+            f"{model.kind} prediction {predicted[i]} for consumption {actual[i]} at index"
+            f" {first + i} of the {split} split: percentage error {samples[i]} is not finite"
+        )
+    if not np.isfinite([mape_pct, sdape_pct]).all():
+        raise NumericalError(f"{model.kind} {split} MAPE {mape_pct}, SDAPE {sdape_pct}: not finite")
     return EvalReport(
         name=model_name(model.kind, cfg.order),
         kind=model.kind,
         order=cfg.order,
         hidden_sizes=tuple(model.hidden_sizes()),
         split=split,
-        mape_pct=float(np.mean(samples)),
-        sdape_pct=float(np.std(samples)),
+        mape_pct=mape_pct,
+        sdape_pct=sdape_pct,
         ape_samples=samples,
         warmup_excluded=warmup,
     )
@@ -144,9 +155,7 @@ def format_error_table(
     """
     width = max(7, *(len(label) + 2 for label in column_labels))
     row_head = 17
-    lines = [title]
-    header = corner.ljust(row_head) + "".join(label.rjust(width) for label in column_labels)
-    lines.append(header)
+    lines = [title, corner.ljust(row_head) + "".join(label.rjust(width) for label in column_labels)]
     for split in ("train", "test"):
         for metric in ("mape", "sdape"):
             label = f"{split} {metric.upper()} (%)".ljust(row_head)
@@ -160,21 +169,15 @@ def table_from_reports(
 ) -> str:
     """Standard error table from (column label, report name) pairs."""
     by_key = {(r.name, r.split): r for r in reports}
-    cells: dict[tuple[str, str], list[float]] = {}
-    for split in ("train", "test"):
-        for metric in ("mape", "sdape"):
-            values = []
-            for _, name in columns:
-                report = by_key[(name, split)]
-                values.append(report.mape_pct if metric == "mape" else report.sdape_pct)
-            cells[(split, metric)] = values
+    cells = {
+        (split, metric): [getattr(by_key[(name, split)], f"{metric}_pct") for _, name in columns]
+        for split in ("train", "test")
+        for metric in ("mape", "sdape")
+    }
     return format_error_table(title, corner, [label for label, _ in columns], cells)
 
 
 def write_violin_csv(reports: list[EvalReport], path: str) -> None:
     """Per-sample test APEs for plotting, one (model, ape_pct) row per sample."""
-    lines = [VIOLIN_HEADER]
-    for report in reports:
-        for value in report.ape_samples:
-            lines.append(f"{report.name},{float(value)!r}")
+    lines = [VIOLIN_HEADER, *(f"{r.name},{v!r}" for r in reports for v in r.ape_samples.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")

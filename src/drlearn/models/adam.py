@@ -40,10 +40,7 @@ class Adam:
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> None:
     """Scale all gradients in place so their joint L2 norm is at most max_norm."""
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads:

@@ -132,6 +132,16 @@ class ParamModel:
             view[...] = value
         vars(self).update(field_values(type(self), views))
 
+    def __getstate__(self) -> dict:
+        """Pickle each parameter once, in its field, and not the buffer and
+        blocks: pickle would give every view an array of its own."""
+        return {k: v for k, v in vars(self).items() if k not in ("buffer", "blocks")}
+
+    def __setstate__(self, state: dict) -> None:
+        """Copy the unpickled fields into a new buffer that they then view."""
+        vars(self).update(state)
+        self.__post_init__()
+
     @classmethod
     def layer_fields(cls) -> list:
         return [f for f in fields(cls) if "shape" in f.metadata]
@@ -349,11 +359,8 @@ def minibatch_indices(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     batch_size = min(batch_size, n_samples)
     per_epoch = n_samples // batch_size
-    emitted = 0
-    while emitted < steps:
-        perm = rng.permutation(n_samples)
-        for b in range(per_epoch):
-            if emitted == steps:
-                return
-            yield perm[b * batch_size : (b + 1) * batch_size]
-            emitted += 1
+    for step in range(steps):
+        b = step % per_epoch
+        if b == 0:
+            perm = rng.permutation(n_samples)
+        yield perm[b * batch_size : (b + 1) * batch_size]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,11 +215,7 @@ def _empty(*shapes: tuple) -> list[np.ndarray]:
     """A new array of each shape, all views of one buffer. One allocation
     per tape: once a first one is freed, glibc's malloc serves the next of
     that size from its heap instead of mapping fresh pages for every array."""
-    sizes = []
-    for shape in shapes:
-        sizes.append(1)
-        for n in shape:
-            sizes[-1] *= n
+    sizes = [math.prod(shape) for shape in shapes]
     buffer, offset, arrays = np.empty(sum(sizes)), 0, []
     for shape, size in zip(shapes, sizes):
         arrays.append(buffer[offset : offset + size].reshape(shape))

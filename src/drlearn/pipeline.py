@@ -115,6 +115,7 @@ def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order:
                 model, losses = train_recurrent(scaled, kind, hidden, train_cfg, scaler, state_cfg)
             else:
                 model, losses = train_fnn(scaled, hidden, train_cfg, scaler, state_cfg)
+        del raw, scaled  # not held through the evaluations
         return TrainedModel(
             kind=kind,
             order=order,

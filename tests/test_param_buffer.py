@@ -7,6 +7,9 @@ stacked block per shape rule. The recurrent fused weights, the gradients of
 the loss kernels and Adam all read that layout.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -124,3 +127,26 @@ def test_constructor_leaves_no_view_unset(cls):
         cls(**{**values, bias: [np.zeros(2), values[bias][1]]}, **meta)
     with pytest.raises(ValueError, match="shorter"):
         cls(**{**values, bias: values[bias][:1]}, **meta)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+@pytest.mark.parametrize("kind", ["linear", "fnn", "rnn", "lstm"])
+def test_copy_keeps_one_buffer(kind, clone):
+    # a pool worker returns its trained model by pickle; numpy pickles each
+    # view as an array of its own unless the model pickles its buffer once
+    model = built(kind, "model_from_params", None)
+    twin = clone(model)
+    assert twin == model and not np.shares_memory(twin.buffer, model.buffer)
+    blocks = [b for layer in twin.blocks for b in layer.values() if b.size]
+    assert all(np.shares_memory(v, twin.buffer) for v in flat_params(twin) + blocks)
+    if twin.recurrent:
+        assert all(np.shares_memory(w, twin.buffer) for layer in twin._layers() for w in layer)
+    x = np.random.default_rng(4).normal(size=(2, 3, len(LAYOUT)))
+    before = twin.run(x, twin.initial_state(2))[0]
+    fields = twin.layer_fields()
+    first = getattr(twin, fields[0].name)[0] if fields else getattr(twin, twin.readout[0])
+    first[0] += 1.0  # writing a field writes the buffer the model runs on
+    assert not np.array_equal(twin.run(x, twin.initial_state(2))[0], before)
+    assert np.array_equal(model.run(x, model.initial_state(2))[0], before)

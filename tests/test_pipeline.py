@@ -15,6 +15,7 @@ from drlearn.cli import main
 from drlearn.config import dump_config, parse_config
 from drlearn.errors import DataError
 from drlearn.eucsim import write_dataset
+from drlearn.models import flat_params
 from drlearn.pipeline import (
     benchmark_jobs,
     run_benchmark,
@@ -143,6 +144,17 @@ class TestRunBenchmark:
         ]
         for name in ["report.json", "violin.csv"] + [f"models/{m}" for m in models]:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    def test_pool_models_keep_one_buffer(self, tmp_path):
+        result = run_benchmark(tiny_config(), str(tmp_path / "bench"), workers=2)
+        assert [entry.kind for entry in result.trained] == ["linear"] * 2 + ["fnn"] * 2 + [
+            "rnn",
+            "lstm",
+        ]
+        for entry in result.trained:
+            model = entry.model
+            views = flat_params(model) + [b for layer in model.blocks for b in layer.values()]
+            assert all(np.shares_memory(v, model.buffer) for v in views if v.size), entry.name
 
     def test_failure_names_stage_and_cleans_up(self, tmp_path):
         # order 5 on a 10-interval train split leaves too few samples, so the
