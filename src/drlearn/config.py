@@ -194,6 +194,20 @@ def parse_config(document: dict | None) -> RunConfig:
                 f" than {RECURRENT_WARMUP + 1} intervals, got {length}"
                 f" (simulation.horizon {simulation.horizon})"
             )
+    # The linear fit has an intercept: time columns that sum to one, or a
+    # constant one, leave its design rank-deficient.
+    if "linear" in benchmark.kinds:
+        if training.time_encoding == "one_hot":
+            raise ConfigError(
+                "training.time_encoding: the linear family cannot fit one_hot, whose"
+                " indicators sum to its intercept; use scalar or none"
+            )
+        if training.time_encoding == "scalar" and simulation.intervals_per_day == 1:
+            raise ConfigError(
+                "simulation.intervals_per_day: at 1, the scalar time column is constant"
+                " and the linear family cannot fit it beside its intercept; use"
+                " training.time_encoding: none"
+            )
     if recurrent and training.window_length >= benchmark.train_len:
         raise ConfigError(
             f"training.window_length: a window of {training.window_length} steps needs a"

@@ -24,7 +24,7 @@ DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
 # Hours simulated per block: simulate holds customers x SIM_BLOCK values at a
 # time instead of customers x horizon. The results do not depend on it.
-SIM_BLOCK = 256
+SIM_BLOCK = 512
 
 
 def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:

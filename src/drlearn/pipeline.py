@@ -151,59 +151,28 @@ DIRECT_TITLES = {
 }
 
 
-def openblas_function(name: str, argtypes: list, restype):
-    """The function `name` (such as "get_num_threads") of the OpenBLAS that
-    this process loaded, typed by argtypes and restype, or None when no
-    loadable OpenBLAS is mapped."""
-    functions = openblas_functions((name, argtypes, restype))
-    return None if functions is None else functions[0]
-
-
-def openblas_functions(*signatures: tuple) -> list | None:
-    """Per (name, argtypes, restype) signature, the typed function of the
-    OpenBLAS that this process loaded, all from the first mapped, loadable
-    OpenBLAS that has them all, or None. It reads the memory map once.
-
-    numpy may carry OpenBLAS under a prefixed, suffixed name
-    (scipy_openblas_get_num_threads64_), so the library is found in the
-    process's memory map and each spelling is tried.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            # the pathname, the sixth field, may itself hold spaces
-            fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # mapped, but not loadable by that name (say, a deleted file)
-            continue
-        functions = [_openblas_symbol(library, *signature) for signature in signatures]
-        if None not in functions:
-            return functions
-    return None
-
-
-def _openblas_symbol(library, name: str, argtypes: list, restype):
-    for prefix in ("openblas", "scipy_openblas"):
-        for suffix in ("", "64_"):
-            function = getattr(library, f"{prefix}_{name}{suffix}", None)
-            if function is not None:
-                function.argtypes, function.restype = argtypes, restype
-                return function
-    return None
-
-
 @functools.cache
-def _blas_thread_functions() -> list | None:
-    """OpenBLAS's get_num_threads and set_num_threads, looked up once per
-    process: the loaded library does not change once numpy has loaded it,
-    and a forked worker inherits it."""
-    return openblas_functions(
-        ("get_num_threads", [], ctypes.c_int), ("set_num_threads", [ctypes.c_int], None)
-    )
+def _blas_thread_functions() -> tuple | None:
+    """OpenBLAS's get_num_threads and set_num_threads, or None when numpy
+    links no OpenBLAS. Looked up once per process, through numpy's own
+    linear-algebra extension: a symbol lookup on its handle searches the
+    libraries it depends on, so it finds the OpenBLAS numpy uses, under
+    whichever spelling numpy carries (scipy_openblas_get_num_threads64_).
+    A forked worker inherits the library and the lookup."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for spelling in ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_openblas_{}64_"):
+        get_threads = getattr(library, spelling.format("get_num_threads"), None)
+        set_threads = getattr(library, spelling.format("set_num_threads"), None)
+        if get_threads is not None and set_threads is not None:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    return None
 
 
 _pin_lock = threading.Lock()

@@ -389,6 +389,25 @@ class TestBenchmark:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (("window_length: 24\n", "window_length: 24\n  time_encoding: one_hot\n"),
+             "training.time_encoding"),
+            (("horizon: 480\n", "horizon: 480\n  intervals_per_day: 1\n"),
+             "simulation.intervals_per_day"),
+        ],
+        ids=["one-hot", "one-interval-day"],
+    )
+    def test_linear_with_a_collinear_time_column_exits_1(self, tmp_path, capsys, edit, field):
+        config = tmp_path / "collinear.yaml"
+        text = TINY_CONFIG.replace(*edit)
+        config.write_text(text.replace("orders: [0, 1]", "orders: [0, 1]\n  kinds: [linear]"))
+        out_dir = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert f"{field}: " in capsys.readouterr().err
+        assert not (out_dir / "dataset.csv").exists()
+
+    @pytest.mark.parametrize(
         "section, field",
         [
             ("simulation", "population_seed"),

@@ -262,6 +262,36 @@ class TestFieldDiagnostics:
             parse_config({"benchmark": {"orders": [0, 1, 1]}})
         assert parse_config({"benchmark": {"orders": [1, 0]}}).benchmark.orders == (1, 0)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"training": {"time_encoding": "one_hot"}}, "training.time_encoding"),
+            (
+                {"simulation": {"intervals_per_day": 1, "horizon": 480},
+                 "benchmark": {"train_len": 360}},
+                "simulation.intervals_per_day",
+            ),
+        ],
+        ids=["one-hot", "one-interval-day"],
+    )
+    def test_linear_refuses_a_time_column_collinear_with_its_intercept(self, doc, field):
+        # the fit would fail only after simulating, as a rank-deficient design
+        for kinds in (["linear"], ["linear", "fnn", "rnn", "lstm"]):
+            with pytest.raises(ConfigError, match=rf"^{field}: "):
+                parse_config({**doc, "benchmark": {**doc.get("benchmark", {}), "kinds": kinds}})
+
+    def test_other_families_keep_one_hot_and_one_interval_days(self):
+        config = parse_config(
+            {"training": {"time_encoding": "one_hot"}, "benchmark": {"kinds": ["fnn"]}}
+        )
+        assert config.training.time_encoding == "one_hot"
+        config = parse_config({
+            "simulation": {"intervals_per_day": 1, "horizon": 480},
+            "training": {"time_encoding": "none"},
+            "benchmark": {"train_len": 360, "kinds": ["linear"]},
+        })
+        assert config.simulation.intervals_per_day == 1
+
 
 class TestLoadAndDump:
     def test_round_trip_defaults(self):

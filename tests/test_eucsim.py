@@ -358,8 +358,15 @@ class TestSimulate:
         assert np.all(dataset.consumptions > 0.0)
 
 
-# a one-hour horizon, one block less or more, and a one-hour last block
-HORIZONS = [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 2 * SIM_BLOCK + 1]
+# a one-hour horizon, one block less or more, and a one-hour last block, by
+# role, so that the test ids stay when SIM_BLOCK changes
+HORIZONS = {
+    "one-hour": 1,
+    "block-1": SIM_BLOCK - 1,
+    "block": SIM_BLOCK,
+    "block+1": SIM_BLOCK + 1,
+    "two-blocks+1": 2 * SIM_BLOCK + 1,
+}
 
 
 class TestStreamedSimulator:
@@ -371,7 +378,7 @@ class TestStreamedSimulator:
     # total that adds them in another order; 130 customers make three
     # transpose bands, the last one partial
     @pytest.mark.parametrize("count", [1, 7, 20, 130])
-    @pytest.mark.parametrize("horizon", HORIZONS, ids=lambda h: f"h{h}")
+    @pytest.mark.parametrize("horizon", HORIZONS.values(), ids=HORIZONS.keys())
     def test_bit_equal_to_reference(self, horizon, count, noise_std, resample):
         # any profile length works, not only whole days
         rng = np.random.default_rng(horizon)

@@ -1,8 +1,6 @@
 """Pipeline tests: config-driven simulation, job layout, failure cleanup."""
 
-import builtins
 import ctypes
-import io
 import os
 import sys
 import threading
@@ -189,45 +187,30 @@ class TestRunBenchmark:
 
 
 def blas_threads():
-    get_threads = pipeline.openblas_function("get_num_threads", [], ctypes.c_int)
-    return None if get_threads is None else get_threads()
-
-
-@pytest.mark.parametrize("with_spaced_copy", [False, True])
-def test_openblas_maps_paths_with_spaces_and_skips_unloadable(
-    tmp_path, monkeypatch, with_spaced_copy
-):
-    # the maps pathname is everything after the fifth field; a mapped
-    # library that cannot be loaded is passed over, not raised
-    threads = blas_threads()
-    if threads is None:
-        pytest.skip("numpy loaded no OpenBLAS")
-    with open("/proc/self/maps") as maps:
-        real = next(line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1])
-    lines = ["7f0000000000-7f0000001000 r-xp 00000000 08:01 1    /absent dir/libopenblas.so\n"]
-    if with_spaced_copy:
-        spaced = tmp_path / "sp ace" / os.path.basename(real)
-        spaced.parent.mkdir()
-        spaced.symlink_to(real)
-        lines.append(f"7f0000001000-7f0000002000 r-xp 00000000 08:01 2    {spaced}\n")
-    monkeypatch.setattr(pipeline, "open", lambda *args: io.StringIO("".join(lines)), raising=False)
-    get_threads = pipeline.openblas_function("get_num_threads", [], ctypes.c_int)
-    if with_spaced_copy:
-        assert get_threads() == threads
-    else:
-        assert get_threads is None
+    functions = pipeline._blas_thread_functions()
+    return None if functions is None else functions[0]()
 
 
 @pytest.fixture
 def two_threads():
     """The caller runs at two OpenBLAS threads, and has its count back after the test."""
-    if blas_threads() is None:
+    functions = pipeline._blas_thread_functions()
+    if functions is None:
         pytest.skip("numpy loaded no OpenBLAS")
-    set_threads = pipeline.openblas_function("set_num_threads", [ctypes.c_int], None)
-    before = blas_threads()
+    get_threads, set_threads = functions
+    before = get_threads()
     set_threads(2)
-    yield
+    yield functions
     set_threads(before)
+
+
+@pytest.fixture
+def fresh_lookup():
+    """An uncached OpenBLAS lookup in the test, and none left cached after it:
+    a cached None would make two_threads skip every later pin test."""
+    pipeline._blas_thread_functions.cache_clear()
+    yield
+    pipeline._blas_thread_functions.cache_clear()
 
 
 def record_fit_threads(monkeypatch, tmp_path, fail=False):
@@ -352,21 +335,82 @@ def test_blas_pin_holds_under_many_threads(two_threads):
     assert blas_threads() == 2
 
 
-def test_openblas_is_looked_up_once_per_process(monkeypatch):
+def test_openblas_is_looked_up_once_per_process(monkeypatch, fresh_lookup):
     config = tiny_config(benchmark={"kinds": ["linear"]})
     dataset = simulate_from_config(config)
-    reads = []
+    loads = []
+    load = pipeline.ctypes.CDLL
 
-    def spying_open(path, *args, **kwargs):
-        if path == "/proc/self/maps":
-            reads.append(path)
-        return builtins.open(path, *args, **kwargs)
+    def spying_load(*args, **kwargs):
+        loads.append(args)
+        return load(*args, **kwargs)
 
-    pipeline._blas_thread_functions.cache_clear()
-    monkeypatch.setattr(pipeline, "open", spying_open, raising=False)
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", spying_load)
     for order in (0, 1, 0, 1, 0):
         train_model(config, dataset, "linear", order)
-    assert len(reads) == 1
+    assert len(loads) == 1
+
+
+def raise_os_error(*args, **kwargs):
+    raise OSError("cannot load")
+
+
+@pytest.mark.parametrize(
+    "load",
+    [raise_os_error, lambda *args, **kwargs: object()],
+    ids=["unloadable", "no-symbols"],
+)
+def test_no_openblas_trains_without_a_pin(monkeypatch, two_threads, fresh_lookup, load):
+    # with no OpenBLAS found, train_model trains and leaves the caller's count
+    # alone, inside and after the job
+    get_threads = two_threads[0]
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", load)
+    assert pipeline._blas_thread_functions() is None
+    seen = []
+    fit = pipeline.linear_fit
+
+    def recording_fit(*args, **kwargs):
+        seen.append(get_threads())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "linear_fit", recording_fit)
+    config = tiny_config(benchmark={"kinds": ["linear"]})
+    trained = train_model(config, simulate_from_config(config), "linear", 1)
+    assert trained.test_report.mape_pct > 0
+    assert seen == [2]
+    assert get_threads() == 2
+
+
+def test_thread_count_reaches_the_mapped_openblas(two_threads):
+    # the oracle: a count set through the looked-up pair is read back by the
+    # OpenBLAS that the process's memory map shows loaded
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+    with open("/proc/self/maps") as maps:
+        # the pathname, the sixth field, may itself hold spaces
+        paths = {
+            fields[5]
+            for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+            if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]
+        }
+    spellings = ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}", "scipy_openblas_{}64_")
+    readers = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for spelling in spellings:
+            reader = getattr(library, spelling.format("get_num_threads"), None)
+            if reader is not None:
+                reader.argtypes, reader.restype = [], ctypes.c_int
+                readers.append(reader)
+                break
+    assert readers, f"no OpenBLAS thread getter in the mapped {sorted(paths)}"
+    set_threads = two_threads[1]
+    readings = []
+    for count in (1, 2, 1):
+        set_threads(count)
+        readings.append([reader() for reader in readers])
+    # one mapped OpenBLAS (numpy's) follows every count set
+    assert [1, 2, 1] in [list(column) for column in zip(*readings)]
 
 
 def test_pool_submits_longest_first(tmp_path, monkeypatch):
