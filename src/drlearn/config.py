@@ -8,13 +8,13 @@ from dataclasses import asdict, dataclass, fields
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
 from .metrics import RECURRENT_WARMUP
-from .models.common import TrainConfig, bound_violation, bounded, model_class
+from .models.common import Bounded, TrainConfig, bounded, model_class
 
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
 
 
 @dataclass(frozen=True)
-class SimulationBlock:
+class SimulationBlock(Bounded):
     """Population, horizon, prices, and the seeds that generated them."""
 
     euc_count: int = bounded(100, minimum=1)
@@ -22,17 +22,35 @@ class SimulationBlock:
     intervals_per_day: int = bounded(24, minimum=1)
     price_low: float = 20.0
     price_high: float = 50.0
-    noise_std: float = 0.1
-    min_fraction: float = 0.5
+    noise_std: float = bounded(0.1, minimum=0)
+    min_fraction: float = bounded(0.5, above=0, maximum=1)
     peak_low: float = 0.1
     peak_high: float = 2.0
-    rho_scale: float = -100.0
+    rho_scale: float = bounded(-100.0, below=0)
     resample_alpha_hourly: bool = False
     profile_path: str | None = None  # file overrides the synthetic profile
     population_seed: int = bounded(7, minimum=0)
     profile_seed: int = bounded(41, minimum=0)
     price_seed: int = bounded(13, minimum=0)
     noise_seed: int = bounded(17, minimum=0)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.price_low < self.price_high:
+            raise ValueError(
+                "price_low: need 0 <= price_low < price_high, got"
+                f" [{self.price_low}, {self.price_high}]"
+            )
+        if not 0 < self.peak_low <= self.peak_high:
+            raise ValueError(
+                "peak_low: need 0 < peak_low <= peak_high, got"
+                f" [{self.peak_low}, {self.peak_high}]"
+            )
+        if self.horizon % self.intervals_per_day != 0:
+            raise ValueError(
+                f"horizon: must be a multiple of intervals_per_day"
+                f" ({self.intervals_per_day}), got {self.horizon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,7 +65,7 @@ class TrainingBlock(TrainConfig):
 
 
 @dataclass(frozen=True)
-class BenchmarkBlock:
+class BenchmarkBlock(Bounded):
     """Which models the benchmark trains and how the data is split."""
 
     train_len: int = bounded(7296, minimum=1)
@@ -55,15 +73,68 @@ class BenchmarkBlock:
     kinds: tuple[str, ...] = bounded(MODEL_KINDS, choices=MODEL_KINDS)
     output_dir: str = "benchmark_out"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for k, order in enumerate(self.orders):
+            if order in self.orders[:k]:
+                raise ValueError(f"orders[{k}]: order {order} is repeated")
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The three blocks; construction also checks the benchmark's jobs (check_jobs)."""
+
     simulation: SimulationBlock = SimulationBlock()
     training: TrainingBlock = TrainingBlock()
     benchmark: BenchmarkBlock = BenchmarkBlock()
 
-    def train_config(self) -> TrainConfig:
-        return self.training
+    def __post_init__(self) -> None:
+        self.check_jobs(benchmark_jobs(self), self.simulation.horizon)
+
+    def check_jobs(self, jobs: list[tuple[str, int]], length: int) -> None:
+        """Raise a ConfigError naming the field unless every (kind, order) job
+        can be trained and scored on a series of `length` intervals split at
+        benchmark.train_len: split lengths, the recurrent window, and a linear
+        time column that is not collinear with the intercept."""
+        train_len, training = self.benchmark.train_len, self.training
+        if train_len >= length:
+            raise ConfigError(
+                f"benchmark.train_len: must be < the series length ({length}), got {train_len}"
+            )
+        splits = {"train": train_len, "test": length - train_len}
+        for kind, order in jobs:
+            recurrent = model_class(kind).recurrent
+            for name, size in splits.items():
+                if not recurrent and order >= size:
+                    raise ConfigError(
+                        f"benchmark.orders: order {order} needs a {name} split longer than"
+                        f" it, got {size} intervals (benchmark.train_len {train_len},"
+                        f" series length {length})"
+                    )
+                if recurrent and size <= RECURRENT_WARMUP + 1:
+                    raise ConfigError(
+                        f"benchmark.train_len: recurrent evaluation needs a {name} split of"
+                        f" more than {RECURRENT_WARMUP + 1} intervals, got {size}"
+                        f" (series length {length})"
+                    )
+            if recurrent and training.window_length >= train_len:
+                raise ConfigError(
+                    f"training.window_length: a window of {training.window_length} steps needs"
+                    f" a train split of more intervals, got benchmark.train_len {train_len}"
+                )
+            if kind != "linear":
+                continue
+            if training.time_encoding == "one_hot":
+                raise ConfigError(
+                    "training.time_encoding: the linear family cannot fit one_hot, whose"
+                    " indicators sum to its intercept; use scalar or none"
+                )
+            if training.time_encoding == "scalar" and self.simulation.intervals_per_day == 1:
+                raise ConfigError(
+                    "simulation.intervals_per_day: at 1, the scalar time column is constant"
+                    " and the linear family cannot fit it beside its intercept; use"
+                    " training.time_encoding: none"
+                )
 
     def state_config(self, order: int) -> StateConfig:
         return StateConfig(
@@ -71,6 +142,17 @@ class RunConfig:
             time_encoding=self.training.time_encoding,
             intervals_per_day=self.simulation.intervals_per_day,
         )
+
+
+def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
+    """(kind, order) pairs in MODEL_KINDS order: every order for a direct
+    family, order 1 alone for a recurrent one."""
+    return [
+        (kind, order)
+        for kind in MODEL_KINDS
+        if kind in config.benchmark.kinds
+        for order in ((1,) if model_class(kind).recurrent else config.benchmark.orders)
+    ]
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -81,10 +163,8 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _parse_value(path: str, value, default, **bounds):
-    """Check value against the type of the field's default: bool, int,
-    float, or str (None allowed only where the default is None), then
-    against the field's bounds (bound_violation)."""
+def _parse_value(path: str, value, default):
+    """Check value against the type of the field's default (None only where it is None)."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -95,20 +175,17 @@ def _parse_value(path: str, value, default, **bounds):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         try:
-            value = float(value)
+            return float(value)
         except OverflowError:  # an integer beyond the float range
-            value = math.inf if value > 0 else -math.inf
+            return math.inf if value > 0 else -math.inf
     elif (value is not None or default is not None) and not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {value!r}")
-    problem = bound_violation(value, **bounds)
-    if problem is not None:
-        raise ConfigError(f"{path}: {problem}")
     return value
 
 
 def _parse_block(cls, section: str, raw):
-    """One config section: every field of cls, defaulted when missing and
-    checked by its default's type; a list field takes a non-empty list."""
+    """One config section: every field of cls, defaulted when missing, of its
+    default's type (a list non-empty), then cls's own checks, section named."""
     raw = _require_mapping(raw, section)
     values = {}
     for f in fields(cls):
@@ -118,103 +195,27 @@ def _parse_block(cls, section: str, raw):
             if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigError(f"{path}: expected a non-empty list")
             values[f.name] = tuple(
-                _parse_value(f"{path}[{k}]", item, f.default[0], **f.metadata)
-                for k, item in enumerate(value)
+                _parse_value(f"{path}[{k}]", item, f.default[0]) for k, item in enumerate(value)
             )
         else:
-            values[f.name] = _parse_value(path, value, f.default, **f.metadata)
+            values[f.name] = _parse_value(path, value, f.default)
     unknown = set(raw) - set(values)
     if unknown:
         raise ConfigError(f"{section}.{sorted(unknown)[0]}: unknown field")
     try:
         return cls(**values)
-    except ValueError as exc:  # a bound that the block's __post_init__ checks
+    except ValueError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
 
 
 def parse_config(document: dict | None) -> RunConfig:
     """Build a RunConfig from parsed YAML, defaulting every missing field."""
     document = _require_mapping(document, "config")
-    unknown = set(document) - {"simulation", "training", "benchmark"}
+    sections = {f.name: type(f.default) for f in fields(RunConfig)}
+    unknown = set(document) - set(sections)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown section")
-
-    simulation = _parse_block(SimulationBlock, "simulation", document.get("simulation"))
-    if simulation.price_low < 0 or simulation.price_low >= simulation.price_high:
-        raise ConfigError(
-            "simulation.price_low: need 0 <= price_low < price_high, got"
-            f" [{simulation.price_low}, {simulation.price_high}]"
-        )
-    if simulation.noise_std < 0:
-        raise ConfigError(f"simulation.noise_std: must be >= 0, got {simulation.noise_std}")
-    if not 0.0 < simulation.min_fraction <= 1.0:
-        raise ConfigError(
-            f"simulation.min_fraction: must be in (0, 1], got {simulation.min_fraction}"
-        )
-    if simulation.peak_low <= 0 or simulation.peak_low > simulation.peak_high:
-        raise ConfigError(
-            "simulation.peak_low: need 0 < peak_low <= peak_high, got"
-            f" [{simulation.peak_low}, {simulation.peak_high}]"
-        )
-    if simulation.rho_scale >= 0:
-        raise ConfigError(f"simulation.rho_scale: must be negative, got {simulation.rho_scale}")
-    if simulation.horizon % simulation.intervals_per_day != 0:
-        raise ConfigError(
-            f"simulation.horizon: must be a multiple of intervals_per_day"
-            f" ({simulation.intervals_per_day}), got {simulation.horizon}"
-        )
-
-    training = _parse_block(TrainingBlock, "training", document.get("training"))
-
-    benchmark = _parse_block(BenchmarkBlock, "benchmark", document.get("benchmark"))
-    for k, order in enumerate(benchmark.orders):
-        if order in benchmark.orders[:k]:
-            raise ConfigError(f"benchmark.orders[{k}]: order {order} is repeated")
-    if benchmark.train_len >= simulation.horizon:
-        raise ConfigError(
-            f"benchmark.train_len: must be < simulation.horizon"
-            f" ({simulation.horizon}), got {benchmark.train_len}"
-        )
-    # Each split must hold what the families the benchmark trains need: rows
-    # at the largest order (feature_rows) and, on the train split, one window
-    # (build_sequence_dataset); recurrent scoring also drops a warm-up.
-    carries_state = [model_class(kind).recurrent for kind in benchmark.kinds]
-    direct, recurrent = not all(carries_state), any(carries_state)
-    splits = {"train": benchmark.train_len, "test": simulation.horizon - benchmark.train_len}
-    for name, length in splits.items():
-        if direct and max(benchmark.orders) >= length:
-            raise ConfigError(
-                f"benchmark.orders: order {max(benchmark.orders)} needs a {name} split"
-                f" longer than it, got {length} intervals (benchmark.train_len"
-                f" {benchmark.train_len}, simulation.horizon {simulation.horizon})"
-            )
-        if recurrent and length <= RECURRENT_WARMUP + 1:
-            raise ConfigError(
-                f"benchmark.train_len: recurrent evaluation needs a {name} split of more"
-                f" than {RECURRENT_WARMUP + 1} intervals, got {length}"
-                f" (simulation.horizon {simulation.horizon})"
-            )
-    # The linear fit has an intercept: time columns that sum to one, or a
-    # constant one, leave its design rank-deficient.
-    if "linear" in benchmark.kinds:
-        if training.time_encoding == "one_hot":
-            raise ConfigError(
-                "training.time_encoding: the linear family cannot fit one_hot, whose"
-                " indicators sum to its intercept; use scalar or none"
-            )
-        if training.time_encoding == "scalar" and simulation.intervals_per_day == 1:
-            raise ConfigError(
-                "simulation.intervals_per_day: at 1, the scalar time column is constant"
-                " and the linear family cannot fit it beside its intercept; use"
-                " training.time_encoding: none"
-            )
-    if recurrent and training.window_length >= benchmark.train_len:
-        raise ConfigError(
-            f"training.window_length: a window of {training.window_length} steps needs a"
-            f" train split of more intervals, got benchmark.train_len {benchmark.train_len}"
-        )
-
-    return RunConfig(simulation=simulation, training=training, benchmark=benchmark)
+    return RunConfig(**{s: _parse_block(cls, s, document.get(s)) for s, cls in sections.items()})
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -15,54 +15,64 @@ from ..features import Scaler, StateConfig, identity_scaler
 from . import adam
 
 
-def bounded(default, minimum=None, choices=None, within=None):
-    """A field with a default and the bounds that bound_violation checks:
-    `minimum` (integers and integer-list entries), `choices` (strings and
-    string-list entries) or `within`, a half-open interval [low, high) for a
-    float."""
-    return field(
-        default=default, metadata={"minimum": minimum, "choices": choices, "within": within}
-    )
+def bounded(default, **bounds):
+    """A field with a default and the bounds that bound_violation checks."""
+    return field(default=default, metadata=bounds)
 
 
-def bound_violation(value, minimum=None, choices=None, within=None) -> str | None:
-    """Why value breaks its field's bounds or is a non-finite float, or None."""
+def bound_violation(
+    value, minimum=None, maximum=None, above=None, below=None, within=None, choices=None
+) -> str | None:
+    """Why value breaks its field's bounds or is a non-finite float, or None.
+    minimum/maximum are inclusive, above/below strict, within is [low, high),
+    checked before finiteness so that a NaN reads as outside it."""
     if minimum is not None and value < minimum:
         return f"must be >= {minimum}, got {value}"
     if within is not None and not within[0] <= value < within[1]:
         return f"must be in [{within[0]:g}, {within[1]:g}), got {value}"
     if isinstance(value, float) and not math.isfinite(value):
         return f"must be a finite number, got {value}"
+    if maximum is not None and value > maximum:
+        return f"must be <= {maximum}, got {value}"
+    if above is not None and not value > above:
+        return f"must be > {above}, got {value}"
+    if below is not None and not value < below:
+        return f"must be < {below}, got {value}"
     if choices is not None and value not in choices:
         return f"must be one of {sorted(choices)}, got {value!r}"
     return None
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class Bounded:
+    """Base of the frozen settings blocks: construction checks each field
+    (each entry, as field[k], of a tuple field) against its bounded()
+    declaration and raises a ValueError naming the first that breaks it."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+            for k, item in entries:
+                problem = bound_violation(item, **f.metadata)
+                if problem is not None:
+                    name = f.name if k is None else f"{f.name}[{k}]"
+                    raise ValueError(f"{name}: {problem}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(Bounded):
     """Optimizer and schedule settings shared by all trained families; the
     training section of a config file is this plus the pipeline's fields."""
 
-    learning_rate: float = 0.001
+    learning_rate: float = bounded(0.001, above=0)
     steps: int = bounded(10000, minimum=1)
     batch_size: int = bounded(32, minimum=1)
     beta1: float = bounded(0.9, within=(0.0, 1.0))
     beta2: float = bounded(0.999, within=(0.0, 1.0))
-    epsilon: float = 1e-8
+    epsilon: float = bounded(1e-8, above=0)
     rng_seed: int = bounded(0, minimum=0)
-    gradient_clip_norm: float = 5.0  # applied to recurrent training only
-
-    def __post_init__(self) -> None:
-        """Raise a ValueError naming the first setting out of its declared
-        bounds, non-finite, or, for the step size, epsilon and clip norm, not > 0."""
-        for f in fields(TrainConfig):
-            value = getattr(self, f.name)
-            problem = bound_violation(value, **f.metadata)
-            positive = f.name in ("learning_rate", "epsilon", "gradient_clip_norm")
-            if problem is None and positive and not value > 0:
-                problem = f"must be > 0, got {value}"
-            if problem is not None:
-                raise ValueError(f"{f.name}: {problem}")
+    gradient_clip_norm: float = bounded(5.0, above=0)  # applied to recurrent training only
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MODEL_KINDS, RunConfig, dump_config
+from .config import MODEL_KINDS, RunConfig, benchmark_jobs, dump_config
 from .errors import DataError
 from .eucsim import (
     LoadProfile,
@@ -95,6 +95,7 @@ class TrainedModel:
 def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order: int) -> TrainedModel:
     """Fit one model on the train split and evaluate it on both splits, at one
     OpenBLAS thread (see `_single_blas_thread`)."""
+    config.check_jobs([(kind, order)], len(dataset))
     with _single_blas_thread():
         cls = model_class(kind)
         train_ts, test_ts = split(dataset, config.benchmark.train_len)
@@ -106,15 +107,14 @@ def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order:
             raw = build_direct_dataset(train_ts, state_cfg)
         scaler = fit_scaler(raw)
         scaled = apply_scaler(scaler, raw)
-        train_cfg = config.train_config()
         if cls is LinearModel:
             model, losses = linear_fit(scaled, scaler=scaler, state_config=state_cfg), None
         else:
             hidden = list(getattr(config.training, f"{kind}_hidden"))
             if cls.recurrent:
-                model, losses = train_recurrent(scaled, kind, hidden, train_cfg, scaler, state_cfg)
+                model, losses = train_recurrent(scaled, kind, hidden, config.training, scaler, state_cfg)
             else:
-                model, losses = train_fnn(scaled, hidden, train_cfg, scaler, state_cfg)
+                model, losses = train_fnn(scaled, hidden, config.training, scaler, state_cfg)
         del raw, scaled  # not held through the evaluations
         return TrainedModel(
             kind=kind,
@@ -124,17 +124,6 @@ def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order:
             train_report=evaluate(model, train_ts, "train"),
             test_report=evaluate(model, test_ts, "test"),
         )
-
-
-def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
-    """(kind, order) pairs in MODEL_KINDS order: every order for a direct
-    family, order 1 alone for a recurrent one."""
-    return [
-        (kind, order)
-        for kind in MODEL_KINDS
-        if kind in config.benchmark.kinds
-        for order in ((1,) if model_class(kind).recurrent else config.benchmark.orders)
-    ]
 
 
 def _file_name(kind: str, order: int) -> str:

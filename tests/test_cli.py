@@ -1,10 +1,12 @@
 """Command-line tests: full flows, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from drlearn import pipeline
 from drlearn.cli import main
 from drlearn.models import load_model
 
@@ -187,6 +189,51 @@ class TestTrain:
                 "--model", "fnn", "--order", "1", "--out", str(out),
             ]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_lstm_model_bytes_pinned(self, tmp_path, config_path, dataset_path):
+        # the digest of this build's file (numpy 2.x, OpenBLAS 0.3.31): the
+        # config checks run before training and must not move a trained bit
+        out = tmp_path / "lstm.json"
+        assert main([
+            "train", "--config", config_path, "--data", dataset_path,
+            "--model", "lstm", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a34c44cb0e6f6f26f8747619bb6f483418855ab11d6d651bd1baf201c6e0be35"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, kind, field",
+        [
+            (("window_length: 24\n", "window_length: 24\n  time_encoding: one_hot\n"),
+             "linear", "training.time_encoding"),
+            (("window_length: 24", "window_length: 400"), "lstm", "training.window_length"),
+            (("train_len: 360", "train_len: 460"), "rnn", "benchmark.train_len"),
+        ],
+        ids=["linear-one-hot", "lstm-window-past-train-split", "rnn-test-split-too-short"],
+    )
+    def test_config_rule_of_the_model_kind_exits_1_before_fitting(
+        self, tmp_path, capsys, monkeypatch, edit, kind, field
+    ):
+        # benchmark.kinds leaves the given kind out, so only --model needs the rule
+        other = "fnn" if kind == "linear" else "linear"
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            TINY_CONFIG.replace(*edit).replace("orders: [0, 1]", f"orders: [0, 1]\n  kinds: [{other}]")
+        )
+        data, out = tmp_path / "data.csv", tmp_path / "model.json"
+        assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+        fits = []
+        monkeypatch.setattr(pipeline, "linear_fit", lambda *a, **k: fits.append(kind))
+        monkeypatch.setattr(pipeline, "train_recurrent", lambda *a, **k: fits.append(kind))
+        code = main([
+            "train", "--config", str(config), "--data", str(data),
+            "--model", kind, "--out", str(out),
+        ])
+        assert code == 1
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
 
     def test_missing_data_exits_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "m.json"

@@ -1,5 +1,7 @@
 """Configuration tests: defaults, field diagnostics, round trips."""
 
+import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -16,6 +18,45 @@ from drlearn.config import (
 from drlearn.errors import ConfigError
 from drlearn.features import StateConfig
 from drlearn.models import TrainConfig
+
+
+BLOCKS = (
+    ("simulation", SimulationBlock),
+    ("training", TrainingBlock),
+    ("benchmark", BenchmarkBlock),
+)
+
+
+def values_past_bounds(f):
+    """For each bound that field f declares, a value just past it: one
+    integer or one float step beyond an inclusive bound, the bound itself
+    for a strict one, and a string outside the choices."""
+    scalar = f.default[0] if isinstance(f.default, tuple) else f.default
+
+    def step(x, direction):
+        return x + direction if isinstance(scalar, int) else math.nextafter(x, direction * math.inf)
+
+    for bound, limit in f.metadata.items():
+        if bound == "minimum":
+            yield step(limit, -1)
+        elif bound == "maximum":
+            yield step(limit, 1)
+        elif bound in ("above", "below"):
+            yield type(scalar)(limit)
+        elif bound == "within":
+            yield from (step(limit[0], -1), limit[1])
+        elif bound == "choices":
+            yield "not-" + "-".join(limit)
+        else:
+            raise AssertionError(f"{f.name}: no case for bound {bound}")
+
+
+BOUND_CASES = [
+    pytest.param(section, block, f, value, id=f"{section}.{f.name}={value!r}")
+    for section, block in BLOCKS
+    for f in fields(block)
+    for value in values_past_bounds(f)
+]
 
 
 FLOAT_FIELDS = [
@@ -61,9 +102,10 @@ class TestDefaults:
 
 
 class TestDerivedConfigs:
-    def test_train_config_mirrors_training_block(self):
+    def test_training_block_is_the_train_config(self):
         config = parse_config({"training": {"steps": 50, "learning_rate": 0.01}})
-        tc = config.train_config()
+        tc = config.training
+        assert isinstance(tc, TrainConfig)
         assert tc.steps == 50
         assert tc.learning_rate == 0.01
         assert tc.gradient_clip_norm == 5.0
@@ -291,6 +333,38 @@ class TestFieldDiagnostics:
             "benchmark": {"train_len": 360, "kinds": ["linear"]},
         })
         assert config.simulation.intervals_per_day == 1
+
+
+@pytest.mark.parametrize("section, block, f, value", BOUND_CASES)
+def test_every_declared_bound_is_enforced(section, block, f, value):
+    # a list field takes the value as its one entry
+    name, given = (f"{f.name}[0]", (value,)) if isinstance(f.default, tuple) else (f.name, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}: "):
+        block(**{f.name: given})
+    raw = list(given) if isinstance(given, tuple) else given
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{section}.{name}')}: "):
+        parse_config({section: {f.name: raw}})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SimulationBlock(noise_std=-1.0), ValueError, r"^noise_std: must be >= 0, got -1\.0$"),
+        (lambda: SimulationBlock(price_low=60.0), ValueError, r"^price_low: need 0 <= price_low < price_high"),
+        (lambda: TrainingBlock(window_length=1), ValueError, r"^window_length: must be >= 2, got 1$"),
+        (lambda: TrainingBlock(fnn_hidden=(0,)), ValueError, r"^fnn_hidden\[0\]: must be >= 1, got 0$"),
+        (lambda: BenchmarkBlock(orders=(1, 1)), ValueError, r"^orders\[1\]: order 1 is repeated$"),
+        (
+            lambda: RunConfig(simulation=SimulationBlock(horizon=480)),
+            ConfigError,
+            r"^benchmark\.train_len: must be < the series length \(480\), got 7296$",
+        ),
+    ],
+    ids=["noise-std", "price-range", "window-length", "hidden-size", "repeated-order", "run-config"],
+)
+def test_configs_built_in_code_are_checked(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestLoadAndDump:

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import re
 import sys
 import threading
 
@@ -11,7 +12,7 @@ import pytest
 from drlearn import pipeline
 from drlearn.cli import main
 from drlearn.config import dump_config, parse_config
-from drlearn.errors import DataError
+from drlearn.errors import ConfigError, DataError
 from drlearn.eucsim import write_dataset
 from drlearn.models import flat_params
 from drlearn.pipeline import (
@@ -105,6 +106,38 @@ class TestTrainModel:
         with pytest.raises(DataError, match="at index 100 must both be finite"):
             train_model(config, dataset, "linear", 1)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "overrides, kind, order, message",
+        [
+            ({"training": {"time_encoding": "one_hot"}, "benchmark": {"kinds": ["fnn"]}},
+             "linear", 0, "training.time_encoding: the linear family cannot fit one_hot"),
+            ({"training": {"window_length": 400}, "benchmark": {"kinds": ["linear"]}},
+             "lstm", 1, "training.window_length: a window of 400 steps"),
+            ({"benchmark": {"train_len": 460, "kinds": ["linear"]}}, "rnn", 1,
+             "benchmark.train_len: recurrent evaluation needs a test split of more than 25"
+             " intervals, got 20 (series length 480)"),
+            ({}, "fnn", 200,
+             "benchmark.orders: order 200 needs a test split longer than it, got 120"
+             " intervals (benchmark.train_len 360, series length 480)"),
+        ],
+        ids=["linear-one-hot", "lstm-window", "rnn-test-split", "fnn-order-past-test-split"],
+    )
+    def test_config_rules_of_the_job_refused_before_fitting(self, overrides, kind, order, message):
+        config = tiny_config(**overrides)
+        dataset = simulate_from_config(config)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            train_model(config, dataset, kind, order)
+
+    def test_series_shorter_than_the_train_split_is_refused(self):
+        config = tiny_config()
+        short = tiny_config(simulation={"horizon": 336}, benchmark={"train_len": 240})
+        dataset = simulate_from_config(short)
+        with pytest.raises(
+            ConfigError,
+            match=r"^benchmark\.train_len: must be < the series length \(336\), got 360$",
+        ):
+            train_model(config, dataset, "linear", 0)
 
     def test_unknown_kind_rejected(self):
         config = tiny_config()
