@@ -83,7 +83,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"--order must be >= 0, got {args.order}")
     dataset = read_dataset(args.data, config.simulation.intervals_per_day)
     started = time.perf_counter()
-    entry = train_model(config, dataset, args.model, args.order)
+    entry = train_model(config, dataset, args.model, args.order, "--order")
     elapsed = time.perf_counter() - started
     save_model(entry.model, args.out)
     loss_text = "closed form" if entry.final_loss is None else f"{entry.final_loss:.6g}"

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .features import StateConfig, TIME_ENCODINGS
 from .metrics import RECURRENT_WARMUP
-from .models.common import Bounded, TrainConfig, bounded, model_class
+from .models.common import TrainConfig, model_class
+from .records import Bounded, RecordError, bounded, read_record
 
 MODEL_KINDS = ("linear", "fnn", "rnn", "lstm")
 
@@ -37,19 +37,20 @@ class SimulationBlock(Bounded):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 0 <= self.price_low < self.price_high:
-            raise ValueError(
-                "price_low: need 0 <= price_low < price_high, got"
-                f" [{self.price_low}, {self.price_high}]"
+            raise RecordError(
+                "price_low",
+                f"need 0 <= price_low < price_high, got [{self.price_low}, {self.price_high}]",
             )
         if not 0 < self.peak_low <= self.peak_high:
-            raise ValueError(
-                "peak_low: need 0 < peak_low <= peak_high, got"
-                f" [{self.peak_low}, {self.peak_high}]"
+            raise RecordError(
+                "peak_low",
+                f"need 0 < peak_low <= peak_high, got [{self.peak_low}, {self.peak_high}]",
             )
         if self.horizon % self.intervals_per_day != 0:
-            raise ValueError(
-                f"horizon: must be a multiple of intervals_per_day"
-                f" ({self.intervals_per_day}), got {self.horizon}"
+            raise RecordError(
+                "horizon",
+                f"must be a multiple of intervals_per_day ({self.intervals_per_day}),"
+                f" got {self.horizon}",
             )
 
 
@@ -77,7 +78,7 @@ class BenchmarkBlock(Bounded):
         super().__post_init__()
         for k, order in enumerate(self.orders):
             if order in self.orders[:k]:
-                raise ValueError(f"orders[{k}]: order {order} is repeated")
+                raise RecordError(f"orders[{k}]", f"order {order} is repeated")
 
 
 @dataclass(frozen=True)
@@ -89,13 +90,13 @@ class RunConfig:
     benchmark: BenchmarkBlock = BenchmarkBlock()
 
     def __post_init__(self) -> None:
-        self.check_jobs(benchmark_jobs(self), self.simulation.horizon)
+        self.check_jobs(benchmark_jobs(self), self.simulation.horizon, "benchmark.orders")
 
-    def check_jobs(self, jobs: list[tuple[str, int]], length: int) -> None:
-        """Raise a ConfigError naming the field unless every (kind, order) job
-        can be trained and scored on a series of `length` intervals split at
-        benchmark.train_len: split lengths, the recurrent window, and a linear
-        time column that is not collinear with the intercept."""
+    def check_jobs(self, jobs: list[tuple[str, int]], length: int, order_source: str) -> None:
+        """Raise a ConfigError naming the field (order_source for an order) unless
+        every (kind, order) job can be trained and scored on a series of `length`
+        intervals split at benchmark.train_len: split lengths, the recurrent
+        window, and a linear time column that is not collinear with the intercept."""
         train_len, training = self.benchmark.train_len, self.training
         if train_len >= length:
             raise ConfigError(
@@ -107,7 +108,7 @@ class RunConfig:
             for name, size in splits.items():
                 if not recurrent and order >= size:
                     raise ConfigError(
-                        f"benchmark.orders: order {order} needs a {name} split longer than"
+                        f"{order_source}: order {order} needs a {name} split longer than"
                         f" it, got {size} intervals (benchmark.train_len {train_len},"
                         f" series length {length})"
                     )
@@ -155,62 +156,20 @@ def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
     ]
 
 
-def _require_mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _parse_value(path: str, value, default):
-    """Check value against the type of the field's default (None only where it is None)."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            return math.inf if value > 0 else -math.inf
-    elif (value is not None or default is not None) and not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
 def _parse_block(cls, section: str, raw):
-    """One config section: every field of cls, defaulted when missing, of its
-    default's type (a list non-empty), then cls's own checks, section named."""
-    raw = _require_mapping(raw, section)
-    values = {}
-    for f in fields(cls):
-        path = f"{section}.{f.name}"
-        value = raw.get(f.name, f.default)
-        if isinstance(f.default, tuple):
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ConfigError(f"{path}: expected a non-empty list")
-            values[f.name] = tuple(
-                _parse_value(f"{path}[{k}]", item, f.default[0]) for k, item in enumerate(value)
-            )
-        else:
-            values[f.name] = _parse_value(path, value, f.default)
-    unknown = set(raw) - set(values)
-    if unknown:
-        raise ConfigError(f"{section}.{sorted(unknown)[0]}: unknown field")
+    """One config section, read by read_record: missing fields take their
+    defaults, and a refusal names section.field."""
     try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+        return read_record(cls, {} if raw is None else raw, section)
+    except RecordError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(document: dict | None) -> RunConfig:
     """Build a RunConfig from parsed YAML, defaulting every missing field."""
-    document = _require_mapping(document, "config")
+    document = {} if document is None else document
+    if not isinstance(document, dict):
+        raise ConfigError(f"config: expected a mapping, got {type(document).__name__}")
     sections = {f.name: type(f.default) for f in fields(RunConfig)}
     unknown = set(document) - set(sections)
     if unknown:

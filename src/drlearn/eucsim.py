@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .ioutil import atomic_write_text
+from .records import Bounded, bounded
 
 DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
@@ -36,7 +37,7 @@ def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class EucParams:
+class EucParams(Bounded):
     """Immutable behavioral parameters of one customer.
 
     peak_demand is in MWh per hourly interval. rho is the curvature of the
@@ -46,20 +47,10 @@ class EucParams:
     consumption as a fraction of current demand.
     """
 
-    peak_demand: float
-    rho: float
-    alpha: float
-    min_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.peak_demand < math.inf:
-            raise ValueError(f"peak_demand must be finite and > 0, got {self.peak_demand}")
-        if not -math.inf < self.rho < 0:
-            raise ValueError(f"rho must be finite and < 0 for a concave benefit, got {self.rho}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.min_fraction <= 1.0:
-            raise ValueError(f"min_fraction must be in [0, 1], got {self.min_fraction}")
+    peak_demand: float = bounded(above=0)
+    rho: float = bounded(below=0)
+    alpha: float = bounded(minimum=0, maximum=1)
+    min_fraction: float = bounded(0.5, minimum=0, maximum=1)
 
 
 @dataclass(frozen=True)

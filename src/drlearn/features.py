@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import DataError
 from .eucsim import TimeSeriesDataset, check_series
+from .records import Bounded, bounded
 
 TIME_ENCODINGS = ("scalar", "one_hot", "none")
 
 
 @dataclass(frozen=True)
-class StateConfig:
+class StateConfig(Bounded):
     """How the model state is assembled from the series.
 
     order is the number of lagged (price, consumption) pairs. time_encoding
@@ -27,17 +28,9 @@ class StateConfig:
     for one indicator column per hour, or "none".
     """
 
-    order: int
-    time_encoding: str = "scalar"
-    intervals_per_day: int = 24
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.time_encoding not in TIME_ENCODINGS:
-            raise ValueError(f"unknown time_encoding {self.time_encoding!r}")
-        if self.intervals_per_day < 1:
-            raise ValueError("intervals_per_day must be >= 1")
+    order: int = bounded(minimum=0)
+    time_encoding: str = bounded("scalar", choices=TIME_ENCODINGS)
+    intervals_per_day: int = bounded(24, minimum=1)
 
     @property
     def time_dim(self) -> int:
@@ -75,22 +68,22 @@ class SequenceSet:
 
 
 @dataclass(frozen=True)
-class Scaler:
+class Scaler(Bounded):
     """Per-column standardization statistics, fit on training data only."""
 
     input_mean: np.ndarray
-    input_std: np.ndarray
+    input_std: np.ndarray = bounded(above=0)
     target_mean: float
-    target_std: float
+    target_std: float = bounded(above=0)
 
-    def transform_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        return (inputs - self.input_mean) / self.input_std
+    def transform_inputs(self, inputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.divide(np.subtract(inputs, self.input_mean, out=out), self.input_std, out=out)
 
     def inverse_inputs(self, inputs: np.ndarray) -> np.ndarray:
         return inputs * self.input_std + self.input_mean
 
-    def transform_targets(self, targets: np.ndarray) -> np.ndarray:
-        return (targets - self.target_mean) / self.target_std
+    def transform_targets(self, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.divide(np.subtract(targets, self.target_mean, out=out), self.target_std, out=out)
 
     def inverse_targets(self, targets: np.ndarray) -> np.ndarray:
         return targets * self.target_std + self.target_mean

@@ -90,7 +90,8 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
             f"evaluation of {model.kind} needs more than {first} intervals, got {len(dataset)}"
         )
     with np.errstate(all="ignore"):
-        x = model.scaler.transform_inputs(feature_rows(dataset, cfg.order, len(dataset), cfg))
+        x = feature_rows(dataset, cfg.order, len(dataset), cfg)
+        model.scaler.transform_inputs(x, out=x)
         outputs, _ = model.run(x[None], model.initial_state(1))
         predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
         actual = dataset.consumptions[first:]

@@ -38,10 +38,11 @@ class Adam:
             p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> None:
-    """Scale all gradients in place so their joint L2 norm is at most max_norm."""
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale grads in place to a joint L2 norm of at most max_norm; return the norm before."""
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads:
             g *= scale
+    return float(norm)

@@ -12,52 +12,8 @@ import numpy as np
 
 from ..errors import NumericalError
 from ..features import Scaler, StateConfig, identity_scaler
+from ..records import Bounded, bounded
 from . import adam
-
-
-def bounded(default, **bounds):
-    """A field with a default and the bounds that bound_violation checks."""
-    return field(default=default, metadata=bounds)
-
-
-def bound_violation(
-    value, minimum=None, maximum=None, above=None, below=None, within=None, choices=None
-) -> str | None:
-    """Why value breaks its field's bounds or is a non-finite float, or None.
-    minimum/maximum are inclusive, above/below strict, within is [low, high),
-    checked before finiteness so that a NaN reads as outside it."""
-    if minimum is not None and value < minimum:
-        return f"must be >= {minimum}, got {value}"
-    if within is not None and not within[0] <= value < within[1]:
-        return f"must be in [{within[0]:g}, {within[1]:g}), got {value}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be a finite number, got {value}"
-    if maximum is not None and value > maximum:
-        return f"must be <= {maximum}, got {value}"
-    if above is not None and not value > above:
-        return f"must be > {above}, got {value}"
-    if below is not None and not value < below:
-        return f"must be < {below}, got {value}"
-    if choices is not None and value not in choices:
-        return f"must be one of {sorted(choices)}, got {value!r}"
-    return None
-
-
-@dataclass(frozen=True)
-class Bounded:
-    """Base of the frozen settings blocks: construction checks each field
-    (each entry, as field[k], of a tuple field) against its bounded()
-    declaration and raises a ValueError naming the first that breaks it."""
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
-            for k, item in entries:
-                problem = bound_violation(item, **f.metadata)
-                if problem is not None:
-                    name = f.name if k is None else f"{f.name}[{k}]"
-                    raise ValueError(f"{name}: {problem}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import MODEL_KINDS, RunConfig, benchmark_jobs, dump_config
 from .errors import DataError
 from .eucsim import (
@@ -24,7 +22,6 @@ from .eucsim import (
     write_dataset,
 )
 from .features import (
-    apply_scaler,
     build_direct_dataset,
     build_sequence_dataset,
     fit_scaler,
@@ -92,10 +89,14 @@ class TrainedModel:
         return model_name(self.kind, self.order)
 
 
-def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order: int) -> TrainedModel:
+def train_model(
+    config: RunConfig, dataset: TimeSeriesDataset, kind: str, order: int,
+    order_source: str = "benchmark.orders",
+) -> TrainedModel:
     """Fit one model on the train split and evaluate it on both splits, at one
-    OpenBLAS thread (see `_single_blas_thread`)."""
-    config.check_jobs([(kind, order)], len(dataset))
+    OpenBLAS thread (see `_single_blas_thread`). A job the config cannot
+    train is a ConfigError; one for its order names order_source."""
+    config.check_jobs([(kind, order)], len(dataset), order_source)
     with _single_blas_thread():
         cls = model_class(kind)
         train_ts, test_ts = split(dataset, config.benchmark.train_len)
@@ -106,16 +107,17 @@ def train_model(config: RunConfig, dataset: TimeSeriesDataset, kind: str, order:
         else:
             raw = build_direct_dataset(train_ts, state_cfg)
         scaler = fit_scaler(raw)
-        scaled = apply_scaler(scaler, raw)
+        scaler.transform_inputs(raw.inputs, out=raw.inputs)  # raw's arrays are this call's own
+        scaler.transform_targets(raw.targets, out=raw.targets)
         if cls is LinearModel:
-            model, losses = linear_fit(scaled, scaler=scaler, state_config=state_cfg), None
+            model, losses = linear_fit(raw, scaler=scaler, state_config=state_cfg), None
         else:
             hidden = list(getattr(config.training, f"{kind}_hidden"))
             if cls.recurrent:
-                model, losses = train_recurrent(scaled, kind, hidden, config.training, scaler, state_cfg)
+                model, losses = train_recurrent(raw, kind, hidden, config.training, scaler, state_cfg)
             else:
-                model, losses = train_fnn(scaled, hidden, config.training, scaler, state_cfg)
-        del raw, scaled  # not held through the evaluations
+                model, losses = train_fnn(raw, hidden, config.training, scaler, state_cfg)
+        del raw  # not held through the evaluations
         return TrainedModel(
             kind=kind,
             order=order,

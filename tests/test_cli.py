@@ -235,6 +235,25 @@ class TestTrain:
         assert fits == []
         assert not out.exists()
 
+    def test_order_past_the_test_split_names_the_order_option(
+        self, tmp_path, capsys, monkeypatch, config_path, dataset_path
+    ):
+        # the order came from --order, not from benchmark.orders ([0, 1])
+        fits = []
+        monkeypatch.setattr(pipeline, "train_fnn", lambda *a, **k: fits.append(a))
+        out = tmp_path / "model.json"
+        code = main([
+            "train", "--config", config_path, "--data", dataset_path,
+            "--model", "fnn", "--order", "200", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: --order: order 200 needs a test split longer than it, got 120"
+            " intervals (benchmark.train_len 360, series length 480)\n"
+        )
+        assert fits == []
+        assert not out.exists()
+
     def test_missing_data_exits_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "m.json"
         code = main([
@@ -365,7 +384,7 @@ class TestEval:
             "--data", dataset_path, "--out", str(report_path),
         ])
         assert code == 2
-        assert "'weights' holds a non-finite value" in capsys.readouterr().err
+        assert "schema violation: params.weights: holds a non-finite value" in capsys.readouterr().err
         assert not report_path.exists()
 
 

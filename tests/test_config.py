@@ -1,9 +1,12 @@
 """Configuration tests: defaults, field diagnostics, round trips."""
 
+import json
 import math
 import re
+import typing
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from drlearn.config import (
@@ -15,9 +18,10 @@ from drlearn.config import (
     load_config,
     parse_config,
 )
-from drlearn.errors import ConfigError
-from drlearn.features import StateConfig
-from drlearn.models import TrainConfig
+from drlearn.errors import ConfigError, ModelFormatError
+from drlearn.eucsim import EucParams
+from drlearn.features import Scaler, StateConfig, feature_layout, identity_scaler
+from drlearn.models import LinearModel, TrainConfig, load_model, save_model
 
 
 BLOCKS = (
@@ -26,23 +30,37 @@ BLOCKS = (
     ("benchmark", BenchmarkBlock),
 )
 
+# Every record that declares bounds: where a file holds it (a config
+# section, a model-file object, or None), and the fields it has no default for.
+RECORDS = (
+    *((section, block, {}) for section, block in BLOCKS),
+    ("state_config", StateConfig, {"order": 1}),
+    (None, EucParams, {"peak_demand": 1.0, "rho": -1.0, "alpha": 0.5}),
+    ("scaler", Scaler, {"input_mean": np.zeros(4), "input_std": np.ones(4),
+                        "target_mean": 0.0, "target_std": 1.0}),
+)
 
-def values_past_bounds(f):
-    """For each bound that field f declares, a value just past it: one
-    integer or one float step beyond an inclusive bound, the bound itself
-    for a strict one, and a string outside the choices."""
-    scalar = f.default[0] if isinstance(f.default, tuple) else f.default
+
+def values_past_bounds(record, f):
+    """For each bound that field f of record declares, (field path, value)
+    with a value just past it: one integer or one float step beyond an
+    inclusive bound, the bound itself for a strict one, and a string outside
+    the choices. A tuple field takes the value as its one entry, an array
+    field at index 1 of four."""
+    hint = typing.get_type_hints(record)[f.name]
+    tuple_field = typing.get_origin(hint) is tuple
+    scalar = typing.get_args(hint)[0] if tuple_field else hint
 
     def step(x, direction):
-        return x + direction if isinstance(scalar, int) else math.nextafter(x, direction * math.inf)
+        return x + direction if scalar is int else math.nextafter(x, direction * math.inf)
 
-    for bound, limit in f.metadata.items():
+    def past(bound, limit):
         if bound == "minimum":
             yield step(limit, -1)
         elif bound == "maximum":
             yield step(limit, 1)
         elif bound in ("above", "below"):
-            yield type(scalar)(limit)
+            yield float(limit) if scalar in (float, np.ndarray) else limit
         elif bound == "within":
             yield from (step(limit[0], -1), limit[1])
         elif bound == "choices":
@@ -50,12 +68,23 @@ def values_past_bounds(f):
         else:
             raise AssertionError(f"{f.name}: no case for bound {bound}")
 
+    for bound, limit in f.metadata.items():
+        for value in past(bound, limit):
+            if tuple_field:
+                yield f"{f.name}[0]", (value,)
+            elif hint is np.ndarray:
+                yield f"{f.name}[1]", np.array([1.0, value, 1.0, 1.0])
+            else:
+                yield f.name, value
+
 
 BOUND_CASES = [
-    pytest.param(section, block, f, value, id=f"{section}.{f.name}={value!r}")
-    for section, block in BLOCKS
-    for f in fields(block)
-    for value in values_past_bounds(f)
+    pytest.param(
+        section, record, required, f.name, path, value, id=f"{record.__name__}.{path}={value!r}"
+    )
+    for section, record, required in RECORDS
+    for f in fields(record)
+    for path, value in values_past_bounds(record, f)
 ]
 
 
@@ -335,15 +364,28 @@ class TestFieldDiagnostics:
         assert config.simulation.intervals_per_day == 1
 
 
-@pytest.mark.parametrize("section, block, f, value", BOUND_CASES)
-def test_every_declared_bound_is_enforced(section, block, f, value):
-    # a list field takes the value as its one entry
-    name, given = (f"{f.name}[0]", (value,)) if isinstance(f.default, tuple) else (f.name, value)
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)}: "):
-        block(**{f.name: given})
-    raw = list(given) if isinstance(given, tuple) else given
-    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{section}.{name}')}: "):
-        parse_config({section: {f.name: raw}})
+@pytest.mark.parametrize("section, record, required, name, path, value", BOUND_CASES)
+def test_every_declared_bound_is_enforced(tmp_path, section, record, required, name, path, value):
+    # the same rule, naming the same field, in code, in a config file and in a model file
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: "):
+        record(**{**required, name: value})
+    raw = np.asarray(value).tolist() if isinstance(value, (tuple, np.ndarray)) else value
+    if section in dict(BLOCKS):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(f'{section}.{path}')}: "):
+            parse_config({section: {name: raw}})
+    elif section is not None:
+        model = LinearModel(
+            weights=np.zeros(4), bias=0.0, feature_layout=feature_layout(StateConfig(order=1)),
+            scaler=identity_scaler(4), state_config=StateConfig(order=1),
+        )
+        file = tmp_path / "model.json"
+        save_model(model, str(file))
+        document = json.loads(file.read_text())
+        document[section][name] = raw
+        file.write_text(json.dumps(document))
+        message = rf"^schema violation: {re.escape(f'{section}.{path}')}: "
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(str(file))
 
 
 @pytest.mark.parametrize(
@@ -354,13 +396,20 @@ def test_every_declared_bound_is_enforced(section, block, f, value):
         (lambda: TrainingBlock(window_length=1), ValueError, r"^window_length: must be >= 2, got 1$"),
         (lambda: TrainingBlock(fnn_hidden=(0,)), ValueError, r"^fnn_hidden\[0\]: must be >= 1, got 0$"),
         (lambda: BenchmarkBlock(orders=(1, 1)), ValueError, r"^orders\[1\]: order 1 is repeated$"),
+        (lambda: TrainingBlock(fnn_hidden=()), ValueError, r"^fnn_hidden: must not be empty, got \(\)$"),
+        (lambda: TrainingBlock(rnn_hidden=()), ValueError, r"^rnn_hidden: must not be empty, got \(\)$"),
+        (lambda: TrainingBlock(lstm_hidden=()), ValueError, r"^lstm_hidden: must not be empty, got \(\)$"),
+        (lambda: BenchmarkBlock(orders=()), ValueError, r"^orders: must not be empty, got \(\)$"),
+        (lambda: BenchmarkBlock(kinds=()), ValueError, r"^kinds: must not be empty, got \(\)$"),
         (
             lambda: RunConfig(simulation=SimulationBlock(horizon=480)),
             ConfigError,
             r"^benchmark\.train_len: must be < the series length \(480\), got 7296$",
         ),
     ],
-    ids=["noise-std", "price-range", "window-length", "hidden-size", "repeated-order", "run-config"],
+    ids=["noise-std", "price-range", "window-length", "hidden-size", "repeated-order",
+         "empty-fnn-hidden", "empty-rnn-hidden", "empty-lstm-hidden", "empty-orders", "empty-kinds",
+         "run-config"],
 )
 def test_configs_built_in_code_are_checked(build, error, message):
     with pytest.raises(error, match=message):

@@ -116,9 +116,9 @@ class TestEucParams:
 
     def test_rejects_infinite_peak_and_rho(self):
         # an infinite rho would silently make the customer ignore every price
-        with pytest.raises(ValueError, match="peak_demand must be finite and > 0, got inf"):
+        with pytest.raises(ValueError, match="^peak_demand: must be a finite number, got inf$"):
             EucParams(peak_demand=math.inf, rho=-1.0, alpha=0.2)
-        with pytest.raises(ValueError, match="rho must be finite and < 0"):
+        with pytest.raises(ValueError, match="^rho: must be a finite number, got -inf$"):
             EucParams(peak_demand=1.0, rho=-math.inf, alpha=0.2)
 
 

@@ -238,14 +238,31 @@ class TestOptimizerPlumbing:
         Adam([p_big]).step([p_big], [np.array([1e4])])
         assert p_small[0] == pytest.approx(p_big[0], rel=1e-3)
 
+    def test_adam_steps_with_the_bits_of_its_formulas(self):
+        rng = np.random.default_rng(3)
+        params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        opt = Adam(params, learning_rate=0.01, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in params]
+            opt.step(params, grads)
+            for p, g, m_i, v_i in zip(expected, grads, m, v):
+                m_i[...] = 0.8 * m_i + (1.0 - 0.8) * g
+                v_i[...] = 0.99 * v_i + (1.0 - 0.99) * g * g
+                m_hat, v_hat = m_i / (1.0 - 0.8**t), v_i / (1.0 - 0.99**t)
+                p -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+            assert all(map(np.array_equal, params, expected))
+
     def test_clip_noop_at_or_below_limit(self):
         grads = [np.array([3.0]), np.array([4.0])]
-        clip_global_norm(grads, 5.0)
+        assert clip_global_norm(grads, 5.0) == 5.0
         assert grads[0][0] == 3.0 and grads[1][0] == 4.0
 
     def test_clip_rescales_jointly(self):
         grads = [np.array([6.0]), np.array([8.0])]
-        clip_global_norm(grads, 5.0)
+        assert clip_global_norm(grads, 5.0) == 10.0  # the norm before clipping
         assert grads[0][0] == pytest.approx(3.0, rel=1e-12)
         assert grads[1][0] == pytest.approx(4.0, rel=1e-12)
 

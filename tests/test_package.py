@@ -35,6 +35,16 @@ def test_serving_imports_neither_yaml_nor_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_records_import_nothing_from_drlearn():
+    # every layer declares its records there, so it must sit below all of them
+    code = "import sys, drlearn.records; print(sorted(m for m in sys.modules if 'drlearn' in m))"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "['drlearn', 'drlearn.errors', 'drlearn.records']"
+
+
 @pytest.mark.parametrize(
     "module", [m.name for m in pkgutil.walk_packages(drlearn.__path__, "drlearn.")]
 )

@@ -129,6 +129,12 @@ class TestTrainModel:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             train_model(config, dataset, kind, order)
 
+    def test_order_past_the_test_split_names_the_source_it_is_given(self):
+        config = tiny_config()
+        dataset = simulate_from_config(config)
+        with pytest.raises(ConfigError, match=r"^order: order 200 needs a test split longer"):
+            train_model(config, dataset, "fnn", 200, "order")
+
     def test_series_shorter_than_the_train_split_is_refused(self):
         config = tiny_config()
         short = tiny_config(simulation={"horizon": 336}, benchmark={"train_len": 240})

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -300,7 +301,10 @@ class TestLoadDiagnostics:
         path, doc = saved_document(tmp_path)
         doc["state_config"]["time_encoding"] = "fourier"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="bad state_config"):
+        with pytest.raises(
+            ModelFormatError,
+            match=r"^schema violation: state_config\.time_encoding: must be one of \['none',",
+        ):
             load_model(str(path))
 
     @pytest.mark.parametrize("field", ["order", "intervals_per_day"])
@@ -310,8 +314,8 @@ class TestLoadDiagnostics:
         path, doc = saved_document(tmp_path, kind="linear")
         doc["state_config"][field] = value
         path.write_text(json.dumps(doc))
-        message = f"field '{field}' in state_config must be an integer"
-        with pytest.raises(ModelFormatError, match=message):
+        message = re.escape(f"state_config.{field}: expected an integer, got {value!r}")
+        with pytest.raises(ModelFormatError, match=f"^schema violation: {message}$"):
             load_model(str(path))
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
@@ -333,27 +337,35 @@ class TestLoadDiagnostics:
             values = values[0][1]
         values[2] = float("nan")
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f"field '{field}.*' holds a non-finite value"):
+        with pytest.raises(ModelFormatError, match=rf"params\.{field}.*: holds a non-finite value"):
             load_model(str(path))
 
     @pytest.mark.parametrize(
-        "field, value", [("input_mean", [0.0, float("inf"), 0.0, 0.0]), ("target_mean", float("-inf"))]
+        "field, value, message",
+        [
+            ("input_mean", [0.0, float("inf"), 0.0, 0.0], "input_mean: holds a non-finite value"),
+            ("target_mean", float("-inf"), "target_mean: must be a finite number, got -inf"),
+        ],
     )
-    def test_non_finite_scaler_named(self, tmp_path, field, value):
+    def test_non_finite_scaler_named(self, tmp_path, field, value, message):
         path, doc = saved_document(tmp_path)
         doc["scaler"][field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f"field '{field}' holds a non-finite value"):
+        with pytest.raises(ModelFormatError, match=re.escape(f"schema violation: scaler.{message}")):
             load_model(str(path))
 
     @pytest.mark.parametrize(
-        "field, value", [("input_std", [1.0, 0.0, 1.0, 1.0]), ("target_std", -2.0)]
+        "field, value, message",
+        [
+            ("input_std", [1.0, 0.0, 1.0, 1.0], "input_std[1]: must be > 0, got 0.0"),
+            ("target_std", -2.0, "target_std: must be > 0, got -2.0"),
+        ],
     )
-    def test_non_positive_scaler_std_named(self, tmp_path, field, value):
+    def test_non_positive_scaler_std_named(self, tmp_path, field, value, message):
         path, doc = saved_document(tmp_path)
         doc["scaler"][field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f"field '{field}' must be positive"):
+        with pytest.raises(ModelFormatError, match=re.escape(f"schema violation: scaler.{message}")):
             load_model(str(path))
 
     @pytest.mark.parametrize(
@@ -367,16 +379,16 @@ class TestLoadDiagnostics:
         (doc if section is None else doc[section])[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        where = section or "document"
-        with pytest.raises(ModelFormatError, match=f"unknown field '{key}' in {where}"):
+        message = f"{section}.{key}: unknown field" if section else f"unknown field '{key}' in document"
+        with pytest.raises(ModelFormatError, match=f"^schema violation: {re.escape(message)}$"):
             load_model(str(path))
 
     @pytest.mark.parametrize(
         "place, field",
         [
-            (lambda doc: doc["scaler"]["input_mean"], "input_mean"),
-            (lambda doc: doc["params"]["w_fh"][1][1], r"w_fh\[1\]"),
-            (lambda doc: doc["params"]["out_weight"], "out_weight"),
+            (lambda doc: doc["scaler"]["input_mean"], r"scaler\.input_mean"),
+            (lambda doc: doc["params"]["w_fh"][1][1], r"params\.w_fh\[1\]"),
+            (lambda doc: doc["params"]["out_weight"], r"params\.out_weight"),
         ],
         ids=["scaler", "layer-weight", "readout-weight"],
     )
@@ -389,7 +401,31 @@ class TestLoadDiagnostics:
         place(doc)[0] = boolean
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f"field '{field}' holds true or false"):
+        with pytest.raises(ModelFormatError, match=f"{field}: holds true or false"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["scaler"]["input_mean"].__setitem__(0, "0.5"),
+             "scaler.input_mean: not numeric"),
+            (lambda doc: doc["scaler"]["input_mean"].__setitem__(0, 10**400),
+             "scaler.input_mean: holds a non-finite value"),
+            (lambda doc: doc["params"].__setitem__("out_bias", 10**400),
+             "params.out_bias: holds a non-finite value"),
+            (lambda doc: doc["params"].__setitem__("out_bias", "0.5"), "params.out_bias: not numeric"),
+        ],
+        ids=["string-in-array", "huge-integer-in-array", "huge-integer-bias", "string-bias"],
+    )
+    def test_strings_and_huge_integers_named(self, tmp_path, edit, message):
+        # numpy reads "0.5" as 0.5, and an integer beyond the float range raised OverflowError
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        with open(source) as handle:
+            doc = json.load(handle)
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"^schema violation: {re.escape(message)}$"):
             load_model(str(path))
 
     def test_json_boolean_schema_version_rejected(self, tmp_path):
