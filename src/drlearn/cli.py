@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -143,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of drlearn itself, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

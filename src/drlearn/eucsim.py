@@ -54,8 +54,8 @@ class EucParams(Bounded):
 
 
 @dataclass(frozen=True)
-class Population:
-    """Ordered collection of customers plus the seed that produced it."""
+class Population(Bounded):
+    """Ordered collection of customers, at least one, plus the seed that produced it."""
 
     eucs: tuple[EucParams, ...]
     seed: int
@@ -286,30 +286,11 @@ def sample_prices(horizon: int, low: float, high: float, rng_seed: int) -> np.nd
     return rng.uniform(low, high, horizon)
 
 
-def _blocks(horizon: int):
-    """(first hour, length) of each block simulate walks, in order.
-
-    numpy sums a C-ordered (customers, hours) array down its columns by
-    adding the customers one after another, except when there is a single
-    hour: it then sums the one contiguous row pairwise. So a last block of
-    one hour is folded into the block before it, and a one-hour block
-    occurs only for a one-hour horizon, which the whole-horizon sum also
-    adds pairwise.
-    """
-    t0 = 0
-    while t0 < horizon:
-        n = min(SIM_BLOCK, horizon - t0)
-        if horizon - t0 - n == 1:
-            n += 1
-        yield t0, n
-        t0 += n
-
-
 def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write a.T into out, 64 rows of a at a time. A band stays in cache and
     in the TLB while it is written; a.T.copy() reads from every row of a
     for each row it writes. It serves simulate's customer-major to time-major
-    copy; numpy's own copy is about twice as slow there, but faster back."""
+    copy, where numpy's own copy is about twice as slow."""
     for r in range(0, a.shape[0], 64):
         out[:, r : r + 64] = a[r : r + 64].T
     return out
@@ -346,6 +327,8 @@ def simulate(
     (K, horizon) trace matrix when return_per_euc is set.
     """
     horizon = len(prices)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if len(profile.values) != horizon:
         raise ValueError(
             f"prices ({horizon}) and profile ({len(profile.values)}) must have equal length"
@@ -369,20 +352,19 @@ def simulate(
         # second generator on the same seed is run past the normals first.
         alpha_streams = [np.random.default_rng(s) for s in seeds]
         for stream in alpha_streams:
-            for _, n in _blocks(horizon):
-                stream.normal(1.0, noise_std, n)
+            stream.normal(1.0, noise_std, horizon)
 
     totals = np.empty(horizon)
     trace = np.empty((k, horizon)) if return_per_euc else None
     demand, consumption = np.zeros(k), np.zeros(k)  # carried across blocks; none before hour 0
-    # Every block reuses four work arrays; its (k, n) and (n, k) arrays are
-    # C-ordered views of their first k * n values. Not one (4, size) array:
+    scratch, running = np.empty(k), np.empty(k)
+    # Every block reuses three work arrays; its (k, n) and (n, k) arrays are
+    # C-ordered views of their first k * n values. Not one (3, size) array:
     # numpy asks for huge pages at 4 MiB and up, which added 12 MB of peak RSS.
-    size = k * max(n for _, n in _blocks(horizon))
-    work = [np.empty(size) for _ in range(4)]
-    scratch = np.empty(k)
-    for t0, n in _blocks(horizon):
-        w0, w1, w2, w3 = (w[: k * n] for w in work)
+    work = [np.empty(k * min(SIM_BLOCK, horizon)) for _ in range(3)]
+    for t0 in range(0, horizon, SIM_BLOCK):
+        n = min(SIM_BLOCK, horizon - t0)
+        w0, w1, w2 = (w[: k * n] for w in work)
         gauss = w0.reshape(k, n)
         for i, stream in enumerate(streams):
             stream.standard_normal(n, out=gauss[i])
@@ -404,26 +386,21 @@ def simulate(
                 alphas[first:, i] = stream.uniform(0.0, 1.0, n - first)
 
         # demand = alpha * (demand - consumption) + new_demand[j] and consumption =
-        # max(min_fracs * demand, demand + shift[j]), in place, operands in order
-        block = w3.reshape(n, k)
+        # max(min_fracs * demand, demand + shift[j]), in place, operands in order;
+        # the total adds the customers one by one, as the whole trace's column sum
         for j in range(n):
             alpha = base_alphas if alphas is None else alphas[j]
             np.subtract(demand, consumption, out=scratch)
             np.multiply(alpha, scratch, out=scratch)
             np.add(scratch, new_demand[j], out=demand)
-            consumption = block[j]
             np.multiply(min_fracs, demand, out=scratch)
             np.add(demand, shift[j], out=consumption)
             np.maximum(scratch, consumption, out=consumption)
-
-        # Customer-major, so the sum adds the customers one after another, as
-        # the whole-horizon sum did; summing the time-major block along its
-        # rows would add them pairwise and change the bits (see _blocks).
-        np.copyto(w1.reshape(k, n), block.T)
-        block = w1.reshape(k, n)
-        totals[t0 : t0 + n] = block.sum(axis=0)
-        if trace is not None:
-            trace[:, t0 : t0 + n] = block
+            totals[t0 + j] = np.add.accumulate(consumption, out=running)[-1]
+            if trace is not None:
+                trace[:, t0 + j] = consumption
+    if horizon == 1:  # the trace is then one contiguous row, which numpy sums pairwise
+        totals[0] = consumption.sum()
 
     dataset = TimeSeriesDataset(
         prices=prices.copy(),

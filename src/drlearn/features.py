@@ -213,20 +213,27 @@ def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: State
 def fit_scaler(dataset: SupervisedSet | SequenceSet) -> Scaler:
     """Per-feature and target standardization statistics.
 
-    Constant columns keep std 1 so they pass through unchanged.
+    Constant columns keep std 1 so they pass through unchanged. Finite values
+    too large to square give an infinite std: a DataError names the column.
     """
     inputs = dataset.inputs.reshape(-1, dataset.inputs.shape[-1])
     targets = dataset.targets.reshape(-1)
     if inputs.shape[0] == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    mean = inputs.mean(axis=0)
-    std = inputs.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    t_std = float(targets.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = inputs.mean(axis=0), inputs.std(axis=0)
+        t_mean, t_std = float(targets.mean()), float(targets.std())
+    bad = np.flatnonzero(~np.isfinite(np.append(std, t_std)))
+    if len(bad):
+        column = (*(f"column {name}" for name in dataset.feature_layout), "target")[bad[0]]
+        raise DataError(
+            f"train split {column}: standard deviation is not finite"
+            " (values too large to standardize)"
+        )
     return Scaler(
         input_mean=mean,
-        input_std=std,
-        target_mean=float(targets.mean()),
+        input_std=np.where(std > 0.0, std, 1.0),
+        target_mean=t_mean,
         target_std=t_std if t_std > 0.0 else 1.0,
     )
 

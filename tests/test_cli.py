@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from drlearn import pipeline
+from drlearn import cli, pipeline
 from drlearn.cli import main
+from drlearn.eucsim import read_dataset, write_dataset
 from drlearn.models import load_model
 
 TINY_CONFIG = """\
@@ -96,6 +97,16 @@ class TestSimulate:
         key = line.split(":")[0]
         assert f"{section}.{key}: must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_internal_error_exits_4_with_its_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("no such state")
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+        assert main(["simulate", "--out", str(tmp_path / "data.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: no such state\n")
+        assert "Traceback (most recent call last)" in err
 
     def test_unknown_command_exits_1(self, capsys):
         assert main(["explode"]) == 1
@@ -289,6 +300,23 @@ class TestTrain:
         ])
         assert code == 2
         assert "line 6: non-finite price or consumption" in capsys.readouterr().err
+
+    def test_data_too_large_to_standardize_exits_2_naming_the_column(
+        self, tmp_path, config_path, dataset_path, capsys
+    ):
+        dataset = read_dataset(dataset_path)
+        dataset.consumptions[:] *= 1e160  # finite, but their squares are not
+        huge = tmp_path / "huge.csv"
+        write_dataset(dataset, str(huge))
+        code = main([
+            "train", "--config", config_path, "--data", str(huge),
+            "--model", "linear", "--order", "1", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert "train split column consumption_lag1: standard deviation is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_loss_exits_3(self, tmp_path, dataset_path, capsys):

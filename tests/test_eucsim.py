@@ -9,10 +9,12 @@ import pytest
 import dataset_csv_reference
 import sim_reference
 from drlearn.errors import DataError
+from drlearn.records import RecordError
 from drlearn.eucsim import (
     SIM_BLOCK,
     EucParams,
     LoadProfile,
+    Population,
     TimeSeriesDataset,
     generate_profile,
     load_profile,
@@ -139,6 +141,11 @@ class TestSamplePopulation:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             sample_population(0, 1)
+
+    def test_population_of_no_customers_is_refused(self):
+        # simulate would return all-zero consumptions for it
+        with pytest.raises(RecordError, match=r"^eucs: must not be empty, got \(\)$"):
+            Population(eucs=(), seed=0)
 
 
 class TestGenerateProfile:
@@ -342,6 +349,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"price {bad} at index 5 is not finite and non-negative"):
             simulate(population, prices, profile)
 
+    def test_rejects_empty_horizon(self):
+        population = sample_population(2, 2)
+        profile = LoadProfile(values=np.empty(0), source="synthetic")
+        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+            simulate(population, np.empty(0), profile)
+
     @pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
     def test_rejects_bad_noise_std(self, noise_std):
         population = sample_population(2, 2)
@@ -419,6 +432,10 @@ def test_simulate_memory_is_block_sized():
     # doubling the horizon may add only O(horizon) output, a few floats per hour
     grown = traced_peak_bytes(count, 2 * horizon) - peak
     assert grown < 8 * horizon * 8
+    # three customers x SIM_BLOCK work arrays, plus the streams and the
+    # output; a fourth such array would break it
+    count = 500
+    assert traced_peak_bytes(count, SIM_BLOCK + 16) < 3.6 * count * SIM_BLOCK * 8
 
 
 class TestDatasetCsv:

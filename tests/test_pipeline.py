@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestTrainModel:
         with pytest.raises(DataError, match="at index 100 must both be finite"):
             train_model(config, dataset, "linear", 1)
         assert capfd.readouterr().err == ""
+
+    def test_finite_data_too_large_to_standardize_names_the_column(self):
+        # finite, but their squares overflow, so the standard deviation is not finite
+        config = tiny_config()
+        dataset = simulate_from_config(config)
+        dataset.consumptions[:] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^train split column consumption_lag1: standard"
+                               " deviation is not finite"):
+                train_model(config, dataset, "linear", 1)
 
     @pytest.mark.parametrize(
         "overrides, kind, order, message",
