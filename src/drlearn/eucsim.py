@@ -378,18 +378,19 @@ def simulate(
         new_demand = _transposed(new_demand, w0.reshape(n, k))  # time-major, where gauss was
         shift = np.divide(prices[t0 : t0 + n, None], two_rhos, out=w2.reshape(n, k))
 
-        alphas = None  # alphas[j]: the backlog rate carried into hour t0 + j
+        rates = None  # rates[:, j]: the backlog rates carried into hour t0 + j
         if alpha_streams is not None:
-            alphas = np.zeros((n, k))
+            rates = w1.reshape(k, n)  # free once new_demand is time-major
             first = 1 if t0 == 0 else 0  # hour 0 draws no rate: its backlog is zero
+            rates[:, :first] = 0.0
             for i, stream in enumerate(alpha_streams):
-                alphas[first:, i] = stream.uniform(0.0, 1.0, n - first)
+                stream.random(n - first, out=rates[i, first:])  # the bits of uniform(0, 1)
 
         # demand = alpha * (demand - consumption) + new_demand[j] and consumption =
         # max(min_fracs * demand, demand + shift[j]), in place, operands in order;
         # the total adds the customers one by one, as the whole trace's column sum
         for j in range(n):
-            alpha = base_alphas if alphas is None else alphas[j]
+            alpha = base_alphas if rates is None else rates[:, j]
             np.subtract(demand, consumption, out=scratch)
             np.multiply(alpha, scratch, out=scratch)
             np.add(scratch, new_demand[j], out=demand)

@@ -67,7 +67,7 @@ class ParamModel:
     layer's arrays in declaration order, then the readout weight and bias;
     the optimizer, the *_loss_and_grads kernels and gradcheck work on it,
     and init_params, model_from_params, flat_params and the JSON params
-    document all follow the declaration.
+    document all follow the declaration; construction checks every field against it.
     The arrays live in one 1-D float64 buffer that the fields view (write
     into them, do not rebind them). Per layer, blocks holds a SQUARE, a FAN_IN
     and a BIAS block of it, stacking the arrays of each rule in declaration
@@ -88,20 +88,48 @@ class ParamModel:
             MODEL_CLASSES[cls.kind] = cls
 
     def __post_init__(self) -> None:
-        """Copy the given arrays into a new buffer that the fields then view."""
+        """Check the fields, then copy the arrays into a new buffer that the
+        fields then view. A ValueError names the first field that breaks a rule:
+        layer counts, shapes (no broadcasting), scaler width, recurrent order."""
+        layer_fields = self.layer_fields()
+        counts = {f.name: len(getattr(self, f.name)) for f in layer_fields}
+        if len(set(counts.values())) > 1:
+            layers = ", ".join(f"{name} has {count}" for name, count in counts.items())
+            raise ValueError(f"dimension mismatch: fields disagree on layer count: {layers}")
         given = flat_params(self)
-        rules = [f.metadata["shape"] for f in self.layer_fields()]
-        # the first layer's fan-in, or the readout weight's width when there are no layers
-        n_features = np.shape(given[rules.index(FAN_IN) if len(given) > 2 else -2])[-1]
-        self.buffer, self.blocks, views = new_buffer(self.kind, n_features, self.hidden_sizes())
+        n_features, hidden_sizes = len(self.feature_layout), self.hidden_sizes()
+        if not n_features:  # kernel-only: the first layer's fan-in, or the readout weight's width
+            rules = [f.metadata["shape"] for f in layer_fields]
+            n_features = np.shape(given[rules.index(FAN_IN) if len(given) > 2 else -2])[-1]
+        layout = param_layout(self.kind, n_features, hidden_sizes)
+        for value, (name, layer, shape, _) in zip(given, layout):
+            if np.shape(value) != shape:
+                where = name if layer is None else f"{name}[{layer}]"
+                raise ValueError(
+                    f"dimension mismatch: {where} expected shape {shape}, got {np.shape(value)}"
+                )
+        scaler, order = self.scaler, getattr(self.state_config, "order", 1)  # None: kernel-only
+        if scaler is not None and not (
+            np.shape(scaler.input_mean) == np.shape(scaler.input_std) == (n_features,)
+        ):
+            raise ValueError(
+                f"dimension mismatch: scaler expects {n_features} features to match the layout"
+            )
+        if self.recurrent and order != 1:
+            raise ValueError(
+                f"state_config.order must be 1 for {self.kind}, got {order}:"
+                " each step carries the latest observation and the state the rest"
+            )
+        self.buffer, self.blocks, views = new_buffer(self.kind, n_features, hidden_sizes)
         for view, value in zip(views, given, strict=True):
             view[...] = value
         vars(self).update(field_values(type(self), views))
 
     def __getstate__(self) -> dict:
         """Pickle each parameter once, in its field, and not the buffer and
-        blocks: pickle would give every view an array of its own."""
-        return {k: v for k, v in vars(self).items() if k not in ("buffer", "blocks")}
+        blocks (pickle would give every view an array of its own) or the
+        replay cache that serving keeps (predict._Replayed)."""
+        return {k: v for k, v in vars(self).items() if k not in ("buffer", "blocks", "_replayed")}
 
     def __setstate__(self, state: dict) -> None:
         """Copy the unpickled fields into a new buffer that they then view."""

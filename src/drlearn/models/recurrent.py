@@ -424,11 +424,6 @@ def train_recurrent(
     """Adam over minibatches of windows with global-norm gradient clipping."""
     if kind not in MODEL_CLASSES or not MODEL_CLASSES[kind].recurrent:
         raise ValueError(f"unknown recurrent kind {kind!r}")
-    if state_config is not None and state_config.order != 1:
-        raise ValueError(
-            f"state_config.order must be 1 for {kind}: each step carries the latest"
-            f" observation and the state the rest, got {state_config.order}"
-        )
     inputs = np.asarray(dataset.inputs)
     if inputs.ndim != 3 or len(inputs) < 1:
         raise ValueError("need at least one (steps, features) window")

@@ -12,7 +12,7 @@ from ..errors import ModelFormatError
 from ..features import Scaler, StateConfig
 from ..ioutil import atomic_write_text
 from ..records import RecordError, read_array, read_list, read_record
-from .common import MODEL_CLASSES, model_from_params, param_layout
+from .common import MODEL_CLASSES
 
 SCHEMA_VERSION = 1
 # the top-level keys save_model writes, the only ones load_model accepts
@@ -39,11 +39,6 @@ def save_model(model, path: str) -> None:
         "params": _params_document(model),
     }
     atomic_write_text(path, json.dumps(document, indent=1) + "\n")
-
-
-def _check_dim(condition: bool, detail: str) -> None:
-    if not condition:
-        raise ModelFormatError(f"dimension mismatch: {detail}")
 
 
 def load_model(path: str):
@@ -77,51 +72,31 @@ def load_model(path: str):
     layout = document["feature_layout"]
     if not isinstance(layout, list) or not all(isinstance(n, str) for n in layout):
         raise ModelFormatError("schema violation: feature_layout must be a list of names")
-    cls, feature_layout = MODEL_CLASSES[kind], tuple(layout)
-    n_features = len(feature_layout)
+    cls = MODEL_CLASSES[kind]
     try:  # state_config and scaler through read_record, every field required
         state_config = read_record(StateConfig, document["state_config"], "state_config", True)
-        if cls.recurrent and state_config.order != 1:
-            raise ModelFormatError(
-                f"schema violation: state_config.order must be 1 for {kind},"
-                f" got {state_config.order}"
-            )
         scaler = read_record(Scaler, document["scaler"], "scaler", True)
-        _check_dim(
-            scaler.input_mean.shape == (n_features,) and scaler.input_std.shape == (n_features,),
-            f"scaler expects {n_features} features to match the layout",
-        )
-
         params = document["params"]
         if not isinstance(params, dict):
             raise ModelFormatError("schema violation: params must be an object")
-        layer_fields = cls.layer_fields()
         weight, bias = cls.readout
-        names = [f.name for f in layer_fields] + [weight, bias]
+        names = [f.name for f in cls.layer_fields()] + [weight, bias]
         extra, missing = set(params) - set(names), set(names) - set(params)
         if extra or missing:
             raise ModelFormatError(
                 f"kind {kind!r} does not match payload: missing {sorted(missing)},"
                 f" unexpected {sorted(extra)}"
             )
-        values = [
-            read_list(
+        values = {
+            f.name: read_list(
                 params[f.name], f"params.{f.name}", partial(read_array, ndim=len(f.metadata["shape"]))
             )
-            for f in layer_fields
-        ]
-        flat = [a for layer in zip(*values) for a in layer] + [
-            read_array(params[weight], f"params.{weight}", 1),
-            read_array(params[bias], f"params.{bias}", 0),
-        ]
+            for f in cls.layer_fields()
+        }
+        values[weight] = read_array(params[weight], f"params.{weight}", 1)
+        values[bias] = read_array(params[bias], f"params.{bias}", 0)
+        return cls(**values, feature_layout=tuple(layout), scaler=scaler, state_config=state_config)
     except RecordError as exc:
         raise ModelFormatError(f"schema violation: {exc}") from exc
-    _check_dim(
-        len(set(map(len, values))) <= 1,
-        f"{'/'.join(f.name for f in layer_fields)} disagree on layer count",
-    )
-    hidden_sizes = [len(a) for a in values[0]] if values else []
-    for a, (name, layer, shape, _) in zip(flat, param_layout(kind, n_features, hidden_sizes)):
-        where = name if layer is None else f"{name}[{layer}]"
-        _check_dim(np.shape(a) == shape, f"{where} expected shape {shape}, got {np.shape(a)}")
-    return model_from_params(kind, flat, feature_layout, scaler, state_config)
+    except ValueError as exc:  # the model's own checks: shapes, layer counts, width, order
+        raise ModelFormatError(str(exc)) from exc

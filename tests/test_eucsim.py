@@ -411,13 +411,13 @@ class TestStreamedSimulator:
         assert np.array_equal(alone.consumptions, expected.consumptions)
 
 
-def traced_peak_bytes(count: int, horizon: int) -> int:
+def traced_peak_bytes(count: int, horizon: int, **kwargs) -> int:
     population = sample_population(count, 7)
     profile = generate_profile(horizon, 24, 41)
     prices = sample_prices(horizon, 20.0, 50.0, 13)
     tracemalloc.start()
     try:
-        simulate(population, prices, profile)
+        simulate(population, prices, profile, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,9 +433,12 @@ def test_simulate_memory_is_block_sized():
     grown = traced_peak_bytes(count, 2 * horizon) - peak
     assert grown < 8 * horizon * 8
     # three customers x SIM_BLOCK work arrays, plus the streams and the
-    # output; a fourth such array would break it
+    # output; a fourth such array would break it, also for the hourly
+    # backlog rates, which take a work array
     count = 500
     assert traced_peak_bytes(count, SIM_BLOCK + 16) < 3.6 * count * SIM_BLOCK * 8
+    resampled = traced_peak_bytes(count, SIM_BLOCK + 16, resample_alpha_hourly=True)
+    assert resampled < 3.6 * count * SIM_BLOCK * 8
 
 
 class TestDatasetCsv:

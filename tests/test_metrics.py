@@ -143,9 +143,11 @@ class TestEvaluate:
         assert report.name == "linear n=0"
 
     def test_direct_layout_mismatch_rejected(self):
+        # one weight per name, so the model builds; order 0 without a time
+        # column builds ("price",) from the data, not these two names
         model = perfect_linear_model()
         mismatched = LinearModel(
-            weights=model.weights,
+            weights=np.array([0.0, *model.weights]),
             bias=model.bias,
             feature_layout=("hour_frac", "price"),
             scaler=identity_scaler(2),

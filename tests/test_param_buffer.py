@@ -4,17 +4,22 @@ Each way of building a model (model_from_params over init_params, load_model,
 a direct constructor call) must end with every per-layer field and the
 readout viewing one contiguous float64 buffer, laid out per layer as one
 stacked block per shape rule. The recurrent fused weights, the gradients of
-the loss kernels and Adam all read that layout.
+the loss kernels and Adam all read that layout. Every way is checked by the
+constructor, which refuses by name what that layout cannot hold.
 """
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlearn.features import StateConfig, feature_layout, identity_scaler
 from drlearn.models import (
+    FnnModel,
     LstmModel,
     RnnModel,
     flat_params,
@@ -34,6 +39,21 @@ HIDDEN = {"linear": [], "fnn": [5, 3], "rnn": [5, 3], "lstm": [4, 3]}
 KERNELS = {"fnn": fnn_loss_and_grads, "rnn": rnn_loss_and_grads, "lstm": lstm_loss_and_grads}
 
 
+def constructor_values(model) -> dict:
+    """Copies of the model's parameter fields, as keyword arguments of its class."""
+    values = {f.name: [np.array(a) for a in getattr(model, f.name)] for f in model.layer_fields()}
+    weight, bias = model.readout
+    values[weight], values[bias] = np.array(getattr(model, weight)), np.array(getattr(model, bias))
+    return values
+
+
+def rebuilt(model, **changes):
+    """The model's class built from its values, with changes to any field."""
+    meta = dict(feature_layout=model.feature_layout, scaler=model.scaler,
+                state_config=model.state_config)
+    return type(model)(**{**constructor_values(model), **meta, **changes})
+
+
 def built(kind: str, way: str, tmp_path):
     params = init_params(kind, len(LAYOUT), HIDDEN[kind], np.random.default_rng(0))
     model = model_from_params(kind, params, LAYOUT, identity_scaler(len(LAYOUT)), CFG)
@@ -41,11 +61,7 @@ def built(kind: str, way: str, tmp_path):
         save_model(model, str(tmp_path / "m.json"))
         return load_model(str(tmp_path / "m.json"))
     if way == "constructor":
-        fields = model.layer_fields()
-        values = {f.name: [np.array(a) for a in getattr(model, f.name)] for f in fields}
-        weight, bias = model.readout
-        values[weight], values[bias] = np.array(getattr(model, weight)), float(getattr(model, bias))
-        return type(model)(**values, feature_layout=LAYOUT, scaler=model.scaler, state_config=CFG)
+        return rebuilt(model)
     return model
 
 
@@ -117,15 +133,17 @@ def test_gradients_view_one_vector_laid_out_like_the_buffer(kind):
 @pytest.mark.parametrize("cls", [RnnModel, LstmModel])
 def test_constructor_leaves_no_view_unset(cls):
     # a shape the buffer cannot take, or a layer missing from one field,
-    # fails the copy instead of leaving part of the buffer unset
+    # is refused by name instead of leaving part of the buffer unset
     model = built(cls.kind, "model_from_params", None)
     values = {f.name: list(getattr(model, f.name)) for f in model.layer_fields()}
     meta = dict(out_weight=model.out_weight, out_bias=0.0, feature_layout=LAYOUT,
                 scaler=model.scaler, state_config=CFG)
     bias = model.layer_fields()[2].name
-    with pytest.raises(ValueError, match="could not broadcast"):
+    units = HIDDEN[cls.kind][0]
+    message = rf"dimension mismatch: {bias}\[0\] expected shape \({units},\), got \(2,\)"
+    with pytest.raises(ValueError, match=message):
         cls(**{**values, bias: [np.zeros(2), values[bias][1]]}, **meta)
-    with pytest.raises(ValueError, match="shorter"):
+    with pytest.raises(ValueError, match=f"dimension mismatch: .*{bias} has 1"):
         cls(**{**values, bias: values[bias][:1]}, **meta)
 
 
@@ -150,3 +168,98 @@ def test_copy_keeps_one_buffer(kind, clone):
     first[0] += 1.0  # writing a field writes the buffer the model runs on
     assert not np.array_equal(twin.run(x, twin.initial_state(2))[0], before)
     assert np.array_equal(model.run(x, model.initial_state(2))[0], before)
+
+
+class TestConstructorChecks:
+    """What load_model refuses, a model built in code refuses too, with the same message."""
+
+    def test_short_bias_is_not_broadcast(self):
+        model = built("fnn", "model_from_params", None)  # 5 units in layer 0
+        biases = [np.array([0.5]), model.hidden_biases[1]]
+        message = r"hidden_biases\[0\] expected shape \(5,\), got \(1,\)"
+        with pytest.raises(ValueError, match=message):
+            rebuilt(model, hidden_biases=biases)
+
+    def test_short_gate_weight_is_not_broadcast(self):
+        params = init_params("lstm", len(LAYOUT), [2], np.random.default_rng(0))
+        model = model_from_params("lstm", params, LAYOUT, identity_scaler(len(LAYOUT)), CFG)
+        with pytest.raises(ValueError, match=r"w_ih\[0\] expected shape \(2, 2\), got \(1, 2\)"):
+            rebuilt(model, w_ih=[np.zeros((1, 2))])
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_one_field_with_another_layer_count_is_refused(self, change):
+        model = built("fnn", "model_from_params", None)
+        biases = list(model.hidden_biases)
+        biases = biases + biases[-1:] if change == "extra" else biases[:1]
+        message = (
+            f"fields disagree on layer count: hidden_weights has 2, hidden_biases has {len(biases)}"
+        )
+        with pytest.raises(ValueError, match=message):
+            rebuilt(model, hidden_biases=biases)
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_recurrent_order_other_than_one_is_refused(self, kind):
+        params = init_params(kind, len(LAYOUT), [3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"state_config.order must be 1 for {kind}, got 4"):
+            model_from_params(kind, params, LAYOUT, None, StateConfig(order=4))
+
+    @pytest.mark.parametrize(
+        "kind, where", [("linear", "weights"), ("fnn", "hidden_weights[0]"), ("rnn", "w_x[0]")]
+    )
+    def test_layout_narrower_than_the_weights_is_refused(self, kind, where):
+        params = init_params(kind, 3, HIDDEN[kind][:1], np.random.default_rng(0))
+        shape = np.shape(params[1 if kind == "rnn" else 0])
+        message = re.escape(f"{where} expected shape {(*shape[:-1], 2)}, got {shape}")
+        with pytest.raises(ValueError, match=message):
+            model_from_params(kind, params, ("hour_frac", "price"), None, None)
+
+    @pytest.mark.parametrize(
+        "kind, changes, message",
+        [
+            ("rnn", {"w_h": lambda m: [np.zeros((5, 4)), m.w_h[1]]},
+             r"dimension mismatch: w_h\[0\] expected shape \(5, 5\), got \(5, 4\)"),
+            ("lstm", {"w_ih": lambda m: [np.zeros((3, 3)), m.w_ih[1]]},
+             r"dimension mismatch: w_ih\[0\] expected shape \(4, 4\), got \(3, 3\)"),
+            ("fnn", {"scaler": lambda m: identity_scaler(2)}, "scaler expects 4 features"),
+            ("rnn", {"state_config": lambda m: StateConfig(order=3)},
+             "state_config.order must be 1 for rnn, got 3"),
+        ],
+    )
+    def test_load_model_messages_hold_in_code(self, kind, changes, message):
+        model = built(kind, "model_from_params", None)
+        with pytest.raises(ValueError, match=message):
+            rebuilt(model, **{name: change(model) for name, change in changes.items()})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["linear", "fnn", "rnn", "lstm"]), data=st.data())
+def test_one_changed_array_or_layer_count_is_refused_by_name(kind, data):
+    model = built(kind, "model_from_params", None)
+    values = constructor_values(model)
+    layer_names = [f.name for f in model.layer_fields()]
+    name = data.draw(st.sampled_from(list(values)))
+    if name in layer_names and data.draw(st.booleans()):
+        layers = values[name]
+        values[name] = layers[:-1] if data.draw(st.booleans()) else layers + layers[-1:]
+        expected = rf"dimension mismatch: .*\b{name} has {len(values[name])}\b"
+    else:
+        layer = data.draw(st.integers(0, len(values[name]) - 1)) if name in layer_names else None
+        array = values[name] if layer is None else values[name][layer]
+        # the first per-layer field's leading axis is the layer's width, so a
+        # change there shows at the next field that disagrees with it
+        fixed = 1 if layer_names[:1] == [name] else 0
+        axis = data.draw(st.sampled_from([*range(fixed, array.ndim), None]))
+        if axis is None:  # one axis more
+            changed = array[..., None]
+        else:
+            shape = list(array.shape)
+            shape[axis] += data.draw(st.sampled_from([-1, 1]))
+            changed = np.zeros(shape)
+        if layer is None:
+            values[name] = changed
+        else:
+            values[name][layer] = changed
+        where = name if layer is None else f"{name}[{layer}]"
+        expected = re.escape(f"dimension mismatch: {where} expected shape")
+    with pytest.raises(ValueError, match=expected):
+        rebuilt(model, **values)

@@ -1,8 +1,10 @@
 """Prediction tests: one-step vs batch, warm-up, rollouts, error paths, and
 the state a recurrent model keeps between queries."""
 
+import copy
 import json
 import os
+import pickle
 import sys
 import threading
 
@@ -435,6 +437,23 @@ class TestSavedState:
         save_model(fresh, str(tmp_path / "fresh.json"))
         assert (tmp_path / "served.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
         assert all(np.array_equal(a, b) for a, b in zip(flat_params(model), flat_params(fresh)))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_saved_state_is_left_out_of_copies(self, clone):
+        # a pool worker or a deepcopy takes the parameters, not the replayed history
+        source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
+        model = load_model(source)
+        fresh_length = len(pickle.dumps(model))
+        series = random_walk_series(8, length=600)
+        answer = predict_one_step(model, series, 30.0, 500)
+        assert len(pickle.dumps(model)) == fresh_length
+        twin = clone(model)
+        assert twin == model and not hasattr(twin, "_replayed")
+        assert predict_one_step(twin, series, 30.0, 500) == answer
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     @pytest.mark.parametrize(
