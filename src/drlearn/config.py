@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -156,13 +157,25 @@ def benchmark_jobs(config: RunConfig) -> list[tuple[str, int]]:
     ]
 
 
+# a number with an exponent, which YAML 1.1 leaves as text without a decimal point and a sign
+_EXPONENT_TEXT = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+))[eE]([-+]?\d+)")
+
+
 def _parse_block(cls, section: str, raw):
     """One config section, read by read_record: missing fields take their
-    defaults, and a refusal names section.field."""
+    defaults, and a refusal names section.field. A number that YAML left as
+    text, such as 1e-3, is named a string, with a spelling YAML reads."""
     try:
         return read_record(cls, {} if raw is None else raw, section)
     except RecordError as exc:
-        raise ConfigError(str(exc)) from exc
+        message = str(exc)
+        value = raw.get(exc.path.removeprefix(f"{section}.")) if isinstance(raw, dict) else None
+        text = _EXPONENT_TEXT.fullmatch(value) if isinstance(value, str) else None
+        if text and exc.problem.startswith("expected a number"):
+            mantissa = text[1] if "." in text[1] else f"{text[1]}.0"
+            message = (f"{exc.path}: expected a number, got the string {value!r} (write"
+                       f" {mantissa}e{int(text[2]):+d}: YAML 1.1 needs a decimal point and a sign)")
+        raise ConfigError(message) from exc
 
 
 def parse_config(document: dict | None) -> RunConfig:

@@ -88,26 +88,29 @@ class ParamModel:
             MODEL_CLASSES[cls.kind] = cls
 
     def __post_init__(self) -> None:
-        """Check the fields, then copy the arrays into a new buffer that the
-        fields then view. A ValueError names the first field that breaks a rule:
-        layer counts, shapes (no broadcasting), scaler width, recurrent order."""
+        """Lay out a new buffer, copy each array into its view of it, and let
+        the fields view it. A ValueError names the first field that breaks a
+        rule: layer counts, shapes (each array has its view's shape, no
+        broadcasting), scaler width, recurrent order."""
         layer_fields = self.layer_fields()
         counts = {f.name: len(getattr(self, f.name)) for f in layer_fields}
         if len(set(counts.values())) > 1:
             layers = ", ".join(f"{name} has {count}" for name, count in counts.items())
             raise ValueError(f"dimension mismatch: fields disagree on layer count: {layers}")
-        given = flat_params(self)
-        n_features, hidden_sizes = len(self.feature_layout), self.hidden_sizes()
-        if not n_features:  # kernel-only: the first layer's fan-in, or the readout weight's width
-            rules = [f.metadata["shape"] for f in layer_fields]
-            n_features = np.shape(given[rules.index(FAN_IN) if len(given) > 2 else -2])[-1]
-        layout = param_layout(self.kind, n_features, hidden_sizes)
-        for value, (name, layer, shape, _) in zip(given, layout):
-            if np.shape(value) != shape:
-                where = name if layer is None else f"{name}[{layer}]"
+        given, hidden_sizes = flat_params(self), self.hidden_sizes()
+        n_features = len(self.feature_layout)
+        if not n_features:  # kernel-only: the first FAN_IN array's width, or the readout weight's
+            fan_in = [f.name for f in layer_fields if f.metadata["shape"] == FAN_IN]
+            first = getattr(self, fan_in[0])[0] if hidden_sizes else getattr(self, self.readout[0])
+            n_features = (np.shape(first) or (0,))[-1]
+        self.buffer, self.blocks, views = new_buffer(self.kind, n_features, hidden_sizes)
+        names = [f"{f.name}[{layer}]" for layer in range(len(hidden_sizes)) for f in layer_fields]
+        for where, value, view in zip([*names, *self.readout], given, views, strict=True):
+            if np.shape(value) != view.shape:
                 raise ValueError(
-                    f"dimension mismatch: {where} expected shape {shape}, got {np.shape(value)}"
+                    f"dimension mismatch: {where} expected shape {view.shape}, got {np.shape(value)}"
                 )
+            view[...] = value
         scaler, order = self.scaler, getattr(self.state_config, "order", 1)  # None: kernel-only
         if scaler is not None and not (
             np.shape(scaler.input_mean) == np.shape(scaler.input_std) == (n_features,)
@@ -120,9 +123,6 @@ class ParamModel:
                 f"state_config.order must be 1 for {self.kind}, got {order}:"
                 " each step carries the latest observation and the state the rest"
             )
-        self.buffer, self.blocks, views = new_buffer(self.kind, n_features, hidden_sizes)
-        for view, value in zip(views, given, strict=True):
-            view[...] = value
         vars(self).update(field_values(type(self), views))
 
     def __getstate__(self) -> dict:
@@ -158,8 +158,10 @@ class ParamModel:
         return [self.buffer, *(np.asarray(getattr(scaler, f.name)) for f in fields(scaler))]
 
     def hidden_sizes(self) -> list[int]:
-        """Width of every layer, read off the first per-layer field."""
-        return [len(a) for f in self.layer_fields()[:1] for a in getattr(self, f.name)]
+        """Width of every layer, read off the first per-layer field (0 for a
+        0-d array there, which the constructor then refuses by name)."""
+        first = self.layer_fields()[:1]
+        return [(np.shape(a) or (0,))[0] for f in first for a in getattr(self, f.name)]
 
     def initial_state(self, batch: int) -> list:
         """Empty: a direct family's feature row holds all the history it reads.
@@ -196,56 +198,49 @@ def model_class(kind: str) -> type:
     return MODEL_CLASSES[kind]
 
 
-def param_layout(kind: str, n_features: int, hidden_sizes: list[int]):
-    """Yield (field name, layer index, shape, start) for each flat-list entry,
-    in order; the layer index is None for the readout pair."""
-    cls = model_class(kind)
-    layer_fields = cls.layer_fields()
-    fan_in = n_features
-    for layer, units in enumerate(hidden_sizes):
-        dims = {"units": units, "fan_in": fan_in}
-        for f in layer_fields:
-            shape = tuple(dims[d] for d in f.metadata["shape"])
-            yield f.name, layer, shape, f.metadata["start"]
-        fan_in = units
-    weight, bias = cls.readout
-    yield weight, None, (fan_in,), None
-    yield bias, None, (), 0.0
-
-
 def init_params(
     kind: str, n_features: int, hidden_sizes: list[int], rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Initial flat parameter list of a family, drawn in flat-list order into
-    views of a new buffer."""
+    views of a new buffer: each bias at its field's start, each weight a
+    Glorot draw of its view's shape."""
+    cls = model_class(kind)
+    starts = [f.metadata["start"] for f in cls.layer_fields()] * len(hidden_sizes) + [None, 0.0]
     _, _, params = new_buffer(kind, n_features, hidden_sizes)
-    for p, (_, _, shape, start) in zip(params, param_layout(kind, n_features, hidden_sizes)):
+    for p, start in zip(params, starts, strict=True):
         if start is not None:
             p[...] = start
-        elif len(shape) == 2:
-            p[...] = glorot_uniform(rng, *shape)
+        elif p.ndim == 2:
+            p[...] = glorot_uniform(rng, *p.shape)
         else:  # the readout weight, into a single output unit
-            p[...] = glorot_uniform(rng, 1, *shape)[0]
+            p[...] = glorot_uniform(rng, 1, *p.shape)[0]
     return params
 
 
 def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
     """A new, unset buffer laid out as ParamModel describes, its blocks (per
-    layer, shape rule -> stacked block) and the flat list, all views of it."""
+    layer, shape rule -> stacked block) and the flat list, all views of it.
+    The one walk that derives the layout from a family's declaration."""
     rules = [f.metadata["shape"] for f in model_class(kind).layer_fields()]
-    layout = param_layout(kind, n_features, hidden_sizes)
-    buffer = np.empty(sum(math.prod(shape) for _, _, shape, _ in layout))
-    blocks, views, offset, fan_in = [], [], 0, n_features
-    for units in hidden_sizes:
+    widths = [n_features, *hidden_sizes]
+    stacks = []  # per layer and rule: (arrays of the rule, *the shape of each)
+    for fan_in, units in zip(widths, hidden_sizes):
         dims = {"units": units, "fan_in": fan_in}
+        stacks.append({r: (rules.count(r), *(dims[d] for d in r)) for r in (SQUARE, FAN_IN, BIAS)})
+    sizes = [math.prod(shape) for layer in stacks for shape in layer.values()]
+    buffer = np.empty(sum(sizes) + widths[-1] + 1)
+    chunks = iter(np.split(buffer, np.cumsum(sizes)))
+    blocks, views = [], []
+    for layer in stacks:
         blocks.append({})
-        for rule in (SQUARE, FAN_IN, BIAS):
-            shape = (rules.count(rule) * units, *(dims[d] for d in rule[1:]))
-            blocks[-1][rule] = buffer[offset : offset + math.prod(shape)].reshape(shape)
-            offset += math.prod(shape)
-        views += [blocks[-1][r][rules[:k].count(r) * units :][:units] for k, r in enumerate(rules)]
-        fan_in = units
-    return buffer, blocks, views + [buffer[offset:-1], buffer[-1:].reshape(())]
+        per_rule = {}  # rule -> its fields' views, in declaration order
+        for rule, shape in layer.items():
+            stacked = next(chunks).reshape(shape)
+            blocks[-1][rule] = stacked.reshape(shape[0] * shape[1], *shape[2:])
+            per_rule[rule] = iter(stacked)
+        views += [next(per_rule[r]) for r in rules]
+    readout = next(chunks)
+    return buffer, blocks, views + [readout[:-1], readout[-1:].reshape(())]
 
 
 class Workspace:

@@ -8,7 +8,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
+from drlearn import cli
 from drlearn.config import (
     BenchmarkBlock,
     RunConfig,
@@ -444,6 +446,27 @@ class TestLoadAndDump:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.yaml"))
+
+    @pytest.mark.parametrize(
+        "text, spelling", [("1e-3", "1.0e-3"), ("-2E3", "-2.0e+3"), ("1.5e3", "1.5e+3")]
+    )
+    def test_exponent_yaml_reads_as_text_is_named_a_string(self, tmp_path, capsys, text, spelling):
+        # YAML 1.1 takes an exponent for a number only with a point and a sign
+        path = tmp_path / "config.yaml"
+        path.write_text(f"training: {{learning_rate: {text}}}\n")
+        out = str(tmp_path / "d.csv")
+        assert cli.main(["simulate", "--config", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"training.learning_rate: expected a number, got the string '{text}'" in err
+        assert f"(write {spelling}: YAML 1.1 needs a decimal point and a sign)" in err
+        assert yaml.safe_load(f"x: {spelling}")["x"] == float(text)
+        # a string that spells no number, and an exponent in an integer field, read as before
+        path.write_text("training: {learning_rate: x}\n")
+        with pytest.raises(ConfigError, match=r"^training.learning_rate: expected a number, got 'x'$"):
+            load_config(str(path))
+        path.write_text("training: {steps: 1e3}\n")
+        with pytest.raises(ConfigError, match=r"^training.steps: expected an integer, got '1e3'$"):
+            load_config(str(path))
 
     def test_invalid_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "config.yaml"

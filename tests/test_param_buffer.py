@@ -197,6 +197,19 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=message):
             rebuilt(model, hidden_biases=biases)
 
+    @pytest.mark.parametrize("way", ["constructor", "model_from_params"])
+    @pytest.mark.parametrize("kind", ["fnn", "rnn", "lstm"])
+    def test_row_less_first_array_is_refused_by_name(self, kind, way):
+        # the first per-layer field gives the layer widths; a 0-d array has none
+        model = built(kind, "model_from_params", None)
+        first = model.layer_fields()[0].name
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: {first}\[0\] expected shape"):
+            if way == "constructor":
+                rebuilt(model, **{first: [np.array(1.0), *getattr(model, first)[1:]]})
+            else:
+                params = [np.array(1.0), *flat_params(model)[1:]]
+                model_from_params(kind, params, LAYOUT, model.scaler, CFG)
+
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_recurrent_order_other_than_one_is_refused(self, kind):
         params = init_params(kind, len(LAYOUT), [3], np.random.default_rng(0))
