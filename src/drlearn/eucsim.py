@@ -19,21 +19,13 @@ import numpy as np
 
 from .errors import DataError
 from .ioutil import atomic_write_text
-from .records import Bounded, bounded
+from .records import Bounded, bounded, require
 
 DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
 # Hours simulated per block: simulate holds customers x SIM_BLOCK values at a
 # time instead of customers x horizon. The results do not depend on it.
 SIM_BLOCK = 512
-
-
-def _require_finite_nonnegative(values: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first value that is negative or not finite."""
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"{what} {values[i]} at index {i} is not finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -65,14 +57,11 @@ class Population(Bounded):
 
 
 @dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(Bounded):
     """Normalized demand multipliers, one per interval, max value 1.0."""
 
-    values: np.ndarray
+    values: np.ndarray = bounded(minimum=0)
     source: str  # "synthetic" or "file"
-
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative(np.asarray(self.values), "profile value")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -88,17 +77,13 @@ class TimeSeriesDataset:
     intervals_per_day: int = 24
 
     def __post_init__(self) -> None:
-        if not (len(self.prices) == len(self.consumptions) == len(self.hours)):
+        require("intervals_per_day", self.intervals_per_day, minimum=1)
+        hours = np.asarray(self.hours)
+        require("hours", hours, within=(0, self.intervals_per_day))
+        if not (len(self.prices) == len(self.consumptions) == len(hours)):
             raise ValueError(
                 "prices, consumptions, and hours must have equal length, got "
-                f"{len(self.prices)}/{len(self.consumptions)}/{len(self.hours)}"
-            )
-        hours = np.asarray(self.hours)
-        outside = np.flatnonzero(~((hours >= 0) & (hours < self.intervals_per_day)))  # NaN too
-        if len(outside):
-            i = outside[0]
-            raise ValueError(
-                f"hour {hours[i]} at index {i} outside [0, {self.intervals_per_day})"
+                f"{len(self.prices)}/{len(self.consumptions)}/{len(hours)}"
             )
         # a whole-numbered float such as 3.0 is an hour; 2.7 would be encoded as 2
         fractional = [] if hours.dtype.kind in "biu" else np.flatnonzero(hours != np.floor(hours))
@@ -142,19 +127,17 @@ def optimal_consumption(demand: float, price: float, params: EucParams) -> float
     onto the feasible half-line gives the optimum because the objective is
     concave.
     """
-    if demand < 0:
-        raise ValueError(f"demand must be >= 0, got {demand}")
-    if price < 0:
-        raise ValueError(f"price must be >= 0, got {price}")
+    require("demand", demand, minimum=0)
+    require("price", price, minimum=0)
     return max(params.min_fraction * demand, demand + price / (2.0 * params.rho))
 
 
 def step_demand(demand: float, consumption: float, alpha: float, new_demand: float) -> float:
     """Carry unmet demand into the next interval and add newly arrived demand."""
-    if demand < 0 or consumption < 0 or new_demand < 0:
-        raise ValueError("demand, consumption, and new_demand must be >= 0")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    require("demand", demand, minimum=0)
+    require("consumption", consumption, minimum=0)
+    require("new_demand", new_demand, minimum=0)
+    require("alpha", alpha, minimum=0, maximum=1)
     if consumption > demand:
         raise ValueError(
             f"consumption {consumption} exceeds demand {demand}; unmet demand cannot be negative"
@@ -219,6 +202,7 @@ def generate_profile(horizon: int, intervals_per_day: int, rng_seed: int) -> Loa
     shape is identical every day up to the envelope ratio and the daily peak
     always lands in the evening.
     """
+    require("intervals_per_day", intervals_per_day, minimum=1)
     if horizon <= 0 or horizon % intervals_per_day != 0:
         raise ValueError(
             f"horizon ({horizon}) must be a positive multiple of intervals_per_day ({intervals_per_day})"
@@ -326,6 +310,10 @@ def simulate(
     Returns the TimeSeriesDataset, or (dataset, per_euc_consumptions) with a
     (K, horizon) trace matrix when return_per_euc is set.
     """
+    prices = np.asarray(prices, dtype=float)
+    require("prices", prices, minimum=0)
+    require("noise_std", noise_std, minimum=0)
+    require("intervals_per_day", intervals_per_day, minimum=1)
     horizon = len(prices)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -333,10 +321,6 @@ def simulate(
         raise ValueError(
             f"prices ({horizon}) and profile ({len(profile.values)}) must have equal length"
         )
-    prices = np.asarray(prices, dtype=float)
-    _require_finite_nonnegative(prices, "price")
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
 
     k = len(population)
     peaks = np.array([e.peak_demand for e in population.eucs])

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..eucsim import TimeSeriesDataset
 from ..features import StateConfig, check_rows, feature_rows
+from ..records import require
 from .common import all_equal
 from .fnn import FnnModel
 from .linear import LinearModel
@@ -85,12 +86,6 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
     return state
 
 
-def _check_finite(name: str, values: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise ValueError(f"{name} {values[bad[0]]} at index {bad[0]} is not finite")
-
-
 def _serve(
     model: Model,
     history: TimeSeriesDataset,
@@ -106,11 +101,13 @@ def _serve(
     """
     cfg = model.state_config
     check_rows(history, cfg, model.feature_layout)
-    if prices.ndim != 1:
-        raise ValueError(f"posted prices must be 1-D, got shape {prices.shape}")
-    _check_finite("posted price", prices)
+    prices = np.asarray(prices, dtype=float)
+    require("posted prices", prices)
     if teacher_consumptions is not None:
-        _check_finite("teacher consumption", teacher_consumptions)
+        teacher_consumptions = np.asarray(teacher_consumptions, dtype=float)
+        require("teacher_consumptions", teacher_consumptions)
+        if len(teacher_consumptions) != len(prices):
+            raise ValueError("teacher_consumptions must match future_prices in length")
     if start < cfg.order:
         raise ValueError(f"need {cfg.order} preceding intervals, only {start} available")
     state = _replayed_state(model, history, start)
@@ -165,13 +162,4 @@ def rollout(
     teacher_consumptions substitutes ground truth instead, which makes the
     result identical to a sequence of independent one-step predictions.
     """
-    future_prices = np.asarray(future_prices, dtype=float)
-    if teacher_consumptions is not None:
-        teacher_consumptions = np.asarray(teacher_consumptions, dtype=float)
-        if teacher_consumptions.ndim != 1:
-            raise ValueError(
-                f"teacher_consumptions must be 1-D, got shape {teacher_consumptions.shape}"
-            )
-        if len(teacher_consumptions) != len(future_prices):
-            raise ValueError("teacher_consumptions must match future_prices in length")
     return _serve(model, history, len(history), future_prices, teacher_consumptions)

@@ -1,11 +1,13 @@
 """Declared records: frozen dataclasses whose fields carry the bounds checked
-on construction, and read_record, the one reader that builds a record from a
-parsed config section or model-file object. It imports nothing from drlearn,
-so every layer can declare its records here."""
+on construction; require, the one checker of those bounds, which also checks
+the library's array and number arguments; and read_record, the one reader
+that builds a record from a parsed config section or model-file object. It
+imports nothing from drlearn, so every layer can declare its records here."""
 
 from __future__ import annotations
 
 import math
+import operator
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
@@ -15,7 +17,7 @@ import numpy as np
 
 
 class RecordError(ValueError):
-    """A refused record: path names the field (section.field[k]), problem says why."""
+    """A refused record or argument: path names it (section.field[k]), problem says why."""
 
     def __init__(self, path: str, problem: str):
         super().__init__(f"{path}: {problem}")
@@ -27,46 +29,70 @@ def bounded(default=MISSING, **bounds):
     return field(default=default, metadata=bounds)
 
 
-def bound_violation(
-    value, minimum=None, maximum=None, above=None, below=None, within=None, choices=None
-) -> str | None:
-    """Why value breaks its field's bounds or is a non-finite float, or None.
+def _nonfinite(value, _):
+    """Whether value, a float, or each float entry of an array, is NaN or infinite."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "f" and ~np.isfinite(value)
+    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
+
+
+# Each rule in the order checked: the bound it reads (None: checked for every value), whether
+# value, a number or entrywise an array, breaks it, and why. Only within and finiteness refuse NaN.
+_RULES = (
+    ("minimum", operator.lt, lambda v, b: f"must be >= {b}, got {v}"),
+    ("within", lambda v, b: np.logical_not((b[0] <= v) & (v < b[1])),
+     lambda v, b: f"must be in [{b[0]:g}, {b[1]:g}), got {v}"),
+    (None, _nonfinite, lambda v, _: f"must be a finite number, got {v}"),
+    ("maximum", operator.gt, lambda v, b: f"must be <= {b}, got {v}"),
+    ("above", operator.le, lambda v, b: f"must be > {b}, got {v}"),
+    ("below", operator.ge, lambda v, b: f"must be < {b}, got {v}"),
+    ("choices", lambda v, b: v not in b, lambda v, b: f"must be one of {sorted(b)}, got {v!r}"),
+)
+
+
+def bound_violation(value, **bounds) -> str | None:
+    """Why the number value breaks a bound or is a non-finite float, or None.
     minimum/maximum are inclusive, above/below strict, within is [low, high),
-    checked before finiteness so that a NaN reads as outside it."""
-    if minimum is not None and value < minimum:
-        return f"must be >= {minimum}, got {value}"
-    if within is not None and not within[0] <= value < within[1]:
-        return f"must be in [{within[0]:g}, {within[1]:g}), got {value}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be a finite number, got {value}"
-    if maximum is not None and value > maximum:
-        return f"must be <= {maximum}, got {value}"
-    if above is not None and not value > above:
-        return f"must be > {above}, got {value}"
-    if below is not None and not value < below:
-        return f"must be < {below}, got {value}"
-    if choices is not None and value not in choices:
-        return f"must be one of {sorted(choices)}, got {value!r}"
+    and choices holds the values allowed."""
+    for name, breaks, problem in _RULES:
+        if (name is None or name in bounds) and breaks(value, bounds.get(name)):
+            return problem(value, bounds.get(name))
     return None
+
+
+def require(path: str, value, **bounds) -> None:
+    """Raise a RecordError naming path, or path[k] for entry k, if value breaks
+    bounds: a number by bound_violation, a tuple (not empty) or a list entry by
+    entry, and a 1-D ndarray in one pass, naming its first bad entry."""
+    if isinstance(value, tuple) and not value:
+        raise RecordError(path, f"must not be empty, got {value!r}")
+    if isinstance(value, (tuple, list)):
+        for k, entry in enumerate(value):
+            require(f"{path}[{k}]", entry, **bounds)
+    elif isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            raise RecordError(path, f"must be 1-D, got shape {value.shape}")
+        broken = np.zeros(len(value), dtype=bool)
+        for name, breaks, _ in _RULES:
+            if name is None or name in bounds:
+                broken |= breaks(value, bounds.get(name))
+        for k in np.flatnonzero(broken)[:1]:
+            require(f"{path}[{k}]", value[k].item(), **bounds)
+    elif (problem := bound_violation(value, **bounds)) is not None:
+        raise RecordError(path, problem)
 
 
 @dataclass(frozen=True)
 class Bounded:
-    """Base of the declared records: construction checks each field (each
-    entry, as field[k], of a tuple, list or 1-D array field) against its
-    bounded() declaration, a non-finite float and an empty tuple breaking
-    every field, and raises a RecordError naming the first that breaks it."""
+    """Base of the declared records: construction requires each field to keep
+    its bounded() bounds, and a field annotated np.ndarray to hold one."""
 
     def __post_init__(self) -> None:
-        for name, bounds, _, _ in _schema(type(self)):
+        for name, bounds, hint, _ in _schema(type(self)):
             value = getattr(self, name)
-            if isinstance(value, tuple) and not value:
-                raise RecordError(name, f"must not be empty, got {value!r}")
-            sequence = isinstance(value, (tuple, list, np.ndarray))
-            for k, entry in enumerate(value) if sequence else [(None, value)]:
-                problem = bound_violation(entry, **bounds)
-                if problem is not None:
-                    raise RecordError(name if k is None else f"{name}[{k}]", problem)
+            if hint is np.ndarray and not isinstance(value, np.ndarray):
+                raise RecordError(name, f"must be a 1-D array, got {type(value).__name__}")
+            require(name, value, **bounds)
 
 
 def read_array(value, path: str, ndim: int) -> np.ndarray:
@@ -132,11 +158,11 @@ def _reader(hint):
 
 @cache
 def _schema(cls) -> tuple:
-    """(name, bounds, reader, has a default) of each field of cls, from its
-    bounded() metadata and its annotation."""
+    """(name, bounds, annotation, has a default) of each field of cls, with
+    its bounded() metadata."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, f.metadata, _reader(hints[f.name]),
+        (f.name, f.metadata, hints[f.name],
          f.default is not MISSING or f.default_factory is not MISSING)
         for f in fields(cls)
     )
@@ -150,9 +176,9 @@ def read_record(cls, raw, where: str, require_all: bool = False):
     if not isinstance(raw, Mapping):
         raise RecordError(where, f"expected a mapping, got {type(raw).__name__}")
     values = {}
-    for name, _, read, has_default in _schema(cls):
+    for name, _, hint, has_default in _schema(cls):
         if name in raw:
-            values[name] = read(raw[name], f"{where}.{name}")
+            values[name] = _reader(hint)(raw[name], f"{where}.{name}")
         elif require_all or not has_default:
             raise RecordError(f"{where}.{name}", "missing field")
     unknown = sorted(set(raw) - set(values))

@@ -234,11 +234,37 @@ class TestLoadProfileValues:
         # one NaN value turned 14 of 24 hourly totals into NaN
         values = np.ones(24)
         values[[10, 12]] = bad
-        with pytest.raises(ValueError, match=f"profile value {bad} at index 10 is not finite"):
+        with pytest.raises(ValueError, match=rf"^values\[10\]: must be .*, got {bad}$"):
             LoadProfile(values=values, source="synthetic")
 
     def test_accepts_zero(self):
         assert len(LoadProfile(values=np.array([0.0, 1.0]), source="synthetic")) == 2
+
+    def test_two_dimensional_values_are_refused_by_name(self):
+        # refused here, not later inside simulate with a broadcast error
+        with pytest.raises(RecordError, match=r"^values: must be 1-D, got shape \(2, 3\)$"):
+            LoadProfile(values=np.ones((2, 3)), source="synthetic")
+
+    def test_list_values_are_refused_by_name(self):
+        # refused here, not later inside simulate with a TypeError
+        with pytest.raises(RecordError, match="^values: must be a 1-D array, got list$"):
+            LoadProfile(values=[1.0, 0.5], source="synthetic")
+
+
+class TestIntervalsPerDay:
+    @pytest.mark.parametrize("intervals_per_day", [0, -1])
+    def test_generate_profile_refuses_fewer_than_one(self, intervals_per_day):
+        # named, not a ZeroDivisionError (0) or numpy's "negative dimensions" (-1)
+        message = f"^intervals_per_day: must be >= 1, got {intervals_per_day}$"
+        with pytest.raises(RecordError, match=message):
+            generate_profile(24, intervals_per_day, 1)
+
+    def test_simulate_refuses_zero(self):
+        # refused before the hours divide by it
+        population = sample_population(2, 2)
+        profile = generate_profile(24, 24, 2)
+        with pytest.raises(RecordError, match="^intervals_per_day: must be >= 1, got 0$"):
+            simulate(population, np.full(24, 30.0), profile, intervals_per_day=0)
 
 
 class TestSamplePrices:
@@ -337,7 +363,7 @@ class TestSimulate:
     def test_rejects_negative_prices(self):
         population = sample_population(2, 2)
         profile = generate_profile(24, 24, 2)
-        with pytest.raises(ValueError, match="price -1.0 at index 0 is not finite and non-negative"):
+        with pytest.raises(ValueError, match=r"^prices\[0\]: must be >= 0, got -1.0$"):
             simulate(population, np.full(24, -1.0), profile)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -346,8 +372,15 @@ class TestSimulate:
         profile = generate_profile(48, 24, 2)
         prices = sample_prices(48, 20.0, 50.0, 3)
         prices[[5, 9]] = bad
-        with pytest.raises(ValueError, match=f"price {bad} at index 5 is not finite and non-negative"):
+        with pytest.raises(ValueError, match=rf"^prices\[5\]: must be .*, got {bad}$"):
             simulate(population, prices, profile)
+
+    def test_rejects_two_dimensional_prices_by_name(self):
+        # named, not a broadcast error from the hour loop
+        population = sample_population(2, 2)
+        profile = generate_profile(24, 24, 2)
+        with pytest.raises(RecordError, match=r"^prices: must be 1-D, got shape \(24, 1\)$"):
+            simulate(population, np.full((24, 1), 30.0), profile)
 
     def test_rejects_empty_horizon(self):
         population = sample_population(2, 2)
@@ -360,7 +393,7 @@ class TestSimulate:
         population = sample_population(2, 2)
         profile = generate_profile(24, 24, 2)
         prices = sample_prices(24, 20.0, 50.0, 3)
-        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, got {noise_std}"):
+        with pytest.raises(ValueError, match=rf"^noise_std: must be .*, got {noise_std}$"):
             simulate(population, prices, profile, noise_std=noise_std)
 
     def test_consumption_positive_at_bench_scale_prices(self):
@@ -606,15 +639,15 @@ class TestTimeSeriesDataset:
     @pytest.mark.parametrize(
         "hours, message",
         [
-            ([0, -1, 2, -3], "hour -1 at index 1"),
-            ([3, 0, 4], "hour 4 at index 2"),
-            ([0.0, 1.0, np.nan], "hour nan at index 2"),
+            ([0, -1, 2, -3], r"hours\[1\]: must be in \[0, 4\), got -1"),
+            ([3, 0, 4], r"hours\[2\]: must be in \[0, 4\), got 4"),
+            ([0.0, 1.0, np.nan], r"hours\[2\]: must be in \[0, 4\), got nan"),
         ],
         ids=["negative", "past-day", "nan"],
     )
     def test_rejects_hour_outside_day_naming_index(self, hours, message):
         # a negative hour would otherwise encode as an hour counted from the end
-        with pytest.raises(ValueError, match=rf"{message} outside \[0, 4\)"):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             TimeSeriesDataset(
                 prices=np.ones(len(hours)),
                 consumptions=np.ones(len(hours)),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drlearn.errors import DataError
 from drlearn.eucsim import TimeSeriesDataset
+from drlearn.records import RecordError
 from drlearn.features import (
     TIME_ENCODINGS,
     Scaler,
@@ -335,6 +336,18 @@ class TestScaler:
         )
         with pytest.raises(ValueError, match="empty"):
             fit_scaler(empty)
+
+    def test_two_dimensional_std_is_refused_by_name(self):
+        # named by the field, not by numpy's "truth value ... is ambiguous"
+        with pytest.raises(RecordError, match=r"^input_std: must be 1-D, got shape \(2, 2\)$"):
+            Scaler(input_mean=np.zeros(2), input_std=np.ones((2, 2)), target_mean=0.0,
+                   target_std=1.0)
+
+    def test_zero_dimensional_mean_is_refused_by_name(self):
+        # named by the field, not by numpy's "iteration over a 0-d array"
+        with pytest.raises(RecordError, match=r"^input_mean: must be 1-D, got shape \(\)$"):
+            Scaler(input_mean=np.array(0.0), input_std=np.ones(1), target_mean=0.0,
+                   target_std=1.0)
 
 
 class TestProperties:

@@ -1,4 +1,5 @@
-"""Boundary fuzz: one mutated leaf of a valid input, run through the CLI.
+"""Boundary fuzz: one mutated leaf of a valid input, run through the CLI, and
+one mutated entry or shape of an array given to the library.
 
 Each example changes one leaf of a small valid config (drlearn simulate),
 of the v1 LSTM model file (drlearn eval) or one cell of a simulated dataset
@@ -8,6 +9,11 @@ Whatever the value, the command answers with an input error, exit 1 (config),
 it refused, or it exits 0 with an output that reloads. It never exits 4, the
 code of a fault of drlearn itself, and it never writes NaN or infinity into
 a JSON file.
+
+The library examples set one entry of an array argument or field to NaN,
++-inf or -1, or give it a 2-D, 0-d or empty shape. Only a RecordError,
+ValueError or DataError escapes, and it names the argument or field, with
+the entry's index when one entry was changed.
 """
 
 import copy
@@ -15,6 +21,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -22,8 +29,17 @@ from hypothesis import strategies as st
 
 from drlearn.cli import main
 from drlearn.config import load_config
-from drlearn.eucsim import read_dataset
-from drlearn.models import load_model
+from drlearn.errors import DataError
+from drlearn.eucsim import (
+    LoadProfile,
+    TimeSeriesDataset,
+    generate_profile,
+    read_dataset,
+    sample_population,
+    simulate,
+)
+from drlearn.features import Scaler, StateConfig, feature_layout, identity_scaler
+from drlearn.models import init_params, load_model, model_from_params, predict_one_step, rollout
 
 V1_LSTM = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
 
@@ -165,3 +181,73 @@ def test_one_dataset_cell(base, capsys, data, value):
         strict_json(out.read_text())
         load_model(str(out))
 
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A small RNN and a 48-hour history to serve it on."""
+    cfg = StateConfig(order=1)
+    layout = feature_layout(cfg)
+    params = init_params("rnn", len(layout), [3], np.random.default_rng(0))
+    model = model_from_params("rnn", params, layout, identity_scaler(len(layout)), cfg)
+    history = TimeSeriesDataset(prices=np.full(48, 30.0), consumptions=np.full(48, 50.0),
+                                hours=np.arange(48) % 24)
+    return model, history
+
+
+def scaler(**arrays):
+    return Scaler(**{"input_mean": np.zeros(3), "input_std": np.ones(3), **arrays},
+                  target_mean=0.0, target_std=1.0)
+
+
+def predict_at(model, history, price):
+    """predict_one_step with price as drawn: a number, or a drawn shape as is."""
+    return predict_one_step(model, history, price[0] if price.shape == (1,) else price, 48)
+
+
+# input -> (the names a refusal may give it, a valid value, a call with the value)
+LIBRARY_INPUTS = {
+    "LoadProfile.values": (
+        ("values",), np.linspace(0.5, 1.0, 24),
+        lambda _, values: LoadProfile(values=values, source="synthetic")),
+    "simulate prices": (
+        ("prices", "horizon"), np.full(24, 30.0),
+        lambda _, prices: simulate(sample_population(2, 0), prices, generate_profile(24, 24, 0))),
+    "predict_one_step price": (
+        ("posted prices",), np.array([30.0]),
+        lambda served, price: predict_at(*served, price)),
+    "rollout future_prices": (
+        ("posted prices",), np.full(3, 30.0),
+        lambda served, prices: rollout(*served, prices)),
+    "rollout teacher_consumptions": (
+        ("teacher_consumptions",), np.full(3, 50.0),
+        lambda served, teacher: rollout(*served, np.full(3, 30.0), teacher)),
+    "Scaler.input_mean": (
+        ("input_mean",), np.zeros(3), lambda _, mean: scaler(input_mean=mean)),
+    "Scaler.input_std": (
+        ("input_std",), np.ones(3), lambda _, std: scaler(input_std=std)),
+    "TimeSeriesDataset.hours": (
+        ("hours",), np.arange(6) % 4,
+        lambda _, hours: TimeSeriesDataset(prices=np.ones(6), consumptions=np.ones(6),
+                                           hours=hours, intervals_per_day=4)),
+}
+ENTRIES = [np.nan, np.inf, -np.inf, -1]
+SHAPES = {"2-D": lambda a: a.reshape(-1, 1), "0-d": lambda a: np.array(a[0]),
+          "empty": lambda a: a[:0]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(list(LIBRARY_INPUTS)),
+       change=st.sampled_from([*ENTRIES, *SHAPES]))
+def test_one_library_array_entry_or_shape(served, data, name, change):
+    names, valid, call = LIBRARY_INPUTS[name]
+    if change in SHAPES:
+        value, path = SHAPES[change](valid), "|".join(map(re.escape, names))
+    else:
+        k = data.draw(st.integers(0, len(valid) - 1))
+        value, path = valid.astype(float), rf"{re.escape(names[0])}\[{k}\]"
+        value[k] = change
+    try:
+        call(served, value)
+    except (ValueError, DataError) as exc:  # a RecordError is a ValueError
+        assert re.search(rf"(^|\b){path}", str(exc)), f"{name} {change}: {exc}"

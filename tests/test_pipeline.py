@@ -2,17 +2,21 @@
 
 import ctypes
 import os
+import pathlib
 import re
 import sys
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drlearn import pipeline
 from drlearn.cli import main
-from drlearn.config import dump_config, parse_config
+from drlearn.config import MODEL_KINDS, dump_config, parse_config
 from drlearn.errors import ConfigError, DataError
 from drlearn.eucsim import write_dataset
 from drlearn.models import flat_params
@@ -193,6 +197,33 @@ class TestRunBenchmark:
         ]
         for name in ["report.json", "violin.csv"] + [f"models/{m}" for m in models]:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(MODEL_KINDS), min_size=2, max_size=4, unique=True),
+        orders=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_file_is_the_same_at_one_two_and_three_workers(self, kinds, orders, hidden, seed):
+        # the README promises output bytes that do not depend on the worker count
+        config = parse_config({
+            "simulation": {"euc_count": 3, "horizon": 240, "population_seed": seed,
+                           "noise_seed": seed},
+            "training": {"steps": 8, "window_length": 24, "rng_seed": seed, "fnn_hidden": hidden,
+                         "rnn_hidden": hidden, "lstm_hidden": hidden},
+            "benchmark": {"train_len": 168, "orders": orders, "kinds": kinds},
+        })
+        with tempfile.TemporaryDirectory() as root:
+            outputs = []
+            for workers in (1, 2, 3):
+                out = os.path.join(root, str(workers))
+                run_benchmark(config, out, workers=workers)
+                files = [pathlib.Path(folder, name) for folder, _, names in os.walk(out)
+                         for name in names]
+                outputs.append({str(f.relative_to(out)): f.read_bytes() for f in files})
+        assert "report.json" in outputs[0]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_pool_models_keep_one_buffer(self, tmp_path):
         result = run_benchmark(tiny_config(), str(tmp_path / "bench"), workers=2)

@@ -307,20 +307,20 @@ class TestPostedInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_price_rejected(self, fixture, bad, series, request):
         model = request.getfixturevalue(fixture)
-        with pytest.raises(ValueError, match="posted price .* at index 0 is not finite"):
+        with pytest.raises(ValueError, match=rf"^posted prices\[0\]: must be a finite number, got {bad}$"):
             predict_one_step(model, series, bad, TRAIN_LEN)
         history = tail_history(series, 0, TRAIN_LEN)
-        with pytest.raises(ValueError, match="posted price .* at index 2 is not finite"):
+        with pytest.raises(ValueError, match=rf"^posted prices\[2\]: must be a finite number, got {bad}$"):
             rollout(model, history, np.array([30.0, 31.0, bad]))
 
     def test_non_finite_teacher_consumption_rejected(self, series, rnn_model):
         history = tail_history(series, 0, TRAIN_LEN)
-        with pytest.raises(ValueError, match="teacher consumption nan at index 1 is not finite"):
+        with pytest.raises(ValueError, match=r"^teacher_consumptions\[1\]: must be a finite number, got nan$"):
             rollout(rnn_model, history, np.full(3, 30.0), np.array([50.0, np.nan, 50.0]))
 
     def test_two_dimensional_prices_rejected(self, series, rnn_model):
         history = tail_history(series, 0, TRAIN_LEN)
-        with pytest.raises(ValueError, match=r"posted prices must be 1-D, got shape \(3, 2\)"):
+        with pytest.raises(ValueError, match=r"^posted prices: must be 1-D, got shape \(3, 2\)$"):
             rollout(rnn_model, history, np.full((3, 2), 30.0))
 
     @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ class TestPostedInputChecks:
                 None,
                 np.full((3, 2), 50.0),
                 ValueError,
-                r"teacher_consumptions must be 1-D, got shape \(3, 2\)",
+                r"^teacher_consumptions: must be 1-D, got shape \(3, 2\)$",
             ),
             (1.5, None, TypeError, r"t must be an integer, got float 1\.5"),
             (10.0, None, TypeError, r"t must be an integer, got float 10\.0"),
@@ -523,7 +523,7 @@ class TestSavedState:
                 t = last = data.draw(st.integers(1, length), label="t")
                 prices = series.prices[t : t + 4] if t < length else np.full(4, 33.0)
                 if not np.all(np.isfinite(prices)):  # an edit put NaN among the posted prices
-                    with pytest.raises(ValueError, match="posted price nan"):
+                    with pytest.raises(ValueError, match=r"posted prices\[\d\]: .*, got nan"):
                         rollout(model, tail_history(series, 0, t), prices)
                     continue
                 got = rollout(model, tail_history(series, 0, t), prices)

@@ -1,5 +1,5 @@
-"""The README's examples run as written, and its configuration reference
-lists every field at its default."""
+"""The README's examples run as written, its configuration reference lists
+every field at its default, and its declared-records table every bounded field."""
 
 import pathlib
 import re
@@ -10,6 +10,7 @@ import yaml
 
 from drlearn import cli
 from drlearn.config import RunConfig, parse_config
+from drlearn.records import Bounded
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +58,36 @@ def test_quick_start_steps_run(tmp_path, monkeypatch):
         assert cli.main(argv[1:]) == 0, argv
         out = argv[argv.index("--out") + 1]
         assert (tmp_path / out).stat().st_size > 0, out
+
+
+def declared_rows() -> set[tuple[str, str]]:
+    """(record, field) of each field the "Declared records" table lists."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Declared records\n", 1)[1].split("\n#", 1)[0]
+    rows, record = set(), None
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or len(cells) != 3 or cells[0].startswith("record"):
+            continue
+        record = cells[0] or record
+        for name in re.findall(r"`([^`]+)`", record):
+            rows.update((name, f) for f in re.findall(r"`([^`]+)`", cells[1]))
+    return rows
+
+
+def bounded_subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__() for c in (sub, *bounded_subclasses(sub))]
+
+
+def test_declared_records_table_lists_every_bounded_field():
+    # the config blocks, and TrainConfig under TrainingBlock, are the configuration reference
+    blocks = [type(getattr(RunConfig(), section.name)) for section in fields(RunConfig)]
+    records = [c for c in bounded_subclasses(Bounded) if c.__module__.startswith("drlearn.")
+               and not any(issubclass(block, c) for block in blocks)]
+    assert {c.__name__ for c in records} >= {"StateConfig", "Scaler", "EucParams", "LoadProfile"}
+    rows = declared_rows()
+    for record in records:
+        name = f"{record.__module__.removeprefix('drlearn.')}.{record.__name__}"
+        for f in fields(record):
+            if f.metadata:
+                assert (name, f.name) in rows, (name, f.name)
