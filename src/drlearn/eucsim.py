@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .ioutil import atomic_write_text
-from .records import Bounded, bounded, require
+from .records import Bounded, RecordError, bounded, require, require_number
 
 DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
@@ -77,9 +77,12 @@ class TimeSeriesDataset:
     intervals_per_day: int = 24
 
     def __post_init__(self) -> None:
-        require("intervals_per_day", self.intervals_per_day, minimum=1)
+        require_number("intervals_per_day", self.intervals_per_day, minimum=1)
         hours = np.asarray(self.hours)
         require("hours", hours, within=(0, self.intervals_per_day))
+        for name in ("prices", "consumptions"):  # the shape only: check_series owns the values
+            if np.ndim(getattr(self, name)) != 1:
+                raise RecordError(name, f"must be 1-D, got shape {np.shape(getattr(self, name))}")
         if not (len(self.prices) == len(self.consumptions) == len(hours)):
             raise ValueError(
                 "prices, consumptions, and hours must have equal length, got "
@@ -127,17 +130,17 @@ def optimal_consumption(demand: float, price: float, params: EucParams) -> float
     onto the feasible half-line gives the optimum because the objective is
     concave.
     """
-    require("demand", demand, minimum=0)
-    require("price", price, minimum=0)
+    require_number("demand", demand, minimum=0)
+    require_number("price", price, minimum=0)
     return max(params.min_fraction * demand, demand + price / (2.0 * params.rho))
 
 
 def step_demand(demand: float, consumption: float, alpha: float, new_demand: float) -> float:
     """Carry unmet demand into the next interval and add newly arrived demand."""
-    require("demand", demand, minimum=0)
-    require("consumption", consumption, minimum=0)
-    require("new_demand", new_demand, minimum=0)
-    require("alpha", alpha, minimum=0, maximum=1)
+    require_number("demand", demand, minimum=0)
+    require_number("consumption", consumption, minimum=0)
+    require_number("new_demand", new_demand, minimum=0)
+    require_number("alpha", alpha, minimum=0, maximum=1)
     if consumption > demand:
         raise ValueError(
             f"consumption {consumption} exceeds demand {demand}; unmet demand cannot be negative"
@@ -202,7 +205,8 @@ def generate_profile(horizon: int, intervals_per_day: int, rng_seed: int) -> Loa
     shape is identical every day up to the envelope ratio and the daily peak
     always lands in the evening.
     """
-    require("intervals_per_day", intervals_per_day, minimum=1)
+    require_number("horizon", horizon)
+    require_number("intervals_per_day", intervals_per_day, minimum=1)
     if horizon <= 0 or horizon % intervals_per_day != 0:
         raise ValueError(
             f"horizon ({horizon}) must be a positive multiple of intervals_per_day ({intervals_per_day})"
@@ -258,14 +262,11 @@ def load_profile(path: str) -> LoadProfile:
 
 def sample_prices(horizon: int, low: float, high: float, rng_seed: int) -> np.ndarray:
     """I.i.d. uniform hourly prices in [low, high], deterministic in the seed."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError(f"price range must be finite, got [{low}, {high}]")
+    require_number("horizon", horizon, minimum=1)
+    require_number("low", low, minimum=0)
+    require_number("high", high)
     if not low < high:
         raise ValueError(f"price range requires low < high, got [{low}, {high}]")
-    if low < 0:
-        raise ValueError(f"prices must be non-negative, got low={low}")
     rng = np.random.default_rng(rng_seed)
     return rng.uniform(low, high, horizon)
 
@@ -312,8 +313,8 @@ def simulate(
     """
     prices = np.asarray(prices, dtype=float)
     require("prices", prices, minimum=0)
-    require("noise_std", noise_std, minimum=0)
-    require("intervals_per_day", intervals_per_day, minimum=1)
+    require_number("noise_std", noise_std, minimum=0)
+    require_number("intervals_per_day", intervals_per_day, minimum=1)
     horizon = len(prices)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

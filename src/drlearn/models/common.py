@@ -91,7 +91,7 @@ class ParamModel:
         """Lay out a new buffer, copy each array into its view of it, and let
         the fields view it. A ValueError names the first field that breaks a
         rule: layer counts, shapes (each array has its view's shape, no
-        broadcasting), scaler width, recurrent order."""
+        broadcasting), scaler and state config given, scaler width, recurrent order."""
         layer_fields = self.layer_fields()
         counts = {f.name: len(getattr(self, f.name)) for f in layer_fields}
         if len(set(counts.values())) > 1:
@@ -99,10 +99,6 @@ class ParamModel:
             raise ValueError(f"dimension mismatch: fields disagree on layer count: {layers}")
         given, hidden_sizes = flat_params(self), self.hidden_sizes()
         n_features = len(self.feature_layout)
-        if not n_features:  # kernel-only: the first FAN_IN array's width, or the readout weight's
-            fan_in = [f.name for f in layer_fields if f.metadata["shape"] == FAN_IN]
-            first = getattr(self, fan_in[0])[0] if hidden_sizes else getattr(self, self.readout[0])
-            n_features = (np.shape(first) or (0,))[-1]
         self.buffer, self.blocks, views = new_buffer(self.kind, n_features, hidden_sizes)
         names = [f"{f.name}[{layer}]" for layer in range(len(hidden_sizes)) for f in layer_fields]
         for where, value, view in zip([*names, *self.readout], given, views, strict=True):
@@ -111,10 +107,11 @@ class ParamModel:
                     f"dimension mismatch: {where} expected shape {view.shape}, got {np.shape(value)}"
                 )
             view[...] = value
-        scaler, order = self.scaler, getattr(self.state_config, "order", 1)  # None: kernel-only
-        if scaler is not None and not (
-            np.shape(scaler.input_mean) == np.shape(scaler.input_std) == (n_features,)
-        ):
+        for name, record in (("scaler", Scaler), ("state_config", StateConfig)):
+            if not isinstance(getattr(self, name), record):
+                raise ValueError(f"{name} must be a {record.__name__}, got {getattr(self, name)!r}")
+        scaler, order = self.scaler, self.state_config.order
+        if not np.shape(scaler.input_mean) == np.shape(scaler.input_std) == (n_features,):
             raise ValueError(
                 f"dimension mismatch: scaler expects {n_features} features to match the layout"
             )
@@ -179,7 +176,7 @@ class ParamModel:
     def workspace(self, shape: tuple) -> Workspace:
         """A Workspace for loss_and_grads on this model's flat list and
         minibatches of the given shape."""
-        return Workspace(self.kind, flat_params(self), self.hidden_sizes(), shape)
+        return Workspace(self, shape)
 
     def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
         """One time step for a (batch, features) input; returns (y, new state)."""
@@ -244,20 +241,21 @@ def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
 
 
 class Workspace:
-    """What a family's loss_and_grads writes into, made once for a flat
-    parameter list and a minibatch shape, (batch, features) or (batch,
+    """What a family's loss_and_grads writes into, made once by a model for
+    its flat list and a minibatch shape, (batch, features) or (batch,
     steps, features): the gradient vector grad, laid out like the parameter
     buffer, its blocks and its flat list of views, which the kernel returns.
     The recurrent families add their tape (_Recurrent.workspace).
 
-    A kernel given a workspace overwrites it, so what a call returned holds
-    until the next call with it. train_adam makes one per training call;
-    two threads must not share one.
+    A kernel overwrites its workspace, so what a call returned holds until
+    the next call with it. train_adam makes one per training call; two
+    threads must not share one.
     """
 
-    def __init__(self, kind: str, params: list, hidden_sizes: list[int], shape: tuple):
-        self.kind, self.params, self.shape = kind, params, tuple(shape)
-        self.grad, self.grad_blocks, self.grads = new_buffer(kind, shape[-1], hidden_sizes)
+    def __init__(self, model: ParamModel, shape: tuple):
+        self.kind, self.params, self.shape = model.kind, flat_params(model), tuple(shape)
+        widths = model.hidden_sizes()
+        self.grad, self.grad_blocks, self.grads = new_buffer(self.kind, shape[-1], widths)
 
     def check(self, kind: str, params: list, inputs: np.ndarray) -> None:
         """Raise a ValueError unless this workspace was made for kind, params and inputs' shape."""

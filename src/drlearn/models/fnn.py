@@ -12,7 +12,6 @@ from .common import (
     FAN_IN,
     ParamModel,
     TrainConfig,
-    Workspace,
     field_values,
     layer_param,
     readout_loss,
@@ -40,21 +39,19 @@ class FnnModel(ParamModel):
 
     @classmethod
     def loss_and_grads(
-        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace=None
+        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace
     ) -> tuple[float, list[np.ndarray]]:
         """Minibatch MSE and its gradient, the flat list's views of one vector
-        laid out like the parameter buffer: the vector of workspace, a
-        Workspace made for params and this shape of inputs, or a new one.
+        laid out like the parameter buffer: the vector of workspace, which
+        model.workspace(inputs.shape) made for the model whose flat list
+        params is.
 
         The ReLU subgradient at exactly zero is taken as zero, matching the
         forward pass mask convention.
         """
+        workspace.check(cls.kind, params, inputs)
         values = field_values(cls, params)
         weights = values["hidden_weights"]
-        if workspace is None:
-            workspace = Workspace(cls.kind, params, [len(w) for w in weights], np.shape(inputs))
-        else:
-            workspace.check(cls.kind, params, inputs)
         activations = [inputs]
         pre_acts = []
         for w, b in zip(weights, values["hidden_biases"]):

@@ -17,7 +17,6 @@ from .common import (
     TrainConfig,
     Workspace,
     layer_param,
-    model_from_params,
     readout_loss,
     train_adam,
 )
@@ -161,18 +160,14 @@ class _Recurrent(ParamModel):
 
     @classmethod
     def loss_and_grads(
-        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace=None
+        cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace
     ) -> tuple[float, list[np.ndarray]]:
         """MSE over every step of every window, and its gradient by full BPTT,
         the flat list's views of one vector laid out like the parameter
-        buffer: the vector of workspace, made by the workspace method of the
-        model whose flat list params is, or of a new one."""
-        if workspace is None:
-            # a model over a copy of params, for the fused weights serving uses
-            model = model_from_params(cls.kind, params, (), None, None)
-            workspace = model.workspace(np.shape(inputs))
-        else:
-            workspace.check(cls.kind, params, inputs)
+        buffer: the vector of workspace, which model.workspace(inputs.shape)
+        made for the model whose flat list params is. The core reads that
+        model's fused weights through the workspace's tape."""
+        workspace.check(cls.kind, params, inputs)
         np.copyto(workspace.x, np.transpose(inputs, (1, 0, 2)))  # time-major
         tapes = workspace.tapes
         steps, batch, _ = workspace.x.shape

@@ -1,12 +1,14 @@
 """Declared records: frozen dataclasses whose fields carry the bounds checked
 on construction; require, the one checker of those bounds, which also checks
-the library's array and number arguments; and read_record, the one reader
+the library's array arguments, and require_number, which first checks that a
+number argument holds one number; and read_record, the one reader
 that builds a record from a parsed config section or model-file object. It
 imports nothing from drlearn, so every layer can declare its records here."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import typing
 from collections.abc import Mapping
@@ -80,6 +82,14 @@ def require(path: str, value, **bounds) -> None:
             require(f"{path}[{k}]", value[k].item(), **bounds)
     elif (problem := bound_violation(value, **bounds)) is not None:
         raise RecordError(path, problem)
+
+
+def require_number(path: str, value, **bounds) -> None:
+    """require for an argument that takes one number: anything else, such as
+    an array or a list, is refused by name before any bound is read."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RecordError(path, f"must be a number, got {type(value).__name__}")
+    require(path, value, **bounds)
 
 
 @dataclass(frozen=True)

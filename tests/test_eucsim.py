@@ -1,6 +1,7 @@
 """Simulator tests: closed-form optimum, backlog recursion, profiles, CSV."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -280,10 +281,58 @@ class TestSamplePrices:
         with pytest.raises(ValueError):
             sample_prices(10, -5.0, 20.0, 0)
 
-    @pytest.mark.parametrize("low, high", [(20.0, math.inf), (-math.inf, 20.0), (math.nan, 20.0)])
-    def test_rejects_non_finite_range(self, low, high):
-        with pytest.raises(ValueError, match="price range must be finite"):
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [
+            (20.0, math.inf, "high: must be a finite number, got inf"),
+            (-math.inf, 20.0, "low: must be >= 0, got -inf"),
+            (math.nan, 20.0, "low: must be a finite number, got nan"),
+        ],
+        ids=["20.0-inf", "-inf-20.0", "nan-20.0"],
+    )
+    def test_rejects_non_finite_range(self, low, high, message):
+        with pytest.raises(RecordError, match=f"^{message}$"):
             sample_prices(10, low, high, 0)
+
+    def test_rejects_empty_horizon_by_name(self):
+        with pytest.raises(RecordError, match="^horizon: must be >= 1, got 0$"):
+            sample_prices(0, 20.0, 50.0, 0)
+
+
+def simulated(**arguments):
+    """A 24-hour simulation of two customers, with arguments changed."""
+    population, profile = sample_population(2, 2), generate_profile(24, 24, 2)
+    return simulate(population, np.full(24, 30.0), profile, **arguments)
+
+
+# argument -> a call with the value given in that number argument
+NUMBER_ARGUMENTS = {
+    "simulate noise_std": lambda v: simulated(noise_std=v),
+    "simulate intervals_per_day": lambda v: simulated(intervals_per_day=v),
+    "generate_profile horizon": lambda v: generate_profile(v, 24, 1),
+    "generate_profile intervals_per_day": lambda v: generate_profile(24, v, 1),
+    "optimal_consumption demand": lambda v: optimal_consumption(v, 10.0, EucParams(1.0, -1.0, 0.5)),
+    "optimal_consumption price": lambda v: optimal_consumption(1.0, v, EucParams(1.0, -1.0, 0.5)),
+    "step_demand demand": lambda v: step_demand(v, 0.5, 0.5, 0.0),
+    "step_demand consumption": lambda v: step_demand(1.0, v, 0.5, 0.0),
+    "step_demand alpha": lambda v: step_demand(1.0, 0.5, v, 0.0),
+    "step_demand new_demand": lambda v: step_demand(1.0, 0.5, 0.5, v),
+    "sample_prices horizon": lambda v: sample_prices(v, 20.0, 50.0, 0),
+    "sample_prices low": lambda v: sample_prices(10, v, 50.0, 0),
+    "sample_prices high": lambda v: sample_prices(10, 20.0, v, 0),
+    "TimeSeriesDataset intervals_per_day": lambda v: TimeSeriesDataset(
+        prices=np.ones(2), consumptions=np.ones(2), hours=np.arange(2), intervals_per_day=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.array([0.1, 0.2]), [0.5]], ids=["array", "list"])
+@pytest.mark.parametrize("argument", list(NUMBER_ARGUMENTS))
+def test_number_argument_given_an_array_is_refused_by_name(argument, value):
+    # named before any work, not numpy's broadcast or "truth value ... ambiguous" error
+    name = argument.split()[-1]
+    kind = type(value).__name__
+    with pytest.raises(RecordError, match=f"^{name}: must be a number, got {kind}$"):
+        NUMBER_ARGUMENTS[argument](value)
 
 
 def reference_trace(population, prices, profile, noise_std, rng_seed):
@@ -668,6 +717,16 @@ class TestTimeSeriesDataset:
             prices=np.ones(2), consumptions=np.ones(2), hours=np.array([3.0, 0.0]), intervals_per_day=4
         )
         assert len(ts) == 2
+
+    @pytest.mark.parametrize("name", ["prices", "consumptions"])
+    @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-d", "2-D"])
+    def test_non_1d_prices_or_consumptions_are_refused_by_name(self, name, shape):
+        # not len()'s TypeError for a 0-d array, and not accepted for (2, 2) over two hours
+        hours = np.arange(max(shape[:1], default=1))
+        columns = {"prices": np.ones(len(hours)), "consumptions": np.ones(len(hours))}
+        message = rf"^{name}: must be 1-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(RecordError, match=message):
+            TimeSeriesDataset(hours=hours, **{**columns, name: np.ones(shape)})
 
     def test_accepts_first_and_last_hour_of_day(self):
         ts = TimeSeriesDataset(

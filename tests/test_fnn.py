@@ -16,6 +16,7 @@ from drlearn.models import (
     FnnModel,
     TrainConfig,
     clip_global_norm,
+    flat_params,
     fnn_forward,
     fnn_loss_and_grads,
     glorot_uniform,
@@ -134,23 +135,30 @@ class TestInit:
         assert params[-1] == 0.0
 
 
+def loss_and_grads(model, inputs, targets):
+    """fnn_loss_and_grads on the model's flat list, in a workspace it made."""
+    workspace = model.workspace(inputs.shape)
+    return fnn_loss_and_grads(flat_params(model), inputs, targets, workspace=workspace)
+
+
 class TestLossAndGrads:
     def test_loss_is_mean_squared_error(self):
         params = init_params("fnn", 2, [3], np.random.default_rng(2))
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(16, 2))
         targets = rng.normal(size=16)
-        loss, _ = fnn_loss_and_grads(params, inputs, targets)
         model = make_model(
             [params[0]], [params[1]], params[2], float(params[3]), 2
         )
+        loss, _ = loss_and_grads(model, inputs, targets)
         expected = float(np.mean((model.forward(inputs) - targets) ** 2))
         assert loss == pytest.approx(expected, rel=1e-15)
 
     def test_gradient_shapes_match_params(self):
         params = init_params("fnn", 4, [6, 5], np.random.default_rng(4))
+        model = make_model(params[0:4:2], params[1:4:2], params[4], float(params[5]), 4)
         rng = np.random.default_rng(5)
-        _, grads = fnn_loss_and_grads(params, rng.normal(size=(8, 4)), rng.normal(size=8))
+        _, grads = loss_and_grads(model, rng.normal(size=(8, 4)), rng.normal(size=8))
         assert len(grads) == len(params)
         for p, g in zip(params, grads):
             assert g.shape == p.shape

@@ -226,6 +226,14 @@ LIBRARY_INPUTS = {
         ("input_mean",), np.zeros(3), lambda _, mean: scaler(input_mean=mean)),
     "Scaler.input_std": (
         ("input_std",), np.ones(3), lambda _, std: scaler(input_std=std)),
+    "TimeSeriesDataset.prices": (
+        ("prices",), np.full(6, 30.0),
+        lambda _, prices: TimeSeriesDataset(prices=prices, consumptions=np.ones(6),
+                                            hours=np.arange(6))),
+    "TimeSeriesDataset.consumptions": (
+        ("consumptions",), np.full(6, 50.0),
+        lambda _, consumptions: TimeSeriesDataset(prices=np.ones(6), consumptions=consumptions,
+                                                  hours=np.arange(6))),
     "TimeSeriesDataset.hours": (
         ("hours",), np.arange(6) % 4,
         lambda _, hours: TimeSeriesDataset(prices=np.ones(6), consumptions=np.ones(6),

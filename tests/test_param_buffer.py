@@ -120,7 +120,8 @@ def test_gradients_view_one_vector_laid_out_like_the_buffer(kind):
     rng = np.random.default_rng(2)
     shape = (6, len(LAYOUT)) if kind == "fnn" else (3, 5, len(LAYOUT))
     inputs, targets = rng.normal(size=shape), rng.normal(size=shape[:-1])
-    _, grads = KERNELS[kind](flat_params(model), inputs, targets)
+    workspace = model.workspace(inputs.shape)
+    _, grads = KERNELS[kind](flat_params(model), inputs, targets, workspace=workspace)
     vector = grads[0].base
     assert vector.shape == model.buffer.shape
     assert [g.shape for g in grads] == [p.shape for p in flat_params(model)]
@@ -214,7 +215,16 @@ class TestConstructorChecks:
     def test_recurrent_order_other_than_one_is_refused(self, kind):
         params = init_params(kind, len(LAYOUT), [3], np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"state_config.order must be 1 for {kind}, got 4"):
-            model_from_params(kind, params, LAYOUT, None, StateConfig(order=4))
+            model_from_params(kind, params, LAYOUT, identity_scaler(4), StateConfig(order=4))
+
+    @pytest.mark.parametrize("name", ["scaler", "state_config"])
+    @pytest.mark.parametrize("kind", ["linear", "fnn", "rnn", "lstm"])
+    def test_missing_scaler_or_state_config_is_refused_by_name(self, kind, name):
+        # every model carries both, however it is built
+        model = built(kind, "model_from_params", None)
+        record = "Scaler" if name == "scaler" else "StateConfig"
+        with pytest.raises(ValueError, match=f"^{name} must be a {record}, got None$"):
+            rebuilt(model, **{name: None})
 
     @pytest.mark.parametrize(
         "kind, where", [("linear", "weights"), ("fnn", "hidden_weights[0]"), ("rnn", "w_x[0]")]

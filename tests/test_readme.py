@@ -15,13 +15,18 @@ from drlearn.records import Bounded
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_block(heading: str, language: str = "python") -> str:
-    """The first fenced block in language under a second-level heading."""
+def readme_blocks(heading: str, language: str = "python") -> list[str]:
+    """Every fenced block in language under a second-level heading, in order."""
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
-    assert match, f"no {language} block under '## {heading}'"
-    return match.group(1)
+    blocks = re.findall(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert blocks, f"no {language} block under '## {heading}'"
+    return blocks
+
+
+def readme_block(heading: str, language: str = "python") -> str:
+    """The first fenced block in language under a second-level heading."""
+    return readme_blocks(heading, language)[0]
 
 
 def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
@@ -34,6 +39,16 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     # the benchmark trains the same LSTM as the block's own train_model call
     assert namespace["saved"] == namespace["entry"].model
     assert namespace["yhat"] > 0
+
+
+def test_later_library_use_blocks_run(tmp_path, monkeypatch, capsys):
+    # each block after the first runs in a namespace of its own, as written
+    monkeypatch.chdir(tmp_path)
+    later = readme_blocks("Library use")[1:]
+    assert later, "one python block under '## Library use', the kernel example is missing"
+    for block in later:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_configuration_reference_is_the_defaults_and_names_every_field():

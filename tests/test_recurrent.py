@@ -10,9 +10,11 @@ from drlearn.models import (
     LstmModel,
     RnnModel,
     TrainConfig,
+    flat_params,
     init_params,
     lstm_forward,
     lstm_loss_and_grads,
+    model_from_params,
     rnn_forward,
     rnn_loss_and_grads,
     train_recurrent,
@@ -319,15 +321,24 @@ class TestInit:
         assert params[13].shape == ()
 
 
+def model_over(kind, params):
+    """A model of kind over a copy of the flat list params, on LAYOUT4."""
+    return model_from_params(kind, params, LAYOUT4, identity_scaler(4), StateConfig(order=1))
+
+
+def loss_and_grads(model, inputs, targets):
+    """The model's kernel on its flat list, in a workspace it made."""
+    kernel = rnn_loss_and_grads if model.kind == "rnn" else lstm_loss_and_grads
+    return kernel(flat_params(model), inputs, targets, workspace=model.workspace(inputs.shape))
+
+
 class TestLossAndGrads:
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_loss_is_mse_over_all_steps(self, kind):
         rng = np.random.default_rng(4)
-        loss_fn = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
         params = init_params(kind, 4, [3], rng)
         inputs = rng.normal(size=(5, 6, 4))
         targets = rng.normal(size=(5, 6))
-        loss, grads = loss_fn(params, inputs, targets)
         if kind == "rnn":
             probe = RnnModel(
                 w_h=[params[0]], w_x=[params[1]], b=[params[2]],
@@ -348,6 +359,7 @@ class TestLossAndGrads:
                 scaler=identity_scaler(4),
                 state_config=StateConfig(order=1),
             )
+        loss, grads = loss_and_grads(probe, inputs, targets)
         expected = float(np.mean((probe.forward(inputs) - targets) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
         assert len(grads) == len(params)
@@ -379,9 +391,8 @@ class TestSharedCoreMatchesReference:
         ]
         inputs = rng.normal(size=(batch, steps, 4))
         targets = rng.normal(size=(batch, steps))
-        kernel = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
         reference = getattr(bptt_reference, f"{kind}_loss_and_grads")
-        loss, grads = kernel(params, inputs, targets)
+        loss, grads = loss_and_grads(model_over(kind, params), inputs, targets)
         ref_loss, ref_grads = reference(params, inputs, targets)
         assert_close_to(ref_loss, loss)
         assert len(grads) == len(ref_grads)
@@ -391,11 +402,12 @@ class TestSharedCoreMatchesReference:
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_parameters_and_inputs_left_unchanged(self, kind):
         rng = np.random.default_rng(5)
-        params = init_params(kind, 4, [3, 2], rng)
+        model = model_over(kind, init_params(kind, 4, [3, 2], rng))
+        params = flat_params(model)
         inputs = rng.normal(size=(2, 4, 4))
         targets = rng.normal(size=(2, 4))
         before = [p.copy() for p in params] + [inputs.copy(), targets.copy()]
-        (rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads)(params, inputs, targets)
+        loss_and_grads(model, inputs, targets)
         assert all(np.array_equal(a, b) for a, b in zip(before, params + [inputs, targets]))
 
 

@@ -1,12 +1,12 @@
-"""The training workspace: a kernel that writes into one gives the bits of a
-one-shot call, and no two calls share what they return unless they share
-the workspace.
+"""The training workspace: a kernel that writes into a reused workspace
+gives the bits of a fresh one, and no two calls share what they return
+unless they share the workspace.
 
-train_adam makes one Workspace per training call and passes it to every
-*_loss_and_grads call; a call without one, as from the tests or a library
-caller, builds a new one. Both paths must run the same numpy operations in
-the same order, so every trained and served bit is the same whichever is
-taken.
+A kernel runs only in a workspace that a model made, model.workspace(shape).
+train_adam makes one per training call and passes it to every
+*_loss_and_grads call. Whatever a workspace held from an earlier call must
+not reach the next call's results, so every trained and served bit is the
+same however often a workspace is reused.
 """
 
 import sys
@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from drlearn.features import SequenceSet
+from drlearn.features import SequenceSet, StateConfig, identity_scaler
 from drlearn.models import (
     TrainConfig,
     flat_params,
@@ -38,13 +38,18 @@ SHAPES = [  # hidden sizes, batch, steps
 ]
 
 
+def model_over(kind, params):
+    """A model of kind over a copy of the flat list params."""
+    return model_from_params(kind, params, LAYOUT, identity_scaler(4), StateConfig(order=1))
+
+
 def problem(kind, hidden, batch, steps, seed):
     """A model over perturbed initial parameters, and one minibatch for it:
     (batch, steps, 4) windows for a recurrent family, batch * steps rows
     for the FNN."""
     rng = np.random.default_rng(seed)
     params = [p + 0.3 * rng.normal(size=p.shape) for p in init_params(kind, 4, hidden, rng)]
-    model = model_from_params(kind, params, LAYOUT, None, None)
+    model = model_over(kind, params)
     shape = (batch * steps, 4) if kind == "fnn" else (batch, steps, 4)
     return model, 2.0 * rng.normal(size=shape), rng.normal(size=shape[:-1])
 
@@ -58,10 +63,10 @@ def same_bits(a, b) -> bool:
 @pytest.mark.parametrize(
     "hidden, batch, steps", SHAPES, ids=["default", "two", "three", "batch1-step1", "batch1"]
 )
-def test_workspace_path_equals_one_shot_bit_for_bit(kind, hidden, batch, steps):
+def test_reused_workspace_equals_a_fresh_one_bit_for_bit(kind, hidden, batch, steps):
     model, inputs, targets = problem(kind, hidden, batch, steps, seed=len(hidden) + steps)
     params, kernel = flat_params(model), KERNELS[kind]
-    loss, grads = kernel(params, inputs, targets)
+    loss, grads = kernel(params, inputs, targets, workspace=model.workspace(inputs.shape))
     workspace = model.workspace(inputs.shape)
     # a call on other data first: nothing of it may reach the next call's results
     kernel(params, -inputs[::-1], targets[::-1], workspace=workspace)
@@ -75,15 +80,15 @@ def test_workspace_path_equals_one_shot_bit_for_bit(kind, hidden, batch, steps):
 
 
 @pytest.mark.parametrize("kind", ["fnn", "rnn", "lstm"])
-def test_one_shot_result_is_not_changed_by_a_later_call(kind):
+def test_result_is_not_changed_by_a_call_on_another_workspace(kind):
     model, inputs, targets = problem(kind, [5, 3], 4, 6, seed=1)
     params, kernel = flat_params(model), KERNELS[kind]
-    loss, grads = kernel(params, inputs, targets)
+    loss, grads = kernel(params, inputs, targets, workspace=model.workspace(inputs.shape))
     kept = [g.copy() for g in grads]
-    kernel(params, inputs[::-1], -targets)
-    kernel(params, inputs[::-1], -targets, workspace=model.workspace(inputs.shape))
+    for _ in range(2):
+        kernel(params, inputs[::-1], -targets, workspace=model.workspace(inputs.shape))
     assert all(same_bits(g, k) for g, k in zip(grads, kept))
-    assert kernel(params, inputs, targets)[0] == loss
+    assert kernel(params, inputs, targets, workspace=model.workspace(inputs.shape))[0] == loss
 
 
 @pytest.mark.parametrize("kind", ["fnn", "rnn", "lstm"])
@@ -93,7 +98,7 @@ def test_workspace_refuses_another_shape_or_parameter_list(kind):
     workspace = model.workspace(inputs.shape)
     with pytest.raises(ValueError, match="workspace made for"):
         kernel(params, inputs[:-1], targets[:-1], workspace=workspace)
-    other = flat_params(model_from_params(kind, params, LAYOUT, None, None))
+    other = flat_params(model_over(kind, params))
     with pytest.raises(ValueError, match="another parameter list"):
         kernel(other, inputs, targets, workspace=workspace)
 
