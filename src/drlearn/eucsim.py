@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .ioutil import atomic_write_text
-from .records import Bounded, RecordError, bounded, require, require_number
+from .records import Bounded, RecordError, bounded, require, require_integer, require_number
 
 DATASET_HEADER = ["t", "hour", "price_usd_per_mwh", "consumption_mwh"]
 
@@ -47,10 +47,9 @@ class EucParams(Bounded):
 
 @dataclass(frozen=True)
 class Population(Bounded):
-    """Ordered collection of customers, at least one, plus the seed that produced it."""
+    """Ordered collection of customers, at least one."""
 
     eucs: tuple[EucParams, ...]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.eucs)
@@ -61,10 +60,6 @@ class LoadProfile(Bounded):
     """Normalized demand multipliers, one per interval, max value 1.0."""
 
     values: np.ndarray = bounded(minimum=0)
-    source: str  # "synthetic" or "file"
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class TimeSeriesDataset:
     intervals_per_day: int = 24
 
     def __post_init__(self) -> None:
-        require_number("intervals_per_day", self.intervals_per_day, minimum=1)
+        require_integer("intervals_per_day", self.intervals_per_day, minimum=1)
         hours = np.asarray(self.hours)
         require("hours", hours, within=(0, self.intervals_per_day))
         for name in ("prices", "consumptions"):  # the shape only: check_series owns the values
@@ -162,8 +157,7 @@ def sample_population(
     benefit curvature is rho_scale divided by the customer's peak demand.
     Deterministic in rng_seed.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_integer("count", count, minimum=1)
     rng = np.random.default_rng(rng_seed)
     peaks = rng.uniform(peak_range[0], peak_range[1], count)
     alphas = rng.uniform(0.0, 1.0, count)
@@ -176,7 +170,7 @@ def sample_population(
         )
         for i in range(count)
     )
-    return Population(eucs=eucs, seed=rng_seed)
+    return Population(eucs=eucs)
 
 
 def _daily_shape(hour_frac: np.ndarray) -> np.ndarray:
@@ -205,8 +199,8 @@ def generate_profile(horizon: int, intervals_per_day: int, rng_seed: int) -> Loa
     shape is identical every day up to the envelope ratio and the daily peak
     always lands in the evening.
     """
-    require_number("horizon", horizon)
-    require_number("intervals_per_day", intervals_per_day, minimum=1)
+    require_integer("horizon", horizon)
+    require_integer("intervals_per_day", intervals_per_day, minimum=1)
     if horizon <= 0 or horizon % intervals_per_day != 0:
         raise ValueError(
             f"horizon ({horizon}) must be a positive multiple of intervals_per_day ({intervals_per_day})"
@@ -230,7 +224,7 @@ def generate_profile(horizon: int, intervals_per_day: int, rng_seed: int) -> Loa
     daily = _daily_shape(np.arange(intervals_per_day, dtype=float) / intervals_per_day)
     values = (envelope[:, None] * daily[None, :]).reshape(-1)
     values = values / values.max()
-    return LoadProfile(values=values, source="synthetic")
+    return LoadProfile(values=values)
 
 
 def load_profile(path: str) -> LoadProfile:
@@ -257,12 +251,12 @@ def load_profile(path: str) -> LoadProfile:
     if not values:
         raise DataError(f"profile file {path} contains no values")
     arr = np.asarray(values, dtype=float)
-    return LoadProfile(values=arr / arr.max(), source="file")
+    return LoadProfile(values=arr / arr.max())
 
 
 def sample_prices(horizon: int, low: float, high: float, rng_seed: int) -> np.ndarray:
     """I.i.d. uniform hourly prices in [low, high], deterministic in the seed."""
-    require_number("horizon", horizon, minimum=1)
+    require_integer("horizon", horizon, minimum=1)
     require_number("low", low, minimum=0)
     require_number("high", high)
     if not low < high:
@@ -314,7 +308,7 @@ def simulate(
     prices = np.asarray(prices, dtype=float)
     require("prices", prices, minimum=0)
     require_number("noise_std", noise_std, minimum=0)
-    require_number("intervals_per_day", intervals_per_day, minimum=1)
+    require_integer("intervals_per_day", intervals_per_day, minimum=1)
     horizon = len(prices)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -1,9 +1,10 @@
-"""Supervised training structures built from the price/consumption series.
+"""Supervised training sets built from the price/consumption series.
 
-Two constructions are supported: windowed state vectors where the lagged
-prices and consumptions of the previous n hours are laid out explicitly as
-feature columns, and contiguous step sequences where each step carries only
-the most recent observation pair and a recurrent model keeps its own state.
+Both constructions give one record, a SupervisedSet: windowed state vectors,
+(samples, features) rows that lay out the lagged prices and consumptions of
+the previous n hours as columns, and contiguous step sequences, (windows,
+steps, features), where each step carries only the most recent observation
+pair and a recurrent model keeps its own state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .eucsim import TimeSeriesDataset, check_series
-from .records import Bounded, bounded
+from .records import Bounded, bounded, require_integer
 
 TIME_ENCODINGS = ("scalar", "one_hot", "none")
 
@@ -39,32 +40,18 @@ class StateConfig(Bounded):
 
 @dataclass(frozen=True)
 class SupervisedSet:
-    """Feature matrix and target vector for the windowed construction."""
+    """Inputs, targets and input column names, for training any family:
+    (samples, features) rows with (samples,) targets for the direct families,
+    (windows, steps, features) windows with (windows, steps) targets for the
+    recurrent ones. Step t of a window holds the previous hour's price and
+    consumption, the time feature, and the current price."""
 
-    inputs: np.ndarray  # (samples, features)
-    targets: np.ndarray  # (samples,)
+    inputs: np.ndarray
+    targets: np.ndarray
     feature_layout: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.targets)
-
-
-@dataclass(frozen=True)
-class SequenceSet:
-    """Contiguous step sequences for recurrent training.
-
-    inputs has shape (windows, window_length, features) and targets
-    (windows, window_length); step t of a window holds the previous hour's
-    price and consumption, the time feature, and the current price.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    window_length: int
-    feature_layout: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -78,9 +65,6 @@ class Scaler(Bounded):
 
     def transform_inputs(self, inputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(np.subtract(inputs, self.input_mean, out=out), self.input_std, out=out)
-
-    def inverse_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs * self.input_std + self.input_mean
 
     def transform_targets(self, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(np.subtract(targets, self.target_mean, out=out), self.target_std, out=out)
@@ -186,15 +170,14 @@ def sequence_step_inputs(ts: TimeSeriesDataset, start: int, stop: int, cfg: Stat
     return feature_rows(ts, start, stop, replace(cfg, order=1))
 
 
-def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: StateConfig) -> SequenceSet:
+def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: StateConfig) -> SupervisedSet:
     """Non-overlapping contiguous windows of step inputs starting at t = 1.
 
     Every step carries (previous price, previous consumption, time feature,
     current price) regardless of cfg.order; the recurrent state supplies the
     rest of the history.
     """
-    if window_length < 2:
-        raise ValueError(f"window_length must be >= 2, got {window_length}")
+    require_integer("window_length", window_length, minimum=2)
     if len(ts) < window_length + 1:
         raise ValueError(
             f"dataset of length {len(ts)} is too short for window_length {window_length}"
@@ -202,15 +185,14 @@ def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: State
     num_windows = (len(ts) - 1) // window_length
     stop = 1 + num_windows * window_length
     inputs = sequence_step_inputs(ts, 1, stop, cfg)
-    return SequenceSet(
+    return SupervisedSet(
         inputs=inputs.reshape(num_windows, window_length, inputs.shape[1]),
         targets=ts.consumptions[1:stop].reshape(num_windows, window_length).copy(),
-        window_length=window_length,
         feature_layout=sequence_layout(cfg),
     )
 
 
-def fit_scaler(dataset: SupervisedSet | SequenceSet) -> Scaler:
+def fit_scaler(dataset: SupervisedSet) -> Scaler:
     """Per-feature and target standardization statistics.
 
     Constant columns keep std 1 so they pass through unchanged. Finite values
@@ -238,7 +220,7 @@ def fit_scaler(dataset: SupervisedSet | SequenceSet) -> Scaler:
     )
 
 
-def apply_scaler(scaler: Scaler, dataset: SupervisedSet | SequenceSet):
+def apply_scaler(scaler: Scaler, dataset: SupervisedSet):
     """Standardized copy of the dataset (inputs and targets)."""
     return replace(
         dataset,

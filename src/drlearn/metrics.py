@@ -52,17 +52,17 @@ def sdape(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scored predictions of one model on one split."""
+    """Scored predictions of one model on one split: ape_samples holds one
+    percentage error per scored interval, after a recurrent model's first
+    RECURRENT_WARMUP predictions, which are not scored."""
 
     name: str
     kind: str
     order: int
-    hidden_sizes: tuple[int, ...]
     split: str
     mape_pct: float
     sdape_pct: float
     ape_samples: np.ndarray
-    warmup_excluded: int
 
 
 def model_name(kind: str, order: int) -> str:
@@ -110,12 +110,10 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
         name=model_name(model.kind, cfg.order),
         kind=model.kind,
         order=cfg.order,
-        hidden_sizes=tuple(model.hidden_sizes()),
         split=split,
         mape_pct=mape_pct,
         sdape_pct=sdape_pct,
         ape_samples=samples,
-        warmup_excluded=warmup,
     )
 
 

@@ -254,6 +254,11 @@ class Workspace:
 
     def __init__(self, model: ParamModel, shape: tuple):
         self.kind, self.params, self.shape = model.kind, flat_params(model), tuple(shape)
+        if self.shape[-1] != len(model.feature_layout):
+            raise ValueError(
+                f"{self.kind} model takes {len(model.feature_layout)} features,"
+                f" got minibatches of {self.shape[-1]} (shape {self.shape})"
+            )
         widths = model.hidden_sizes()
         self.grad, self.grad_blocks, self.grads = new_buffer(self.kind, shape[-1], widths)
 

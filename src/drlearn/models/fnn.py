@@ -93,6 +93,10 @@ def train_fnn(
     state_config: StateConfig | None = None,
 ) -> tuple[FnnModel, np.ndarray]:
     """Adam training on seeded minibatches; returns the model and loss curve."""
+    if np.ndim(dataset.inputs) != 2:
+        raise ValueError(
+            f"train_fnn needs (samples, features) inputs, got shape {np.shape(dataset.inputs)}"
+        )
     if len(dataset.targets) < 1:
         raise ValueError("cannot train on an empty dataset")
     if state_config is None:

@@ -27,9 +27,6 @@ class LinearModel(ParamModel):
         """Predictions in standardized target space for standardized inputs."""
         return inputs @ self.weights + self.bias
 
-    def n_parameters(self) -> int:
-        return self.weights.size + 1
-
 
 def _dependent_columns(design: np.ndarray, names: list[str]) -> list[str]:
     # Greedy scan: a column is dependent if adding it does not raise the rank
@@ -60,6 +57,8 @@ def linear_fit(
     """
     inputs = np.asarray(dataset.inputs, dtype=float)
     targets = np.asarray(dataset.targets, dtype=float)
+    if inputs.ndim != 2:
+        raise ValueError(f"linear_fit needs (samples, features) inputs, got shape {inputs.shape}")
     n_samples, n_features = inputs.shape
     if n_samples < n_features + 1:
         raise ValueError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, SequenceSet, StateConfig
+from ..features import Scaler, StateConfig, SupervisedSet
 from .common import (
     BIAS,
     FAN_IN,
@@ -409,7 +409,7 @@ lstm_loss_and_grads = LstmModel.loss_and_grads
 
 
 def train_recurrent(
-    dataset: SequenceSet,
+    dataset: SupervisedSet,
     kind: str,
     hidden_sizes: list[int],
     cfg: TrainConfig,
@@ -421,7 +421,9 @@ def train_recurrent(
         raise ValueError(f"unknown recurrent kind {kind!r}")
     inputs = np.asarray(dataset.inputs)
     if inputs.ndim != 3 or len(inputs) < 1:
-        raise ValueError("need at least one (steps, features) window")
+        raise ValueError(
+            f"train_recurrent needs at least one (steps, features) window, got shape {inputs.shape}"
+        )
     if state_config is None:
         state_config = StateConfig(order=1, time_encoding="scalar")
     # the kernel is looked up here, at call time, so a wrapper put on it is called

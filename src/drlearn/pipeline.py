@@ -58,7 +58,7 @@ def simulate_from_config(config: RunConfig) -> TimeSeriesDataset:
                 f" horizon needs {sim.horizon}"
             )
         if len(profile.values) > sim.horizon:
-            profile = LoadProfile(values=profile.values[: sim.horizon], source=profile.source)
+            profile = LoadProfile(values=profile.values[: sim.horizon])
     else:
         profile = generate_profile(sim.horizon, sim.intervals_per_day, sim.profile_seed)
     prices = sample_prices(sim.horizon, sim.price_low, sim.price_high, sim.price_seed)

@@ -1,9 +1,10 @@
 """Declared records: frozen dataclasses whose fields carry the bounds checked
 on construction; require, the one checker of those bounds, which also checks
-the library's array arguments, and require_number, which first checks that a
-number argument holds one number; and read_record, the one reader
-that builds a record from a parsed config section or model-file object. It
-imports nothing from drlearn, so every layer can declare its records here."""
+the library's array arguments, and require_number and require_integer, which
+first check that a number argument holds one number, or one integer; and
+read_record, the one reader that builds a record from a parsed config section
+or model-file object. It imports nothing from drlearn, so every layer can
+declare its records here."""
 
 from __future__ import annotations
 
@@ -90,6 +91,14 @@ def require_number(path: str, value, **bounds) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise RecordError(path, f"must be a number, got {type(value).__name__}")
     require(path, value, **bounds)
+
+
+def require_integer(path: str, value, **bounds) -> None:
+    """require_number for an argument that takes one integer: a float, even a
+    whole one such as 24.0, is refused by name."""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        raise RecordError(path, f"must be an integer, got {value}")
+    require_number(path, value, **bounds)
 
 
 @dataclass(frozen=True)

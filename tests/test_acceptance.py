@@ -2,10 +2,11 @@
 
 Criteria 1-8 score the default full-scale benchmark, which runs once per
 session (roughly 90 seconds with four workers) and must finish within the
-30-minute budget. Criteria 9-14 are fast property checks: optimizer oracle
-agreement, gradient checks, byte-level determinism, metric identities,
-feature-construction laws, and serialization round-trips. Each test appends
-a pass/fail summary line that conftest.py echoes after the run.
+30-minute budget; they are marked slow, so -m "not slow" skips that run.
+Criteria 9-14 are fast property checks: optimizer oracle agreement, gradient
+checks, byte-level determinism, metric identities, feature-construction
+laws, and serialization round-trips. Each test appends a pass/fail summary
+line that conftest.py echoes after the run.
 """
 
 import time
@@ -72,6 +73,7 @@ def benchmark_mape(tmp_path_factory):
     return table
 
 
+@pytest.mark.slow  # the session fixture runs the default-config benchmark
 class TestBenchmarkCriteria:
     def test_c01_memoryless_linear_error_floor(self, benchmark_mape):
         value = benchmark_mape[("linear n=0", "test")]

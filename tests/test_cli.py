@@ -168,7 +168,7 @@ class TestTrain:
         model = load_model(str(out))
         # order 0 state: hour fraction plus posted price, then the bias
         assert model.feature_layout == ("hour_frac", "price")
-        assert model.n_parameters() == 3
+        assert model.buffer.size == 3
 
     def test_fnn_order2_input_width(self, tmp_path, config_path, dataset_path):
         out = tmp_path / "fnn.json"

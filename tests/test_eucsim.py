@@ -146,7 +146,7 @@ class TestSamplePopulation:
     def test_population_of_no_customers_is_refused(self):
         # simulate would return all-zero consumptions for it
         with pytest.raises(RecordError, match=r"^eucs: must not be empty, got \(\)$"):
-            Population(eucs=(), seed=0)
+            Population(eucs=())
 
 
 class TestGenerateProfile:
@@ -180,7 +180,6 @@ class TestLoadProfile:
         path.write_text("# normalized load\n0.5\n\n1.0\n0.25\n")
         profile = load_profile(str(path))
         assert np.array_equal(profile.values, [0.5, 1.0, 0.25])
-        assert profile.source == "file"
 
     def test_renormalizes_to_unit_max(self, tmp_path):
         path = tmp_path / "profile.csv"
@@ -236,20 +235,20 @@ class TestLoadProfileValues:
         values = np.ones(24)
         values[[10, 12]] = bad
         with pytest.raises(ValueError, match=rf"^values\[10\]: must be .*, got {bad}$"):
-            LoadProfile(values=values, source="synthetic")
+            LoadProfile(values=values)
 
     def test_accepts_zero(self):
-        assert len(LoadProfile(values=np.array([0.0, 1.0]), source="synthetic")) == 2
+        assert len(LoadProfile(values=np.array([0.0, 1.0])).values) == 2
 
     def test_two_dimensional_values_are_refused_by_name(self):
         # refused here, not later inside simulate with a broadcast error
         with pytest.raises(RecordError, match=r"^values: must be 1-D, got shape \(2, 3\)$"):
-            LoadProfile(values=np.ones((2, 3)), source="synthetic")
+            LoadProfile(values=np.ones((2, 3)))
 
     def test_list_values_are_refused_by_name(self):
         # refused here, not later inside simulate with a TypeError
         with pytest.raises(RecordError, match="^values: must be a 1-D array, got list$"):
-            LoadProfile(values=[1.0, 0.5], source="synthetic")
+            LoadProfile(values=[1.0, 0.5])
 
 
 class TestIntervalsPerDay:
@@ -320,6 +319,7 @@ NUMBER_ARGUMENTS = {
     "sample_prices horizon": lambda v: sample_prices(v, 20.0, 50.0, 0),
     "sample_prices low": lambda v: sample_prices(10, v, 50.0, 0),
     "sample_prices high": lambda v: sample_prices(10, 20.0, v, 0),
+    "sample_population count": lambda v: sample_population(v, 0),
     "TimeSeriesDataset intervals_per_day": lambda v: TimeSeriesDataset(
         prices=np.ones(2), consumptions=np.ones(2), hours=np.arange(2), intervals_per_day=v),
 }
@@ -332,6 +332,25 @@ def test_number_argument_given_an_array_is_refused_by_name(argument, value):
     name = argument.split()[-1]
     kind = type(value).__name__
     with pytest.raises(RecordError, match=f"^{name}: must be a number, got {kind}$"):
+        NUMBER_ARGUMENTS[argument](value)
+
+
+INTEGER_ARGUMENTS = [
+    a for a in NUMBER_ARGUMENTS if a.split()[-1] in ("horizon", "intervals_per_day", "count")
+]
+
+
+@pytest.mark.parametrize("value, problem", [
+    (10.5, "must be an integer, got 10.5"),
+    (24.0, "must be an integer, got 24.0"),
+    (np.float64(24.0), "must be an integer, got 24.0"),
+    (True, "must be a number, got bool"),
+], ids=["fraction", "float", "numpy-float", "bool"])
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_argument_given_a_float_or_bool_is_refused_by_name(argument, value, problem):
+    # named before any work, not numpy's "expected a sequence of integers"
+    name = argument.split()[-1]
+    with pytest.raises(RecordError, match=f"^{name}: {problem}$"):
         NUMBER_ARGUMENTS[argument](value)
 
 
@@ -433,7 +452,7 @@ class TestSimulate:
 
     def test_rejects_empty_horizon(self):
         population = sample_population(2, 2)
-        profile = LoadProfile(values=np.empty(0), source="synthetic")
+        profile = LoadProfile(values=np.empty(0))
         with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
             simulate(population, np.empty(0), profile)
 
@@ -478,7 +497,7 @@ class TestStreamedSimulator:
         # any profile length works, not only whole days
         rng = np.random.default_rng(horizon)
         values = rng.uniform(0.2, 1.0, horizon)
-        profile = LoadProfile(values=values / values.max(), source="synthetic")
+        profile = LoadProfile(values=values / values.max())
         population = sample_population(count, 21)
         prices = sample_prices(horizon, 20.0, 50.0, 5)
         kwargs = dict(noise_std=noise_std, rng_seed=9, intervals_per_day=24,
@@ -654,7 +673,7 @@ class TestDatasetCsvReference:
     def test_simulated_series_across_chunks(self, tmp_path):
         horizon = 9000  # two full chunks of 4096 rows and a partial third
         population = sample_population(3, 4)
-        profile = LoadProfile(values=np.linspace(0.4, 1.0, horizon), source="synthetic")
+        profile = LoadProfile(values=np.linspace(0.4, 1.0, horizon))
         dataset = simulate(population, sample_prices(horizon, 20.0, 50.0, 8), profile)
         self.assert_same_bytes(tmp_path, dataset)
 

@@ -1,4 +1,8 @@
-"""Feature construction tests: layouts, causality, windows, scaling."""
+"""Feature construction tests: layouts, causality, windows, scaling, and the
+one SupervisedSet record that holds (samples, features) rows and (windows,
+steps, features) windows."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from drlearn.errors import DataError
 from drlearn.eucsim import TimeSeriesDataset
+from drlearn.models import TrainConfig, linear_fit, train_fnn, train_recurrent
 from drlearn.records import RecordError
 from drlearn.features import (
     TIME_ENCODINGS,
@@ -245,6 +250,33 @@ class TestSequenceDataset:
         with pytest.raises(ValueError, match="window_length"):
             build_sequence_dataset(ts, window_length=1, cfg=StateConfig(order=1))
 
+    @pytest.mark.parametrize("window_length, problem", [
+        (4.5, "must be an integer, got 4.5"),
+        (4.0, "must be an integer, got 4.0"),
+        (True, "must be a number, got bool"),
+    ])
+    def test_window_length_that_is_not_an_integer_is_refused_by_name(self, window_length, problem):
+        # named, not numpy's "'float' object cannot be interpreted as an integer"
+        ts = random_dataset(10, seed=0)
+        with pytest.raises(RecordError, match=f"^window_length: {problem}$"):
+            build_sequence_dataset(ts, window_length=window_length, cfg=StateConfig(order=1))
+
+    @pytest.mark.parametrize("trainer", ["linear_fit", "train_fnn", "train_recurrent"])
+    def test_each_trainer_refuses_the_other_kinds_set(self, trainer):
+        # one record holds rows and windows, so each trainer checks the rank it needs:
+        # named, not numpy's "too many values to unpack" or a matmul core-dimension error
+        ts = random_dataset(97, seed=14)
+        rows = build_direct_dataset(ts, StateConfig(order=1))
+        windows = build_sequence_dataset(ts, window_length=24, cfg=StateConfig(order=1))
+        calls = {
+            "linear_fit": lambda: linear_fit(windows),
+            "train_fnn": lambda: train_fnn(windows, [4], TrainConfig(steps=1)),
+            "train_recurrent": lambda: train_recurrent(rows, "rnn", [4], TrainConfig(steps=1)),
+        }
+        shape = re.escape(str((rows if trainer == "train_recurrent" else windows).inputs.shape))
+        with pytest.raises(ValueError, match=rf"^{trainer} needs .*, got shape {shape}$"):
+            calls[trainer]()
+
 
 class TestSplit:
     def test_partition(self):
@@ -307,7 +339,7 @@ class TestScaler:
         ts = random_dataset(120, seed=seed)
         ds = build_direct_dataset(ts, StateConfig(order=1))
         scaler = fit_scaler(ds)
-        back = scaler.inverse_inputs(scaler.transform_inputs(ds.inputs))
+        back = scaler.transform_inputs(ds.inputs) * scaler.input_std + scaler.input_mean
         assert np.allclose(back, ds.inputs, rtol=1e-12, atol=1e-12)
         t_back = scaler.inverse_targets(scaler.transform_targets(ds.targets))
         assert np.allclose(t_back, ds.targets, rtol=1e-12, atol=1e-12)
@@ -320,7 +352,7 @@ class TestScaler:
         assert np.allclose(scaler.input_mean, flat.mean(axis=0))
         scaled = apply_scaler(scaler, ds)
         assert scaled.inputs.shape == ds.inputs.shape
-        assert scaled.window_length == 24
+        assert scaled.inputs.shape[1] == 24
 
     def test_identity_scaler_is_identity(self):
         scaler = identity_scaler(3)
@@ -410,7 +442,7 @@ class TestProperties:
         )
         inputs = magnitude * rng.normal(size=(samples, n_features))
         targets = magnitude * rng.normal(size=samples)
-        back = scaler.inverse_inputs(scaler.transform_inputs(inputs))
+        back = scaler.transform_inputs(inputs) * scaler.input_std + scaler.input_mean
         scale = np.abs(inputs).max() + np.abs(scaler.input_mean).max()
         assert np.allclose(back, inputs, rtol=0.0, atol=1e-12 * scale)
         t_back = scaler.inverse_targets(scaler.transform_targets(targets))

@@ -209,7 +209,7 @@ def predict_at(model, history, price):
 LIBRARY_INPUTS = {
     "LoadProfile.values": (
         ("values",), np.linspace(0.5, 1.0, 24),
-        lambda _, values: LoadProfile(values=values, source="synthetic")),
+        lambda _, values: LoadProfile(values=values)),
     "simulate prices": (
         ("prices", "horizon"), np.full(24, 30.0),
         lambda _, prices: simulate(sample_population(2, 0), prices, generate_profile(24, 24, 0))),

@@ -119,7 +119,7 @@ class TestModelShape:
         rng = np.random.default_rng(7)
         ds = make_set(rng.normal(size=(50, 5)), rng.normal(size=50))
         model = linear_fit(ds)
-        assert model.n_parameters() == 6
+        assert model.buffer.size == 6
         assert model.kind == "linear"
 
     def test_default_state_config_and_scaler(self):

@@ -123,7 +123,7 @@ class TestEvaluate:
         report = evaluate(perfect_linear_model(), ts, "train")
         assert report.mape_pct == pytest.approx(0.0, abs=1e-12)
         assert report.sdape_pct == pytest.approx(0.0, abs=1e-12)
-        assert report.warmup_excluded == 0
+        # no warm-up: a model without state scores every interval
         assert len(report.ape_samples) == len(ts)
 
     def test_report_is_internally_consistent(self):
@@ -194,7 +194,6 @@ class TestEvaluate:
         ts = constant_series(length=120)
         report = evaluate(self.make_rnn(), ts, "test")
         # predictions exist for t = 1..119; the first 24 are dropped
-        assert report.warmup_excluded == RECURRENT_WARMUP
         assert len(report.ape_samples) == 120 - 1 - RECURRENT_WARMUP
         assert report.mape_pct == pytest.approx(0.0, abs=1e-12)
 
@@ -235,9 +234,8 @@ class TestReportDocument:
         samples = np.array([10.0, 20.0])
         return [
             EvalReport(
-                name="linear n=0", kind="linear", order=0, hidden_sizes=(),
-                split=split, mape_pct=15.0, sdape_pct=5.0,
-                ape_samples=samples, warmup_excluded=0,
+                name="linear n=0", kind="linear", order=0,
+                split=split, mape_pct=15.0, sdape_pct=5.0, ape_samples=samples,
             )
             for split in ("train", "test")
         ]
@@ -267,9 +265,9 @@ class TestReportDocument:
     def test_non_finite_value_is_not_written(self, tmp_path):
         reports = self.make_reports()
         reports[1] = EvalReport(
-            name="linear n=0", kind="linear", order=0, hidden_sizes=(),
+            name="linear n=0", kind="linear", order=0,
             split="test", mape_pct=float("nan"), sdape_pct=5.0,
-            ape_samples=np.array([np.nan]), warmup_excluded=0,
+            ape_samples=np.array([np.nan]),
         )
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -316,8 +314,7 @@ class TestTables:
                 reports.append(
                     EvalReport(
                         name=f"linear n={order}", kind="linear", order=order,
-                        hidden_sizes=(), split=split, mape_pct=mape_val,
-                        sdape_pct=1.0, ape_samples=samples, warmup_excluded=0,
+                        split=split, mape_pct=mape_val, sdape_pct=1.0, ape_samples=samples,
                     )
                 )
         text = table_from_reports(
@@ -331,9 +328,8 @@ class TestViolinCsv:
     def test_rows_and_round_trip(self, tmp_path):
         samples = np.array([12.5, 0.125, 3.0000000000000004])
         report = EvalReport(
-            name="lstm", kind="lstm", order=1, hidden_sizes=(32,),
-            split="test", mape_pct=5.0, sdape_pct=1.0,
-            ape_samples=samples, warmup_excluded=24,
+            name="lstm", kind="lstm", order=1,
+            split="test", mape_pct=5.0, sdape_pct=1.0, ape_samples=samples,
         )
         path = tmp_path / "violin.csv"
         write_violin_csv([report], str(path))

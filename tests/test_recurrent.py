@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from drlearn.features import SequenceSet, StateConfig, identity_scaler
+from drlearn.features import StateConfig, SupervisedSet, identity_scaler
 from drlearn.models import (
     LstmModel,
     RnnModel,
@@ -418,9 +418,7 @@ class TestTraining:
         # target depends on the running mean of the last feature, so the
         # recurrence actually has something to remember
         targets = np.cumsum(inputs[:, :, 3], axis=1) / np.arange(1, steps + 1)
-        return SequenceSet(
-            inputs=inputs, targets=targets, window_length=steps, feature_layout=LAYOUT4
-        )
+        return SupervisedSet(inputs=inputs, targets=targets, feature_layout=LAYOUT4)
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_loss_decreases(self, kind):
@@ -446,10 +444,9 @@ class TestTraining:
             train_recurrent(ds, "gru", [4], TrainConfig(steps=5))
 
     def test_empty_dataset_rejected(self):
-        ds = SequenceSet(
+        ds = SupervisedSet(
             inputs=np.empty((0, 8, 4)),
             targets=np.empty((0, 8)),
-            window_length=8,
             feature_layout=LAYOUT4,
         )
         with pytest.raises(ValueError, match="at least one"):

@@ -22,7 +22,7 @@ import drlearn.models.serialize
 import drlearn.pipeline
 from drlearn.config import parse_config
 from drlearn.eucsim import TimeSeriesDataset
-from drlearn.features import SequenceSet, SupervisedSet
+from drlearn.features import SupervisedSet
 from drlearn.models import TrainConfig, fnn, recurrent
 
 STEPS = 7
@@ -61,10 +61,9 @@ def train_fnn():
 
 def train_recurrent(kind):
     rng = np.random.default_rng(1)
-    dataset = SequenceSet(
+    dataset = SupervisedSet(
         inputs=rng.normal(size=(10, 5, 3)),
         targets=rng.normal(size=(10, 5)),
-        window_length=5,
         feature_layout=("a", "b", "c"),
     )
     recurrent.train_recurrent(dataset, kind, [4, 3], TrainConfig(steps=STEPS, batch_size=4))

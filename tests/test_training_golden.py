@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from drlearn.features import SequenceSet, SupervisedSet
+from drlearn.features import SupervisedSet
 from drlearn.models import TrainConfig, adam, flat_params, train_fnn, train_recurrent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "training_golden.json")
@@ -42,7 +42,7 @@ def train(kind: str):
         return train_fnn(SupervisedSet(inputs, targets, LAYOUT), HIDDEN, CONFIG)
     inputs = rng.normal(size=(16, 12, len(LAYOUT)))
     targets = np.tanh(np.cumsum(inputs[..., 0], axis=1) / 3.0) + 0.1 * rng.normal(size=(16, 12))
-    return train_recurrent(SequenceSet(inputs, targets, 12, LAYOUT), kind, HIDDEN, CONFIG)
+    return train_recurrent(SupervisedSet(inputs, targets, LAYOUT), kind, HIDDEN, CONFIG)
 
 
 def hexes(values) -> list[str]:

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from drlearn.features import SequenceSet, StateConfig, identity_scaler
+from drlearn.features import StateConfig, SupervisedSet, identity_scaler
 from drlearn.models import (
     TrainConfig,
     flat_params,
@@ -103,11 +103,19 @@ def test_workspace_refuses_another_shape_or_parameter_list(kind):
         kernel(other, inputs, targets, workspace=workspace)
 
 
+@pytest.mark.parametrize("kind, shape", [("fnn", (8, 5)), ("lstm", (2, 3, 5))])
+def test_workspace_refuses_another_feature_count(kind, shape):
+    # accepted, it would let the kernel fail inside numpy with a matmul core-dimension error
+    model, _, _ = problem(kind, [5, 3], 2, 3, seed=3)
+    with pytest.raises(ValueError, match=rf"^{kind} model takes 4 features, got minibatches of 5 "):
+        model.workspace(shape)
+
+
 def windows(seed):
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(40, 16, 4))
     targets = np.tanh(np.cumsum(inputs[..., 0], axis=1) / 3.0)
-    return SequenceSet(inputs=inputs, targets=targets, window_length=16, feature_layout=LAYOUT)
+    return SupervisedSet(inputs=inputs, targets=targets, feature_layout=LAYOUT)
 
 
 @pytest.mark.parametrize("kind", ["rnn", "lstm"])
