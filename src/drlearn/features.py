@@ -1,10 +1,11 @@
 """Supervised training sets built from the price/consumption series.
 
-Both constructions give one record, a SupervisedSet: windowed state vectors,
-(samples, features) rows that lay out the lagged prices and consumptions of
-the previous n hours as columns, and contiguous step sequences, (windows,
-steps, features), where each step carries only the most recent observation
-pair and a recurrent model keeps its own state.
+A StateConfig says what a row holds: feature_layout reads the columns off
+it and feature_rows, the one row builder, fills them. Both constructions give
+one record, a SupervisedSet, which carries its state config: (samples,
+features) rows of the lagged prices and consumptions of the previous n hours,
+or (windows, steps, features) sequences of order-1 rows, each step the latest
+observation pair, while a recurrent model keeps its own state.
 """
 
 from __future__ import annotations
@@ -40,18 +41,24 @@ class StateConfig(Bounded):
 
 @dataclass(frozen=True)
 class SupervisedSet:
-    """Inputs, targets and input column names, for training any family:
-    (samples, features) rows with (samples,) targets for the direct families,
-    (windows, steps, features) windows with (windows, steps) targets for the
-    recurrent ones. Step t of a window holds the previous hour's price and
-    consumption, the time feature, and the current price."""
+    """Inputs, targets and the state config their rows follow, for training
+    any family: (samples, features) rows with (samples,) targets for the
+    direct families, (windows, steps, features) windows with (windows, steps)
+    targets for the recurrent ones, whose steps are order-1 rows: the previous
+    hour's price and consumption, the time feature and the current price. A
+    model trained on the set takes its state config."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    feature_layout: tuple[str, ...]
+    state_config: StateConfig
 
     def __len__(self) -> int:
         return len(self.targets)
+
+    @property
+    def feature_layout(self) -> tuple[str, ...]:
+        """The input column names, read off the state config."""
+        return feature_layout(self.state_config)
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,7 @@ def identity_scaler(n_features: int) -> Scaler:
 def split(ts: TimeSeriesDataset, train_len: int) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
     """Chronological prefix/suffix split, no shuffling, of a series that
     keeps the check_series rules."""
+    require_integer("train_len", train_len)
     if not 0 < train_len < len(ts):
         raise ValueError(f"train_len must be in (0, {len(ts)}), got {train_len}")
     check_series(ts)
@@ -107,25 +115,13 @@ def feature_layout(cfg: StateConfig) -> tuple[str, ...]:
     return tuple(lags + hours.get(cfg.time_encoding, []) + ["price"])
 
 
-def sequence_layout(cfg: StateConfig) -> tuple[str, ...]:
-    """Column names of one recurrent step input (fixed lag-1 history)."""
-    return feature_layout(replace(cfg, order=1))
-
-
-def check_rows(ts: TimeSeriesDataset, cfg: StateConfig, layout: tuple[str, ...]) -> None:
-    """Raise DataError unless ts divides a day into cfg's number of intervals
-    and the rows feature_rows builds from ts under cfg have the columns layout
-    names, in order."""
-    if ts.intervals_per_day != cfg.intervals_per_day:
-        raise DataError(
-            f"intervals_per_day mismatch: model expects {cfg.intervals_per_day},"
-            f" data has {ts.intervals_per_day}"
-        )
-    if feature_layout(cfg) != tuple(layout):
-        raise DataError(
-            f"feature layout mismatch: model expects {list(layout)},"
-            f" data produces {list(feature_layout(cfg))}"
-        )
+def config_of_width(n_features: int, order: int = 0) -> StateConfig:
+    """A state config whose rows are n_features wide: order lag pairs, a
+    one-hot time column over the intervals left (none if none are), the price."""
+    rest = n_features - (2 * order + 1)
+    if rest < 0:
+        raise ValueError(f"order-{order} rows need at least {2 * order + 1} features, got {n_features}")
+    return StateConfig(order, "one_hot", rest) if rest else StateConfig(order, "none")
 
 
 def feature_rows(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig) -> np.ndarray:
@@ -133,8 +129,14 @@ def feature_rows(ts: TimeSeriesDataset, start: int, stop: int, cfg: StateConfig)
 
     Row t - start holds the (price, consumption) pairs at t - order .. t - 1,
     the time feature of hour t, and the price at t: of interval t and later
-    it reads only the hour and the price at t.
+    it reads only the hour and the price at t. A DataError refuses ts unless
+    it divides a day into cfg's number of intervals.
     """
+    if ts.intervals_per_day != cfg.intervals_per_day:
+        raise DataError(
+            f"intervals_per_day mismatch: model expects {cfg.intervals_per_day},"
+            f" data has {ts.intervals_per_day}"
+        )
     n = cfg.order
     if start < n:
         raise ValueError(f"need {n} preceding intervals, only {start} available")
@@ -161,7 +163,7 @@ def build_direct_dataset(ts: TimeSeriesDataset, cfg: StateConfig) -> SupervisedS
     return SupervisedSet(
         inputs=feature_rows(ts, n, len(ts), cfg),
         targets=ts.consumptions[n:].copy(),
-        feature_layout=feature_layout(cfg),
+        state_config=cfg,
     )
 
 
@@ -188,7 +190,7 @@ def build_sequence_dataset(ts: TimeSeriesDataset, window_length: int, cfg: State
     return SupervisedSet(
         inputs=inputs.reshape(num_windows, window_length, inputs.shape[1]),
         targets=ts.consumptions[1:stop].reshape(num_windows, window_length).copy(),
-        feature_layout=sequence_layout(cfg),
+        state_config=replace(cfg, order=1),
     )
 
 

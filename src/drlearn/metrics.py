@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .eucsim import TimeSeriesDataset, check_series
-from .features import check_rows, feature_rows
+from .features import feature_rows
 from .ioutil import atomic_write_text
 from .models.common import model_class
 
@@ -81,7 +81,6 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
     NumericalError naming its index in the split, with no numpy warning.
     """
     cfg = model.state_config
-    check_rows(dataset, cfg, model.feature_layout)
     check_series(dataset)
     warmup = RECURRENT_WARMUP if model.recurrent else 0
     first = cfg.order + warmup  # the index of the first scored interval

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import NumericalError
-from ..features import Scaler, StateConfig, identity_scaler
+from ..features import Scaler, StateConfig, feature_layout, identity_scaler
 from ..records import Bounded, bounded
 from . import adam
 
@@ -74,11 +74,12 @@ class ParamModel:
     order, (4u, u), (4u, fan_in) and (4u,) for the LSTM; the readout follows.
     recurrent is the one place that says whether a family carries its own
     state (RNN, LSTM) or reads an explicit order-n lag window (linear, FNN).
+    The state config is the one record of what an input row holds: the
+    feature layout, and so the feature count, is read off it.
     """
 
     readout = ("out_weight", "out_bias")
     recurrent = False
-    feature_layout: tuple[str, ...]
     scaler: Scaler
     state_config: StateConfig
 
@@ -90,8 +91,16 @@ class ParamModel:
     def __post_init__(self) -> None:
         """Lay out a new buffer, copy each array into its view of it, and let
         the fields view it. A ValueError names the first field that breaks a
-        rule: layer counts, shapes (each array has its view's shape, no
-        broadcasting), scaler and state config given, scaler width, recurrent order."""
+        rule: scaler and state config given, recurrent order, layer counts,
+        shapes (each array has its view's shape, no broadcasting), scaler width."""
+        for name, record in (("scaler", Scaler), ("state_config", StateConfig)):
+            if not isinstance(getattr(self, name), record):
+                raise ValueError(f"{name} must be a {record.__name__}, got {getattr(self, name)!r}")
+        if self.recurrent and self.state_config.order != 1:
+            raise ValueError(
+                f"state_config.order must be 1 for {self.kind}, got {self.state_config.order}:"
+                " each step carries the latest observation and the state the rest"
+            )
         layer_fields = self.layer_fields()
         counts = {f.name: len(getattr(self, f.name)) for f in layer_fields}
         if len(set(counts.values())) > 1:
@@ -107,18 +116,9 @@ class ParamModel:
                     f"dimension mismatch: {where} expected shape {view.shape}, got {np.shape(value)}"
                 )
             view[...] = value
-        for name, record in (("scaler", Scaler), ("state_config", StateConfig)):
-            if not isinstance(getattr(self, name), record):
-                raise ValueError(f"{name} must be a {record.__name__}, got {getattr(self, name)!r}")
-        scaler, order = self.scaler, self.state_config.order
-        if not np.shape(scaler.input_mean) == np.shape(scaler.input_std) == (n_features,):
+        if not np.shape(self.scaler.input_mean) == np.shape(self.scaler.input_std) == (n_features,):
             raise ValueError(
                 f"dimension mismatch: scaler expects {n_features} features to match the layout"
-            )
-        if self.recurrent and order != 1:
-            raise ValueError(
-                f"state_config.order must be 1 for {self.kind}, got {order}:"
-                " each step carries the latest observation and the state the rest"
             )
         vars(self).update(field_values(type(self), views))
 
@@ -133,18 +133,22 @@ class ParamModel:
         vars(self).update(state)
         self.__post_init__()
 
+    @property
+    def feature_layout(self) -> tuple[str, ...]:
+        """The input column names, read off the state config."""
+        return feature_layout(self.state_config)
+
     @classmethod
     def layer_fields(cls) -> list:
         return [f for f in fields(cls) if "shape" in f.metadata]
 
     def __eq__(self, other) -> bool:
-        """Same family, layer widths, parameters, feature layout, scaler and state config."""
+        """Same family, layer widths, parameters, scaler and state config."""
         if type(other) is not type(self):
             return NotImplemented
         return (
             self.hidden_sizes() == other.hidden_sizes()
             and all_equal(self.prediction_reads(), other.prediction_reads())
-            and tuple(self.feature_layout) == tuple(other.feature_layout)
             and self.state_config == other.state_config
         )
 
@@ -295,11 +299,10 @@ def readout_loss(top: np.ndarray, w_out, b_out, targets: np.ndarray, grads: list
     return loss, np.multiply(d_out[..., None], w_out, out=d_top)
 
 
-def model_from_params(kind: str, params: list[np.ndarray], feature_layout, scaler, state_config):
+def model_from_params(kind: str, params: list[np.ndarray], scaler, state_config):
     """The model over a new buffer holding a copy of the flat list."""
     cls = model_class(kind)
-    values = field_values(cls, params)
-    return cls(**values, feature_layout=feature_layout, scaler=scaler, state_config=state_config)
+    return cls(**field_values(cls, params), scaler=scaler, state_config=state_config)
 
 
 def flat_params(model) -> list[np.ndarray]:
@@ -308,13 +311,14 @@ def flat_params(model) -> list[np.ndarray]:
     return [a for layer in layers for a in layer] + [getattr(model, name) for name in model.readout]
 
 
-def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config):
+def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler):
     """Adam on seeded minibatches of dataset with the family's loss_and_grads,
     clipping the global gradient norm when the family is recurrent; returns
-    the model it trained in place and the loss curve. Every step writes its
-    gradient into one workspace, and Adam steps the model's buffer by the
-    workspace's gradient vector; clipping sums the norm over the flat list.
-    Both go through the adam module, so a wrapper put there sees every call."""
+    the model over the set's state config, which it trained in place, and
+    the loss curve. Every step writes its gradient into one workspace, and
+    Adam steps the model's buffer by the workspace's gradient vector;
+    clipping sums the norm over the flat list. Both go through the adam
+    module, so a wrapper put there sees every call."""
     if not hidden_sizes:
         raise ValueError(f"{kind} needs at least one hidden layer, got hidden_sizes {hidden_sizes}")
     inputs = np.asarray(dataset.inputs, dtype=float)
@@ -323,7 +327,7 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler, st
     if scaler is None:
         scaler = identity_scaler(inputs.shape[-1])
     initial = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
-    model = model_from_params(kind, initial, dataset.feature_layout, scaler, state_config)
+    model = model_from_params(kind, initial, scaler, dataset.state_config)
     params = flat_params(model)
     workspace = model.workspace((min(cfg.batch_size, len(inputs)), *inputs.shape[1:]))
     optimizer = adam.Adam([model.buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, StateConfig, SupervisedSet
+from ..features import Scaler, SupervisedSet
 from .common import (
     BIAS,
     FAN_IN,
@@ -90,16 +90,14 @@ def train_fnn(
     hidden_sizes: list[int],
     cfg: TrainConfig,
     scaler: Scaler | None = None,
-    state_config: StateConfig | None = None,
 ) -> tuple[FnnModel, np.ndarray]:
-    """Adam training on seeded minibatches; returns the model and loss curve."""
+    """Adam training on seeded minibatches; returns the model, over the set's
+    state config, and the loss curve."""
     if np.ndim(dataset.inputs) != 2:
         raise ValueError(
             f"train_fnn needs (samples, features) inputs, got shape {np.shape(dataset.inputs)}"
         )
     if len(dataset.targets) < 1:
         raise ValueError("cannot train on an empty dataset")
-    if state_config is None:
-        state_config = StateConfig(order=0, time_encoding="none")
     # the kernel is looked up here, at call time, so a wrapper put on it is called
-    return train_adam("fnn", fnn_loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config)
+    return train_adam("fnn", fnn_loss_and_grads, dataset, hidden_sizes, cfg, scaler)

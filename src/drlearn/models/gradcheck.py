@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..features import StateConfig, identity_scaler
+from ..features import config_of_width, identity_scaler
 from .common import MODEL_CLASSES, flat_params, init_params, model_from_params
 
 FD_STEP = 1e-5
@@ -35,10 +35,9 @@ def gradient_check(
     for p in params:
         if p.ndim <= 1:
             p += rng.uniform(-0.5, 0.5, p.shape)
-    # a model as train_adam builds one: an identity scaler, a layout, order 1
-    layout = tuple(f"x{k}" for k in range(n_features))
-    scaler, state_config = identity_scaler(n_features), StateConfig(order=1)
-    model = model_from_params(kind, params, layout, scaler, state_config)
+    # a model as train_adam builds one: an identity scaler, a state config as wide as the inputs
+    cfg = config_of_width(n_features, order=int(MODEL_CLASSES[kind].recurrent))
+    model = model_from_params(kind, params, identity_scaler(n_features), cfg)
     params, workspace = flat_params(model), model.workspace(inputs.shape)
 
     loss_and_grads(params, inputs, targets, workspace=workspace)

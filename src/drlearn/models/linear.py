@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, StateConfig, SupervisedSet, identity_scaler
+from ..features import Scaler, SupervisedSet, identity_scaler
 from .common import ParamModel, model_from_params
 
 
@@ -44,12 +44,8 @@ def _dependent_columns(design: np.ndarray, names: list[str]) -> list[str]:
     return dependent
 
 
-def linear_fit(
-    dataset: SupervisedSet,
-    scaler: Scaler | None = None,
-    state_config: StateConfig | None = None,
-) -> LinearModel:
-    """Least-squares fit of targets on [features, 1].
+def linear_fit(dataset: SupervisedSet, scaler: Scaler | None = None) -> LinearModel:
+    """Least-squares fit of targets on [features, 1], over the set's state config.
 
     Solved with an orthogonal-factorization solver rather than the normal
     equations. Rank-deficient designs are rejected with the names of the
@@ -73,7 +69,5 @@ def linear_fit(
         )
     if scaler is None:
         scaler = identity_scaler(n_features)
-    if state_config is None:
-        state_config = StateConfig(order=0, time_encoding="none")
     params = [coef[:n_features], coef[n_features]]
-    return model_from_params("linear", params, dataset.feature_layout, scaler, state_config)
+    return model_from_params("linear", params, scaler, dataset.state_config)

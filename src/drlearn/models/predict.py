@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eucsim import TimeSeriesDataset
-from ..features import StateConfig, check_rows, feature_rows
+from ..features import StateConfig, feature_rows
 from ..records import require
 from .common import all_equal
 from .fnn import FnnModel
@@ -100,7 +100,6 @@ def _serve(
     the consumption that later rows read.
     """
     cfg = model.state_config
-    check_rows(history, cfg, model.feature_layout)
     prices = np.asarray(prices, dtype=float)
     require("posted prices", prices)
     if teacher_consumptions is not None:

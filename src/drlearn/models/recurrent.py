@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import Scaler, StateConfig, SupervisedSet
+from ..features import Scaler, SupervisedSet
 from .common import (
     BIAS,
     FAN_IN,
@@ -414,9 +414,9 @@ def train_recurrent(
     hidden_sizes: list[int],
     cfg: TrainConfig,
     scaler: Scaler | None = None,
-    state_config: StateConfig | None = None,
 ) -> tuple[RnnModel | LstmModel, np.ndarray]:
-    """Adam over minibatches of windows with global-norm gradient clipping."""
+    """Adam over minibatches of windows with global-norm gradient clipping;
+    returns the model, over the set's state config, and the loss curve."""
     if kind not in MODEL_CLASSES or not MODEL_CLASSES[kind].recurrent:
         raise ValueError(f"unknown recurrent kind {kind!r}")
     inputs = np.asarray(dataset.inputs)
@@ -424,8 +424,6 @@ def train_recurrent(
         raise ValueError(
             f"train_recurrent needs at least one (steps, features) window, got shape {inputs.shape}"
         )
-    if state_config is None:
-        state_config = StateConfig(order=1, time_encoding="scalar")
     # the kernel is looked up here, at call time, so a wrapper put on it is called
     loss_and_grads = rnn_loss_and_grads if kind == "rnn" else lstm_loss_and_grads
-    return train_adam(kind, loss_and_grads, dataset, hidden_sizes, cfg, scaler, state_config)
+    return train_adam(kind, loss_and_grads, dataset, hidden_sizes, cfg, scaler)

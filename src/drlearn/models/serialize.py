@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import ModelFormatError
-from ..features import Scaler, StateConfig
+from ..features import Scaler, StateConfig, feature_layout
 from ..ioutil import atomic_write_text
 from ..records import RecordError, read_array, read_list, read_record
 from .common import MODEL_CLASSES
@@ -42,7 +42,8 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    """Rebuild a saved model, naming version, schema, and dimension faults."""
+    """Rebuild a saved model, naming version, schema, and dimension faults and
+    a feature layout other than the one its state config gives."""
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -69,12 +70,15 @@ def load_model(path: str):
     if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise ModelFormatError(f"schema violation: unknown model kind {kind!r}")
 
-    layout = document["feature_layout"]
-    if not isinstance(layout, list) or not all(isinstance(n, str) for n in layout):
-        raise ModelFormatError("schema violation: feature_layout must be a list of names")
     cls = MODEL_CLASSES[kind]
     try:  # state_config and scaler through read_record, every field required
         state_config = read_record(StateConfig, document["state_config"], "state_config", True)
+        layout = list(feature_layout(state_config))
+        if document["feature_layout"] != layout:
+            raise ModelFormatError(
+                f"feature layout mismatch: file has {document['feature_layout']},"
+                f" its state_config gives {layout}"
+            )
         scaler = read_record(Scaler, document["scaler"], "scaler", True)
         params = document["params"]
         if not isinstance(params, dict):
@@ -95,7 +99,7 @@ def load_model(path: str):
         }
         values[weight] = read_array(params[weight], f"params.{weight}", 1)
         values[bias] = read_array(params[bias], f"params.{bias}", 0)
-        return cls(**values, feature_layout=tuple(layout), scaler=scaler, state_config=state_config)
+        return cls(**values, scaler=scaler, state_config=state_config)
     except RecordError as exc:
         raise ModelFormatError(f"schema violation: {exc}") from exc
     except ValueError as exc:  # the model's own checks: shapes, layer counts, width, order

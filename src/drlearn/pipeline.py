@@ -110,13 +110,13 @@ def train_model(
         scaler.transform_inputs(raw.inputs, out=raw.inputs)  # raw's arrays are this call's own
         scaler.transform_targets(raw.targets, out=raw.targets)
         if cls is LinearModel:
-            model, losses = linear_fit(raw, scaler=scaler, state_config=state_cfg), None
+            model, losses = linear_fit(raw, scaler), None
         else:
             hidden = list(getattr(config.training, f"{kind}_hidden"))
             if cls.recurrent:
-                model, losses = train_recurrent(raw, kind, hidden, config.training, scaler, state_cfg)
+                model, losses = train_recurrent(raw, kind, hidden, config.training, scaler)
             else:
-                model, losses = train_fnn(raw, hidden, config.training, scaler, state_cfg)
+                model, losses = train_fnn(raw, hidden, config.training, scaler)
         del raw  # not held through the evaluations
         return TrainedModel(
             kind=kind,

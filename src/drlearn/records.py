@@ -104,14 +104,21 @@ def require_integer(path: str, value, **bounds) -> None:
 @dataclass(frozen=True)
 class Bounded:
     """Base of the declared records: construction requires each field to keep
-    its bounded() bounds, and a field annotated np.ndarray to hold one."""
+    its bounded() bounds, a field annotated np.ndarray to hold one, and one
+    annotated int, or each entry of one annotated tuple[int, ...], to hold an
+    integer (not a float or a bool)."""
 
     def __post_init__(self) -> None:
         for name, bounds, hint, _ in _schema(type(self)):
             value = getattr(self, name)
             if hint is np.ndarray and not isinstance(value, np.ndarray):
                 raise RecordError(name, f"must be a 1-D array, got {type(value).__name__}")
-            require(name, value, **bounds)
+            if hint == tuple[int, ...]:
+                require(name, value)  # not empty
+                for k, entry in enumerate(value):
+                    require_integer(f"{name}[{k}]", entry, **bounds)
+            else:
+                (require_integer if hint is int else require)(name, value, **bounds)
 
 
 def read_array(value, path: str, ndim: int) -> np.ndarray:

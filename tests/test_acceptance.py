@@ -221,7 +221,6 @@ def test_c12_metric_identities_hold():
     model = LinearModel(
         weights=np.array([0.0, -1.0]),
         bias=100.0,
-        feature_layout=("hour_frac", "price"),
         scaler=identity_scaler(2),
         state_config=StateConfig(order=0, time_encoding="scalar"),
     )
@@ -289,9 +288,8 @@ def _round_trip_model(kind: str):
         target_mean=float(rng.normal()),
         target_std=float(rng.uniform(1.0, 3.0)),
     )
-    layout = ("price_lag1", "consumption_lag1", "hour_frac", "price")
-    cfg = StateConfig(order=1, time_encoding="scalar")
-    meta = {"feature_layout": layout, "scaler": scaler, "state_config": cfg}
+    cfg = StateConfig(order=1, time_encoding="scalar")  # price_lag1, consumption_lag1, hour_frac, price
+    meta = {"scaler": scaler, "state_config": cfg}
     if kind == "linear":
         return LinearModel(weights=rng.normal(size=4), bias=float(rng.normal()), **meta)
     if kind == "fnn":

@@ -22,8 +22,9 @@ from drlearn.config import (
 )
 from drlearn.errors import ConfigError, ModelFormatError
 from drlearn.eucsim import EucParams
-from drlearn.features import Scaler, StateConfig, feature_layout, identity_scaler
+from drlearn.features import Scaler, StateConfig, identity_scaler
 from drlearn.models import LinearModel, TrainConfig, load_model, save_model
+from drlearn.records import RecordError
 
 
 BLOCKS = (
@@ -377,7 +378,7 @@ def test_every_declared_bound_is_enforced(tmp_path, section, record, required, n
             parse_config({section: {name: raw}})
     elif section is not None:
         model = LinearModel(
-            weights=np.zeros(4), bias=0.0, feature_layout=feature_layout(StateConfig(order=1)),
+            weights=np.zeros(4), bias=0.0,
             scaler=identity_scaler(4), state_config=StateConfig(order=1),
         )
         file = tmp_path / "model.json"
@@ -415,6 +416,27 @@ def test_every_declared_bound_is_enforced(tmp_path, section, record, required, n
 )
 def test_configs_built_in_code_are_checked(build, error, message):
     with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StateConfig(order=1.5), r"^order: must be an integer, got 1\.5$"),
+        (lambda: StateConfig(order=True), r"^order: must be a number, got bool$"),
+        (lambda: StateConfig(order=0, intervals_per_day=24.0),
+         r"^intervals_per_day: must be an integer, got 24\.0$"),
+        (lambda: TrainConfig(steps=2.5), r"^steps: must be an integer, got 2\.5$"),
+        (lambda: BenchmarkBlock(orders=(0, 1.5)), r"^orders\[1\]: must be an integer, got 1\.5$"),
+        (lambda: TrainingBlock(fnn_hidden=(8.5,)), r"^fnn_hidden\[0\]: must be an integer, got 8\.5$"),
+    ],
+    ids=["fractional-order", "bool-order", "whole-float-day", "fractional-steps",
+         "fractional-order-entry", "fractional-hidden-size"],
+)
+def test_integer_fields_built_in_code_refuse_floats_and_bools(build, message):
+    # a config file's reader refuses these already; a record built in code
+    # would take them and fail later inside numpy or range()
+    with pytest.raises(RecordError, match=message):
         build()
 
 

@@ -3,6 +3,7 @@ one SupervisedSet record that holds (samples, features) rows and (windows,
 steps, features) windows."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from drlearn.features import (
     apply_scaler,
     build_direct_dataset,
     build_sequence_dataset,
+    config_of_width,
     feature_layout,
     feature_rows,
     fit_scaler,
     identity_scaler,
-    sequence_layout,
     sequence_step_inputs,
     split,
 )
@@ -101,10 +102,24 @@ class TestLayouts:
         cfg = StateConfig(order=order, time_encoding=encoding)
         assert len(feature_layout(cfg)) == 2 * order + cfg.time_dim + 1
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_config_of_width_lays_out_that_many_columns(self, order, extra):
+        width = 2 * order + 1 + extra
+        cfg = config_of_width(width, order)
+        assert cfg.order == order
+        assert len(feature_layout(cfg)) == width
+
+    def test_config_of_width_refuses_too_few_columns(self):
+        with pytest.raises(ValueError, match="^order-1 rows need at least 3 features, got 2$"):
+            config_of_width(2, order=1)
+
     @pytest.mark.parametrize("order", [0, 3, 5])
     def test_sequence_layout_ignores_order(self, order):
         cfg = StateConfig(order=order, time_encoding="scalar")
-        assert sequence_layout(cfg) == (
+        ds = build_sequence_dataset(random_dataset(30, seed=order), window_length=12, cfg=cfg)
+        assert ds.state_config == replace(cfg, order=1)
+        assert ds.feature_layout == (
             "price_lag1",
             "consumption_lag1",
             "hour_frac",
@@ -261,6 +276,18 @@ class TestSequenceDataset:
         with pytest.raises(RecordError, match=f"^window_length: {problem}$"):
             build_sequence_dataset(ts, window_length=window_length, cfg=StateConfig(order=1))
 
+    @pytest.mark.parametrize("encoding", ["scalar", "one_hot"])
+    @pytest.mark.parametrize("build", [
+        lambda ts, cfg: build_direct_dataset(ts, cfg),
+        lambda ts, cfg: build_sequence_dataset(ts, window_length=12, cfg=cfg),
+    ], ids=["direct", "sequence"])
+    def test_builders_refuse_another_interval_count(self, build, encoding):
+        # not numpy's IndexError (one_hot), nor hour_frac values up to 1.96 (scalar)
+        ts = random_dataset(96, seed=15, intervals_per_day=48)
+        message = "^intervals_per_day mismatch: model expects 24, data has 48$"
+        with pytest.raises(DataError, match=message):
+            build(ts, StateConfig(order=1, time_encoding=encoding))
+
     @pytest.mark.parametrize("trainer", ["linear_fit", "train_fnn", "train_recurrent"])
     def test_each_trainer_refuses_the_other_kinds_set(self, trainer):
         # one record holds rows and windows, so each trainer checks the rank it needs:
@@ -302,6 +329,17 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ts, bad)
 
+    @pytest.mark.parametrize("train_len, problem", [
+        (30.5, "must be an integer, got 30.5"),
+        (30.0, "must be an integer, got 30.0"),
+        (True, "must be a number, got bool"),
+    ])
+    def test_train_len_that_is_not_an_integer_is_refused_by_name(self, train_len, problem):
+        # named, not numpy's "slice indices must be integers"
+        ts = random_dataset(48, seed=9)
+        with pytest.raises(RecordError, match=f"^train_len: {problem}$"):
+            split(ts, train_len)
+
     @pytest.mark.parametrize("column, value", [("consumptions", np.nan), ("prices", np.inf)])
     def test_non_finite_value_rejected_with_its_index(self, column, value):
         ts = random_dataset(48, seed=9)
@@ -327,9 +365,7 @@ class TestScaler:
         inputs[:, 0] = 7.5
         from drlearn.features import SupervisedSet
 
-        const = SupervisedSet(
-            inputs=inputs, targets=ds.targets, feature_layout=ds.feature_layout
-        )
+        const = SupervisedSet(inputs=inputs, targets=ds.targets, state_config=ds.state_config)
         scaler = fit_scaler(const)
         assert scaler.input_std[0] == 1.0
         assert np.all(apply_scaler(scaler, const).inputs[:, 0] == 0.0)
@@ -363,8 +399,8 @@ class TestScaler:
     def test_empty_dataset_rejected(self):
         from drlearn.features import SupervisedSet
 
-        empty = SupervisedSet(
-            inputs=np.empty((0, 2)), targets=np.empty(0), feature_layout=("a", "b")
+        empty = SupervisedSet(  # hour_frac, price
+            inputs=np.empty((0, 2)), targets=np.empty(0), state_config=StateConfig(order=0)
         )
         with pytest.raises(ValueError, match="empty"):
             fit_scaler(empty)

@@ -8,6 +8,7 @@ from drlearn.features import (
     StateConfig,
     SupervisedSet,
     apply_scaler,
+    config_of_width,
     fit_scaler,
     identity_scaler,
 )
@@ -33,9 +34,8 @@ def make_model(hidden_weights, hidden_biases, out_weight, out_bias, n_features):
         hidden_biases=[np.asarray(b, dtype=float) for b in hidden_biases],
         out_weight=np.asarray(out_weight, dtype=float),
         out_bias=out_bias,
-        feature_layout=tuple(f"x{j}" for j in range(n_features)),
         scaler=identity_scaler(n_features),
-        state_config=StateConfig(order=0, time_encoding="none"),
+        state_config=config_of_width(n_features),
     )
 
 
@@ -60,7 +60,7 @@ class TestForward:
         ds = SupervisedSet(
             inputs=rng.normal(size=(40, 2)),
             targets=rng.uniform(50.0, 70.0, 40),
-            feature_layout=("a", "b"),
+            state_config=config_of_width(2),
         )
         scaler = fit_scaler(ds)
         model = make_model([np.zeros((4, 2))], [np.zeros(4)], np.zeros(4), 0.0, 2)
@@ -69,7 +69,6 @@ class TestForward:
             hidden_biases=model.hidden_biases,
             out_weight=model.out_weight,
             out_bias=model.out_bias,
-            feature_layout=("a", "b"),
             scaler=scaler,
             state_config=model.state_config,
         )
@@ -98,9 +97,7 @@ class TestServingPair:
     def test_run_and_step_match_forward(self, kind, hidden):
         rng = np.random.default_rng(4)
         params = [p + rng.normal(size=p.shape) for p in init_params(kind, 3, hidden, rng)]
-        model = model_from_params(
-            kind, params, ("a", "b", "c"), identity_scaler(3), StateConfig(order=0)
-        )
+        model = model_from_params(kind, params, identity_scaler(3), config_of_width(3))
         inputs = rng.normal(size=(2, 7, 3))
         assert model.initial_state(2) == []
         outputs, state = model.run(inputs, model.initial_state(2))
@@ -169,7 +166,9 @@ class TestTraining:
         rng = np.random.default_rng(10)
         prices = rng.uniform(20.0, 50.0, 600)
         raw = SupervisedSet(
-            inputs=prices[:, None], targets=2.0 * prices + 1.0, feature_layout=("price",)
+            inputs=prices[:, None],
+            targets=2.0 * prices + 1.0,
+            state_config=StateConfig(order=0, time_encoding="none"),
         )
         scaler = fit_scaler(raw)
         cfg = TrainConfig(steps=3000, rng_seed=0)
@@ -184,7 +183,7 @@ class TestTraining:
         ds = SupervisedSet(
             inputs=rng.normal(size=(64, 3)),
             targets=rng.normal(size=64),
-            feature_layout=("a", "b", "c"),
+            state_config=config_of_width(3),
         )
         cfg = TrainConfig(steps=50, rng_seed=7)
         model_a, losses_a = train_fnn(ds, [8], cfg)
@@ -200,7 +199,7 @@ class TestTraining:
         ds = SupervisedSet(
             inputs=rng.normal(size=(64, 3)),
             targets=rng.normal(size=64),
-            feature_layout=("a", "b", "c"),
+            state_config=config_of_width(3),
         )
         model_a, _ = train_fnn(ds, [8], TrainConfig(steps=50, rng_seed=0))
         model_b, _ = train_fnn(ds, [8], TrainConfig(steps=50, rng_seed=1))
@@ -208,7 +207,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         ds = SupervisedSet(
-            inputs=np.empty((0, 2)), targets=np.empty(0), feature_layout=("a", "b")
+            inputs=np.empty((0, 2)), targets=np.empty(0), state_config=config_of_width(2)
         )
         with pytest.raises(ValueError, match="empty"):
             train_fnn(ds, [4], TrainConfig(steps=5))
@@ -216,7 +215,7 @@ class TestTraining:
     def test_zero_layers_rejected(self):
         # load_model would refuse the saved file: hidden_weights must be non-empty
         ds = SupervisedSet(
-            inputs=np.ones((8, 2)), targets=np.ones(8), feature_layout=("a", "b")
+            inputs=np.ones((8, 2)), targets=np.ones(8), state_config=config_of_width(2)
         )
         with pytest.raises(ValueError, match="fnn needs at least one hidden layer"):
             train_fnn(ds, [], TrainConfig(steps=5))
@@ -226,7 +225,7 @@ class TestTraining:
         ds = SupervisedSet(
             inputs=np.array([[1.0], [2.0]]),
             targets=np.array([np.inf, 1.0]),
-            feature_layout=("a",),
+            state_config=config_of_width(1),
         )
         with pytest.raises(NumericalError, match="non-finite loss"):
             train_fnn(ds, [4], TrainConfig(steps=5))

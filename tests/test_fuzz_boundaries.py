@@ -189,7 +189,7 @@ def served():
     cfg = StateConfig(order=1)
     layout = feature_layout(cfg)
     params = init_params("rnn", len(layout), [3], np.random.default_rng(0))
-    model = model_from_params("rnn", params, layout, identity_scaler(len(layout)), cfg)
+    model = model_from_params("rnn", params, identity_scaler(len(layout)), cfg)
     history = TimeSeriesDataset(prices=np.full(48, 30.0), consumptions=np.full(48, 50.0),
                                 hours=np.arange(48) % 24)
     return model, history

@@ -57,3 +57,10 @@ class TestStackedLayers:
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown model kind"):
         gradient_check("mlp", [4], np.zeros((2, 3)), np.zeros(2))
+
+
+def test_recurrent_inputs_narrower_than_a_step_rejected():
+    # the model's state config must be as wide as the inputs, and an order-1
+    # step holds a lagged price, a lagged consumption and the current price
+    with pytest.raises(ValueError, match="order-1 rows need at least 3 features, got 2"):
+        gradient_check("rnn", [4], np.zeros((2, 5, 2)), np.zeros((2, 5)))

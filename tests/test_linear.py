@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from drlearn.features import StateConfig, SupervisedSet, feature_layout
+from drlearn.features import StateConfig, SupervisedSet, config_of_width, feature_layout
 from drlearn.models import LinearModel, linear_fit
 
 
-def make_set(inputs: np.ndarray, targets: np.ndarray, names=None) -> SupervisedSet:
-    if names is None:
-        names = tuple(f"x{j}" for j in range(inputs.shape[1]))
-    return SupervisedSet(inputs=inputs, targets=targets, feature_layout=tuple(names))
+def make_set(inputs: np.ndarray, targets: np.ndarray, cfg=None) -> SupervisedSet:
+    if cfg is None:
+        cfg = config_of_width(inputs.shape[1])
+    return SupervisedSet(inputs=inputs, targets=targets, state_config=cfg)
 
 
 def descent_solution(inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -37,7 +37,7 @@ class TestExactRecovery:
     def test_recovers_weight_two_bias_one(self):
         rng = np.random.default_rng(0)
         prices = rng.uniform(20.0, 50.0, 200)
-        ds = make_set(prices[:, None], 2.0 * prices + 1.0, ("price",))
+        ds = make_set(prices[:, None], 2.0 * prices + 1.0, StateConfig(0, "none"))
         model = linear_fit(ds)
         assert model.weights[0] == pytest.approx(2.0, abs=1e-9)
         assert model.bias == pytest.approx(1.0, abs=1e-9)
@@ -90,16 +90,16 @@ class TestRankDiagnostics:
     def test_duplicate_column_named(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 2))
-        inputs = np.hstack([x, x[:, :1]])
-        ds = make_set(inputs, rng.normal(size=60), ("a", "b", "a_copy"))
-        with pytest.raises(ValueError, match="a_copy"):
+        inputs = np.hstack([x, x[:, :1]])  # the price column copies price_lag1
+        ds = make_set(inputs, rng.normal(size=60), StateConfig(1, "none"))
+        with pytest.raises(ValueError, match="dependent columns: price$"):
             linear_fit(ds)
 
     def test_constant_column_conflicts_with_intercept(self):
         rng = np.random.default_rng(4)
         inputs = np.hstack([rng.normal(size=(60, 2)), np.full((60, 1), 3.0)])
-        ds = make_set(inputs, rng.normal(size=60), ("a", "b", "const"))
-        with pytest.raises(ValueError, match="const"):
+        ds = make_set(inputs, rng.normal(size=60), StateConfig(1, "none"))
+        with pytest.raises(ValueError, match="dependent columns: price$"):
             linear_fit(ds)
 
     def test_full_rank_accepted(self):
@@ -122,16 +122,17 @@ class TestModelShape:
         assert model.buffer.size == 6
         assert model.kind == "linear"
 
-    def test_default_state_config_and_scaler(self):
+    def test_set_state_config_and_default_scaler(self):
         rng = np.random.default_rng(8)
         ds = make_set(rng.normal(size=(50, 2)), rng.normal(size=50))
         model = linear_fit(ds)
-        assert model.state_config == StateConfig(order=0, time_encoding="none")
+        assert model.state_config == ds.state_config
         assert np.all(model.scaler.input_std == 1.0)
 
     def test_layout_carried_through(self):
         cfg = StateConfig(order=1, time_encoding="scalar")
         rng = np.random.default_rng(9)
-        ds = make_set(rng.normal(size=(50, 4)), rng.normal(size=50), feature_layout(cfg))
-        model = linear_fit(ds, state_config=cfg)
+        ds = make_set(rng.normal(size=(50, 4)), rng.normal(size=50), cfg)
+        model = linear_fit(ds)
+        assert model.state_config == cfg
         assert model.feature_layout == feature_layout(cfg)

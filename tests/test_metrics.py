@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from drlearn.errors import DataError
+from drlearn.errors import DataError, ModelFormatError
 from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import StateConfig, identity_scaler
 from drlearn.metrics import (
@@ -22,7 +22,7 @@ from drlearn.metrics import (
     write_report_document,
     write_violin_csv,
 )
-from drlearn.models import LinearModel, RnnModel
+from drlearn.models import LinearModel, RnnModel, load_model, save_model
 
 
 class TestHandValues:
@@ -111,10 +111,19 @@ def perfect_linear_model():
     return LinearModel(
         weights=np.array([-1.0]),
         bias=100.0,
-        feature_layout=("price",),
         scaler=identity_scaler(1),
         state_config=cfg,
     )
+
+
+def load_with_layout(model, layout, tmp_path):
+    """load_model of the model's file with its feature_layout replaced by layout."""
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    document = json.loads(path.read_text())
+    document["feature_layout"] = layout
+    path.write_text(json.dumps(document))
+    return load_model(str(path))
 
 
 class TestEvaluate:
@@ -132,7 +141,6 @@ class TestEvaluate:
         model = LinearModel(
             weights=np.array([-0.9]),
             bias=rng.uniform(80.0, 120.0),
-            feature_layout=("price",),
             scaler=identity_scaler(1),
             state_config=StateConfig(order=0, time_encoding="none"),
         )
@@ -142,19 +150,11 @@ class TestEvaluate:
         assert report.split == "test"
         assert report.name == "linear n=0"
 
-    def test_direct_layout_mismatch_rejected(self):
-        # one weight per name, so the model builds; order 0 without a time
-        # column builds ("price",) from the data, not these two names
-        model = perfect_linear_model()
-        mismatched = LinearModel(
-            weights=np.array([0.0, *model.weights]),
-            bias=model.bias,
-            feature_layout=("hour_frac", "price"),
-            scaler=identity_scaler(2),
-            state_config=StateConfig(order=0, time_encoding="none"),
-        )
-        with pytest.raises(DataError, match="feature layout mismatch"):
-            evaluate(mismatched, price_tracking_series(), "train")
+    def test_direct_layout_mismatch_rejected(self, tmp_path):
+        # order 0 without a time column builds ("price",) from the data, not
+        # these two names: load_model refuses the file before it can score
+        with pytest.raises(ModelFormatError, match="feature layout mismatch"):
+            load_with_layout(perfect_linear_model(), ["hour_frac", "price"], tmp_path)
 
     def make_rnn(self):
         cfg = StateConfig(order=1, time_encoding="scalar")
@@ -164,7 +164,6 @@ class TestEvaluate:
             b=[np.zeros(2)],
             out_weight=np.zeros(2),
             out_bias=50.0,
-            feature_layout=("price_lag1", "consumption_lag1", "hour_frac", "price"),
             scaler=identity_scaler(4),
             state_config=cfg,
         )
@@ -204,20 +203,9 @@ class TestEvaluate:
         ):
             evaluate(self.make_rnn(), ts, "test")
 
-    def test_recurrent_layout_mismatch_rejected(self):
-        model = self.make_rnn()
-        wrong_layout = RnnModel(
-            w_h=model.w_h,
-            w_x=model.w_x,
-            b=model.b,
-            out_weight=model.out_weight,
-            out_bias=model.out_bias,
-            feature_layout=("a", "b", "c", "d"),
-            scaler=model.scaler,
-            state_config=model.state_config,
-        )
-        with pytest.raises(DataError, match="feature layout mismatch"):
-            evaluate(wrong_layout, constant_series(), "test")
+    def test_recurrent_layout_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ModelFormatError, match="feature layout mismatch"):
+            load_with_layout(self.make_rnn(), ["a", "b", "c", "d"], tmp_path)
 
     def test_warmup_changes_scores_when_start_differs(self):
         # A model whose error depends on the recurrent state would be unfairly

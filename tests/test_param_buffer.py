@@ -49,14 +49,13 @@ def constructor_values(model) -> dict:
 
 def rebuilt(model, **changes):
     """The model's class built from its values, with changes to any field."""
-    meta = dict(feature_layout=model.feature_layout, scaler=model.scaler,
-                state_config=model.state_config)
+    meta = dict(scaler=model.scaler, state_config=model.state_config)
     return type(model)(**{**constructor_values(model), **meta, **changes})
 
 
 def built(kind: str, way: str, tmp_path):
     params = init_params(kind, len(LAYOUT), HIDDEN[kind], np.random.default_rng(0))
-    model = model_from_params(kind, params, LAYOUT, identity_scaler(len(LAYOUT)), CFG)
+    model = model_from_params(kind, params, identity_scaler(len(LAYOUT)), CFG)
     if way == "load_model":
         save_model(model, str(tmp_path / "m.json"))
         return load_model(str(tmp_path / "m.json"))
@@ -137,8 +136,7 @@ def test_constructor_leaves_no_view_unset(cls):
     # is refused by name instead of leaving part of the buffer unset
     model = built(cls.kind, "model_from_params", None)
     values = {f.name: list(getattr(model, f.name)) for f in model.layer_fields()}
-    meta = dict(out_weight=model.out_weight, out_bias=0.0, feature_layout=LAYOUT,
-                scaler=model.scaler, state_config=CFG)
+    meta = dict(out_weight=model.out_weight, out_bias=0.0, scaler=model.scaler, state_config=CFG)
     bias = model.layer_fields()[2].name
     units = HIDDEN[cls.kind][0]
     message = rf"dimension mismatch: {bias}\[0\] expected shape \({units},\), got \(2,\)"
@@ -183,7 +181,7 @@ class TestConstructorChecks:
 
     def test_short_gate_weight_is_not_broadcast(self):
         params = init_params("lstm", len(LAYOUT), [2], np.random.default_rng(0))
-        model = model_from_params("lstm", params, LAYOUT, identity_scaler(len(LAYOUT)), CFG)
+        model = model_from_params("lstm", params, identity_scaler(len(LAYOUT)), CFG)
         with pytest.raises(ValueError, match=r"w_ih\[0\] expected shape \(2, 2\), got \(1, 2\)"):
             rebuilt(model, w_ih=[np.zeros((1, 2))])
 
@@ -209,13 +207,13 @@ class TestConstructorChecks:
                 rebuilt(model, **{first: [np.array(1.0), *getattr(model, first)[1:]]})
             else:
                 params = [np.array(1.0), *flat_params(model)[1:]]
-                model_from_params(kind, params, LAYOUT, model.scaler, CFG)
+                model_from_params(kind, params, model.scaler, CFG)
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_recurrent_order_other_than_one_is_refused(self, kind):
         params = init_params(kind, len(LAYOUT), [3], np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"state_config.order must be 1 for {kind}, got 4"):
-            model_from_params(kind, params, LAYOUT, identity_scaler(4), StateConfig(order=4))
+            model_from_params(kind, params, identity_scaler(4), StateConfig(order=4))
 
     @pytest.mark.parametrize("name", ["scaler", "state_config"])
     @pytest.mark.parametrize("kind", ["linear", "fnn", "rnn", "lstm"])
@@ -230,11 +228,13 @@ class TestConstructorChecks:
         "kind, where", [("linear", "weights"), ("fnn", "hidden_weights[0]"), ("rnn", "w_x[0]")]
     )
     def test_layout_narrower_than_the_weights_is_refused(self, kind, where):
-        params = init_params(kind, 3, HIDDEN[kind][:1], np.random.default_rng(0))
+        cfg = StateConfig(order=int(kind == "rnn"))  # 2 columns, 4 for the rnn's order 1
+        width = len(feature_layout(cfg))
+        params = init_params(kind, width + 1, HIDDEN[kind][:1], np.random.default_rng(0))
         shape = np.shape(params[1 if kind == "rnn" else 0])
-        message = re.escape(f"{where} expected shape {(*shape[:-1], 2)}, got {shape}")
+        message = re.escape(f"{where} expected shape {(*shape[:-1], width)}, got {shape}")
         with pytest.raises(ValueError, match=message):
-            model_from_params(kind, params, ("hour_frac", "price"), None, None)
+            model_from_params(kind, params, identity_scaler(width), cfg)
 
     @pytest.mark.parametrize(
         "kind, changes, message",

@@ -6,14 +6,15 @@ import json
 import os
 import pickle
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drlearn.errors import DataError
+from drlearn.errors import DataError, ModelFormatError
 from drlearn.eucsim import (
     TimeSeriesDataset,
     generate_profile,
@@ -22,6 +23,7 @@ from drlearn.eucsim import (
     simulate,
 )
 from drlearn.features import (
+    TIME_ENCODINGS,
     Scaler,
     StateConfig,
     apply_scaler,
@@ -33,6 +35,7 @@ from drlearn.features import (
     sequence_step_inputs,
     split,
 )
+from drlearn.metrics import evaluate
 from drlearn.models import (
     LinearModel,
     TrainConfig,
@@ -66,10 +69,8 @@ def fit_direct(series, kind):
     scaler = fit_scaler(raw)
     scaled = apply_scaler(scaler, raw)
     if kind == "linear":
-        return linear_fit(scaled, scaler=scaler, state_config=cfg)
-    model, _ = train_fnn(
-        scaled, [16], TrainConfig(steps=300, rng_seed=0), scaler=scaler, state_config=cfg
-    )
+        return linear_fit(scaled, scaler=scaler)
+    model, _ = train_fnn(scaled, [16], TrainConfig(steps=300, rng_seed=0), scaler=scaler)
     return model
 
 
@@ -81,8 +82,7 @@ def fit_recurrent(series, kind):
     scaled = apply_scaler(scaler, raw)
     steps = 150 if kind == "rnn" else 80
     model, _ = train_recurrent(
-        scaled, kind, [8], TrainConfig(steps=steps, rng_seed=0),
-        scaler=scaler, state_config=cfg,
+        scaled, kind, [8], TrainConfig(steps=steps, rng_seed=0), scaler=scaler
     )
     return model
 
@@ -147,8 +147,7 @@ def test_one_hot_one_step_equals_teacher_forced_rollout_bitwise(kind, series):
     raw = build_sequence_dataset(head, 24, cfg)
     scaler = fit_scaler(raw)
     model, _ = train_recurrent(
-        apply_scaler(scaler, raw), kind, [6], TrainConfig(steps=20, rng_seed=0),
-        scaler=scaler, state_config=cfg,
+        apply_scaler(scaler, raw), kind, [6], TrainConfig(steps=20, rng_seed=0), scaler=scaler
     )
     assert len(model.feature_layout) == 27
     start, horizon = 500, 30
@@ -238,7 +237,6 @@ class TestRollout:
         model = LinearModel(
             weights=np.array([1.0, 0.0]),
             bias=0.0,
-            feature_layout=("hour_frac", "price"),
             scaler=identity_scaler(2),
             state_config=cfg,
         )
@@ -346,24 +344,19 @@ class TestPostedInputChecks:
                 predict_one_step(rnn_model, history, 30.0, t)
 
 
-    @pytest.mark.parametrize("query", ["one-step", "rollout"])
-    def test_feature_layout_mismatch_rejected(self, query, tmp_path):
-        # load_model accepts any layout; serving builds rows from the state config
+    def test_feature_layout_mismatch_rejected(self, tmp_path):
+        # serving builds rows from the state config, so load_model refuses a
+        # file whose layout is not the one its state config gives
         source = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
         with open(source) as handle:
             document = json.load(handle)
         document["feature_layout"].reverse()
         path = tmp_path / "reversed.json"
         path.write_text(json.dumps(document))
-        model = load_model(str(path))
-        history = random_walk_series(0, length=60)
         with pytest.raises(
-            DataError, match=r"feature layout mismatch: model expects \['price', 'hour_frac'"
+            ModelFormatError, match=r"feature layout mismatch: file has \['price', 'hour_frac'"
         ):
-            if query == "one-step":
-                predict_one_step(model, history, 35.0, 40)
-            else:
-                rollout(model, history, np.full(3, 35.0))
+            load_model(str(path))
 
 
 def random_served_model(kind, encoding, seed):
@@ -378,13 +371,44 @@ def random_served_model(kind, encoding, seed):
         target_mean=50.0,
         target_std=20.0,
     )
-    return model_from_params(kind, params, layout, scaler, cfg)
+    return model_from_params(kind, params, scaler, cfg)
 
 
 def fresh_copy(model):
     """The model rebuilt from copies of its current values: nothing replayed yet."""
     params = [np.array(p) for p in flat_params(model)]
-    return model_from_params(model.kind, params, model.feature_layout, model.scaler, model.state_config)
+    return model_from_params(model.kind, params, model.scaler, model.state_config)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["linear", "fnn", "rnn", "lstm"]),
+    order=st.integers(0, 3),
+    encoding=st.sampled_from(TIME_ENCODINGS),
+)
+def test_every_model_a_trainer_returns_can_be_served(kind, order, encoding):
+    """A trainer called with its defaults returns a model over its set's state
+    config: it saves, loads, scores and serves the series it was trained on."""
+    # one indicator per hour adds up to the intercept's column: rank-deficient
+    assume(kind != "linear" or encoding != "one_hot")
+    series = random_walk_series(order)
+    cfg = StateConfig(order=order, time_encoding=encoding)
+    if kind in ("rnn", "lstm"):
+        dataset = build_sequence_dataset(series, 12, cfg)
+        model, _ = train_recurrent(dataset, kind, [3], TrainConfig(steps=5))
+    elif kind == "fnn":
+        model, _ = train_fnn(build_direct_dataset(series, cfg), [4], TrainConfig(steps=5))
+    else:
+        model = linear_fit(build_direct_dataset(series, cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded == model
+    report = evaluate(loaded, series, "train")
+    assert np.isfinite(report.mape_pct)
+    served = predict_one_step(loaded, series, 35.0, len(series))
+    assert served == predict_one_step(model, series, 35.0, len(series))
 
 
 def random_walk_series(seed, length=80):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from drlearn.features import StateConfig, SupervisedSet, identity_scaler
+from drlearn.features import (
+    StateConfig,
+    SupervisedSet,
+    config_of_width,
+    feature_layout,
+    identity_scaler,
+)
 from drlearn.models import (
     LstmModel,
     RnnModel,
@@ -23,20 +29,25 @@ from drlearn.models import recurrent
 
 import bptt_reference
 
-LAYOUT1 = ("x0",)
-LAYOUT4 = ("price_lag1", "consumption_lag1", "hour_frac", "price")
+# The narrowest step a recurrent model reads: price_lag1, consumption_lag1,
+# price. The scalar models weigh only the first column; the others are zero.
+SCALAR_CFG = StateConfig(order=1, time_encoding="none")
 
 
-def scalar_rnn(n_features=1, w_h=0.5, w_x=1.0, b=0.1, w_out=2.0, b_out=0.05):
+def scalar_steps(xs):
+    """(steps, 3) inputs holding xs in the first column and zeros in the others."""
+    return np.column_stack([xs, np.zeros((len(xs), 2))])
+
+
+def scalar_rnn(w_h=0.5, w_x=1.0, b=0.1, w_out=2.0, b_out=0.05):
     return RnnModel(
         w_h=[np.array([[w_h]])],
-        w_x=[np.array([[w_x] * n_features])],
+        w_x=[np.array([[w_x, 0.0, 0.0]])],
         b=[np.array([b])],
         out_weight=np.array([w_out]),
         out_bias=b_out,
-        feature_layout=LAYOUT1[:n_features],
-        scaler=identity_scaler(n_features),
-        state_config=StateConfig(order=1, time_encoding="none"),
+        scaler=identity_scaler(3),
+        state_config=SCALAR_CFG,
     )
 
 
@@ -44,19 +55,21 @@ def scalar_lstm():
     def mat(v):
         return [np.array([[v]])]
 
+    def x_mat(v):
+        return [np.array([[v, 0.0, 0.0]])]
+
     def vec(v):
         return [np.array([v])]
 
     return LstmModel(
-        w_fh=mat(0.1), w_fx=mat(0.2), b_f=vec(1.0),
-        w_ih=mat(-0.3), w_ix=mat(0.5), b_i=vec(0.0),
-        w_oh=mat(0.2), w_ox=mat(-0.1), b_o=vec(0.1),
-        w_ch=mat(0.4), w_cx=mat(0.3), b_c=vec(-0.2),
+        w_fh=mat(0.1), w_fx=x_mat(0.2), b_f=vec(1.0),
+        w_ih=mat(-0.3), w_ix=x_mat(0.5), b_i=vec(0.0),
+        w_oh=mat(0.2), w_ox=x_mat(-0.1), b_o=vec(0.1),
+        w_ch=mat(0.4), w_cx=x_mat(0.3), b_c=vec(-0.2),
         out_weight=np.array([1.5]),
         out_bias=0.25,
-        feature_layout=LAYOUT1,
-        scaler=identity_scaler(1),
-        state_config=StateConfig(order=1, time_encoding="none"),
+        scaler=identity_scaler(3),
+        state_config=SCALAR_CFG,
     )
 
 
@@ -68,7 +81,7 @@ class TestRnnForward:
     def test_two_step_hand_recursion(self):
         model = scalar_rnn()
         xs = [0.2, -0.4]
-        outputs = rnn_forward(model, np.array(xs)[:, None])
+        outputs = rnn_forward(model, scalar_steps(xs))
         h = 0.0
         expected = []
         for x in xs:
@@ -78,7 +91,7 @@ class TestRnnForward:
 
     def test_zero_parameters_predict_zero(self):
         model = scalar_rnn(w_h=0.0, w_x=0.0, b=0.0, w_out=0.0, b_out=0.0)
-        outputs = rnn_forward(model, np.array([[0.7], [-0.3], [5.0]]))
+        outputs = rnn_forward(model, scalar_steps([0.7, -0.3, 5.0]))
         assert np.all(outputs == 0.0)
 
     def test_hidden_state_stays_inside_tanh_range(self):
@@ -90,7 +103,6 @@ class TestRnnForward:
             b=[params[2]],
             out_weight=params[3],
             out_bias=0.0,
-            feature_layout=LAYOUT4,
             scaler=identity_scaler(4),
             state_config=StateConfig(order=1),
         )
@@ -109,7 +121,6 @@ class TestRnnForward:
             b=[params[2], params[5]],
             out_weight=params[6],
             out_bias=float(params[7]),
-            feature_layout=LAYOUT4,
             scaler=identity_scaler(4),
             state_config=StateConfig(order=1),
         )
@@ -125,14 +136,14 @@ class TestRnnForward:
         with pytest.raises(ValueError, match="expected"):
             rnn_forward(model, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="at least one step"):
-            rnn_forward(model, np.zeros((0, 1)))
+            rnn_forward(model, np.zeros((0, 3)))
 
 
 class TestLstmForward:
     def test_three_step_hand_trajectory(self):
         model = scalar_lstm()
         xs = [0.5, -1.0, 0.3]
-        outputs = lstm_forward(model, np.array(xs)[:, None])
+        outputs = lstm_forward(model, scalar_steps(xs))
 
         def sig(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -152,7 +163,7 @@ class TestLstmForward:
     def test_zero_parameters_keep_zero_state(self):
         # All gates sit at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0,
         # so the cell and hidden state never move.
-        params = zero_params_like(init_params("lstm", 1, [1], np.random.default_rng(0)))
+        params = zero_params_like(init_params("lstm", 3, [1], np.random.default_rng(0)))
         model = LstmModel(
             w_fh=[params[0]], w_fx=[params[1]], b_f=[params[2]],
             w_ih=[params[3]], w_ix=[params[4]], b_i=[params[5]],
@@ -160,11 +171,10 @@ class TestLstmForward:
             w_ch=[params[9]], w_cx=[params[10]], b_c=[params[11]],
             out_weight=params[12],
             out_bias=0.0,
-            feature_layout=LAYOUT1,
-            scaler=identity_scaler(1),
-            state_config=StateConfig(order=1),
+            scaler=identity_scaler(3),
+            state_config=SCALAR_CFG,
         )
-        x = np.array([[2.0], [-3.0], [4.0]])
+        x = scalar_steps([2.0, -3.0, 4.0])
         outputs = lstm_forward(model, x)
         assert np.all(outputs == 0.0)
         _, state = model.step(x[None, 0], model.initial_state(1))
@@ -182,7 +192,6 @@ class TestLstmForward:
             w_ch=[per[9]], w_cx=[per[10]], b_c=[per[11]],
             out_weight=params[12],
             out_bias=0.0,
-            feature_layout=LAYOUT4,
             scaler=identity_scaler(4),
             state_config=StateConfig(order=1),
         )
@@ -203,7 +212,6 @@ class TestLstmForward:
             w_ch=[per[9]], w_cx=[per[10]], b_c=[per[11]],
             out_weight=params[12],
             out_bias=float(params[13]),
-            feature_layout=LAYOUT4,
             scaler=identity_scaler(4),
             state_config=StateConfig(order=1),
         )
@@ -224,9 +232,8 @@ def random_model(kind, hidden_sizes, n_features=4, seed=7):
     common = dict(
         out_weight=params[-2],
         out_bias=float(params[-1]),
-        feature_layout=tuple(f"x{k}" for k in range(n_features)),
         scaler=identity_scaler(n_features),
-        state_config=StateConfig(order=1),
+        state_config=config_of_width(n_features, order=1),
     )
     if kind == "rnn":
         return RnnModel(w_h=params[0:-2:3], w_x=params[1:-2:3], b=params[2:-2:3], **common)
@@ -322,8 +329,8 @@ class TestInit:
 
 
 def model_over(kind, params):
-    """A model of kind over a copy of the flat list params, on LAYOUT4."""
-    return model_from_params(kind, params, LAYOUT4, identity_scaler(4), StateConfig(order=1))
+    """A model of kind over a copy of the flat list params, over order-1 scalar rows."""
+    return model_from_params(kind, params, identity_scaler(4), StateConfig(order=1))
 
 
 def loss_and_grads(model, inputs, targets):
@@ -343,7 +350,6 @@ class TestLossAndGrads:
             probe = RnnModel(
                 w_h=[params[0]], w_x=[params[1]], b=[params[2]],
                 out_weight=params[3], out_bias=float(params[4]),
-                feature_layout=LAYOUT4,
                 scaler=identity_scaler(4),
                 state_config=StateConfig(order=1),
             )
@@ -355,7 +361,6 @@ class TestLossAndGrads:
                 w_oh=[per[6]], w_ox=[per[7]], b_o=[per[8]],
                 w_ch=[per[9]], w_cx=[per[10]], b_c=[per[11]],
                 out_weight=params[12], out_bias=float(params[13]),
-                feature_layout=LAYOUT4,
                 scaler=identity_scaler(4),
                 state_config=StateConfig(order=1),
             )
@@ -418,7 +423,7 @@ class TestTraining:
         # target depends on the running mean of the last feature, so the
         # recurrence actually has something to remember
         targets = np.cumsum(inputs[:, :, 3], axis=1) / np.arange(1, steps + 1)
-        return SupervisedSet(inputs=inputs, targets=targets, feature_layout=LAYOUT4)
+        return SupervisedSet(inputs=inputs, targets=targets, state_config=StateConfig(order=1))
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_loss_decreases(self, kind):
@@ -447,18 +452,22 @@ class TestTraining:
         ds = SupervisedSet(
             inputs=np.empty((0, 8, 4)),
             targets=np.empty((0, 8)),
-            feature_layout=LAYOUT4,
+            state_config=StateConfig(order=1),
         )
         with pytest.raises(ValueError, match="at least one"):
             train_recurrent(ds, "rnn", [4], TrainConfig(steps=5))
 
     @pytest.mark.parametrize("order", [0, 2])
     def test_state_order_other_than_one_rejected(self, order):
-        ds = self.make_windows(9)
+        cfg = StateConfig(order=order)
+        rng = np.random.default_rng(9)
+        ds = SupervisedSet(
+            inputs=rng.normal(size=(4, 6, len(feature_layout(cfg)))),
+            targets=rng.normal(size=(4, 6)),
+            state_config=cfg,
+        )
         with pytest.raises(ValueError, match=f"state_config.order must be 1 for lstm.*got {order}"):
-            train_recurrent(
-                ds, "lstm", [4], TrainConfig(steps=5), state_config=StateConfig(order=order)
-            )
+            train_recurrent(ds, "lstm", [4], TrainConfig(steps=5))
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_zero_layers_rejected(self, kind):

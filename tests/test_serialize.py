@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from drlearn.errors import ModelFormatError
 from drlearn.eucsim import TimeSeriesDataset
-from drlearn.features import Scaler, StateConfig
+from drlearn.features import Scaler, StateConfig, config_of_width, feature_layout
 from drlearn.models import (
     FnnModel,
     LinearModel,
@@ -29,8 +29,6 @@ from drlearn.models import (
     rnn_forward,
     save_model,
 )
-
-LAYOUT = ("price_lag1", "consumption_lag1", "hour_frac", "price")
 
 
 def random_scaler(rng, n_features):
@@ -50,7 +48,6 @@ def make_model(kind, seed=0):
         return LinearModel(
             weights=rng.normal(size=4),
             bias=float(rng.normal()),
-            feature_layout=LAYOUT,
             scaler=scaler,
             state_config=cfg,
         )
@@ -61,7 +58,6 @@ def make_model(kind, seed=0):
             hidden_biases=[p[1] + rng.normal(size=5), p[3] + rng.normal(size=3)],
             out_weight=p[4],
             out_bias=float(rng.normal()),
-            feature_layout=LAYOUT,
             scaler=scaler,
             state_config=cfg,
         )
@@ -71,7 +67,6 @@ def make_model(kind, seed=0):
             w_h=[p[0]], w_x=[p[1]], b=[p[2] + rng.normal(size=5)],
             out_weight=p[3],
             out_bias=float(rng.normal()),
-            feature_layout=LAYOUT,
             scaler=scaler,
             state_config=cfg,
         )
@@ -83,7 +78,6 @@ def make_model(kind, seed=0):
         w_ch=[p[9]], w_cx=[p[10]], b_c=[p[11]],
         out_weight=p[12],
         out_bias=float(rng.normal()),
-        feature_layout=LAYOUT,
         scaler=scaler,
         state_config=cfg,
     )
@@ -145,13 +139,14 @@ def test_round_trip_property(kind, n_features, hidden, seed):
     flat parameters and bit-identical predictions."""
     rng = np.random.default_rng(seed)
     hidden = [] if kind == "linear" else hidden
+    order = int(kind in ("rnn", "lstm"))  # a recurrent step reads a lag pair and the price
+    n_features += 2 * order
     params = [p + rng.normal(size=p.shape) for p in init_params(kind, n_features, hidden, rng)]
     model = model_from_params(
         kind,
         params,
-        tuple(f"x{k}" for k in range(n_features)),
         random_scaler(rng, n_features),
-        StateConfig(order=1, time_encoding="scalar"),
+        config_of_width(n_features, order),
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
@@ -203,7 +198,9 @@ class TestEquality:
         model, other = make_model("rnn"), make_model("rnn")
         other.scaler.input_std[2] *= 2.0
         assert model != other
-        assert model != replace(make_model("rnn"), feature_layout=LAYOUT[::-1])
+        # as wide as the scalar hour column, but another column: hour_0
+        one_hot = StateConfig(order=1, time_encoding="one_hot", intervals_per_day=1)
+        assert model != replace(make_model("rnn"), state_config=one_hot)
 
 
 def saved_document(tmp_path, kind="rnn"):
@@ -322,6 +319,7 @@ class TestLoadDiagnostics:
     def test_recurrent_state_order_must_be_one(self, tmp_path, kind):
         path, doc = saved_document(tmp_path, kind=kind)
         doc["state_config"]["order"] = 3
+        doc["feature_layout"] = list(feature_layout(StateConfig(order=3)))
         path.write_text(json.dumps(doc))
         with pytest.raises(
             ModelFormatError, match=f"state_config.order must be 1 for {kind}, got 3"

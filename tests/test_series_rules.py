@@ -18,7 +18,7 @@ from drlearn.cli import main
 from drlearn.config import parse_config
 from drlearn.errors import DataError, NumericalError
 from drlearn.eucsim import TimeSeriesDataset, check_series, read_dataset, write_dataset
-from drlearn.features import StateConfig, feature_layout, identity_scaler, split
+from drlearn.features import StateConfig, identity_scaler, split
 from drlearn.metrics import evaluate
 from drlearn.models import load_model, model_from_params
 from drlearn.pipeline import simulate_from_config, train_model
@@ -67,7 +67,7 @@ def last_consumption_model():
     """Linear, order 1: predicts the previous interval's consumption."""
     cfg = StateConfig(order=1, time_encoding="scalar")
     params = [np.array([0.0, 1.0, 0.0, 0.0]), np.array(0.0)]
-    return model_from_params("linear", params, feature_layout(cfg), identity_scaler(4), cfg)
+    return model_from_params("linear", params, identity_scaler(4), cfg)
 
 
 class TestEveryBoundary:

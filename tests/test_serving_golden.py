@@ -72,7 +72,7 @@ def golden_model(seed: int, kind: str, order: int, hidden: list[int], encoding: 
         target_mean=50.0,
         target_std=20.0,
     )
-    return model_from_params(kind, params, layout, scaler, cfg)
+    return model_from_params(kind, params, scaler, cfg)
 
 
 def hexes(values) -> list[str]:

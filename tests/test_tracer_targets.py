@@ -22,7 +22,7 @@ import drlearn.models.serialize
 import drlearn.pipeline
 from drlearn.config import parse_config
 from drlearn.eucsim import TimeSeriesDataset
-from drlearn.features import SupervisedSet
+from drlearn.features import SupervisedSet, config_of_width
 from drlearn.models import TrainConfig, fnn, recurrent
 
 STEPS = 7
@@ -54,7 +54,9 @@ def traced_counts(train) -> dict[str, int]:
 def train_fnn():
     rng = np.random.default_rng(0)
     dataset = SupervisedSet(
-        inputs=rng.normal(size=(40, 3)), targets=rng.normal(size=40), feature_layout=("a", "b", "c")
+        inputs=rng.normal(size=(40, 3)),
+        targets=rng.normal(size=40),
+        state_config=config_of_width(3),
     )
     fnn.train_fnn(dataset, [4], TrainConfig(steps=STEPS, batch_size=8))
 
@@ -64,7 +66,7 @@ def train_recurrent(kind):
     dataset = SupervisedSet(
         inputs=rng.normal(size=(10, 5, 3)),
         targets=rng.normal(size=(10, 5)),
-        feature_layout=("a", "b", "c"),
+        state_config=config_of_width(3, order=1),
     )
     recurrent.train_recurrent(dataset, kind, [4, 3], TrainConfig(steps=STEPS, batch_size=4))
 

@@ -21,13 +21,14 @@ import os
 import numpy as np
 import pytest
 
-from drlearn.features import SupervisedSet
+from drlearn.features import StateConfig, SupervisedSet
 from drlearn.models import TrainConfig, adam, flat_params, train_fnn, train_recurrent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "training_golden.json")
 HIDDEN = [5, 3]
 STEPS = 40
-LAYOUT = ("price_lag1", "consumption_lag1", "hour_frac", "price")
+STATE = StateConfig(order=1)  # price_lag1, consumption_lag1, hour_frac, price
+WIDTH = 4
 CONFIG = TrainConfig(
     learning_rate=0.01, steps=STEPS, batch_size=8, rng_seed=3, gradient_clip_norm=0.05
 )
@@ -37,12 +38,12 @@ KINDS = ("fnn", "rnn", "lstm")
 def train(kind: str):
     rng = np.random.default_rng(11)
     if kind == "fnn":
-        inputs = rng.normal(size=(64, len(LAYOUT)))
-        targets = np.tanh(inputs @ rng.normal(size=len(LAYOUT))) + 0.1 * rng.normal(size=64)
-        return train_fnn(SupervisedSet(inputs, targets, LAYOUT), HIDDEN, CONFIG)
-    inputs = rng.normal(size=(16, 12, len(LAYOUT)))
+        inputs = rng.normal(size=(64, WIDTH))
+        targets = np.tanh(inputs @ rng.normal(size=WIDTH)) + 0.1 * rng.normal(size=64)
+        return train_fnn(SupervisedSet(inputs, targets, STATE), HIDDEN, CONFIG)
+    inputs = rng.normal(size=(16, 12, WIDTH))
     targets = np.tanh(np.cumsum(inputs[..., 0], axis=1) / 3.0) + 0.1 * rng.normal(size=(16, 12))
-    return train_recurrent(SupervisedSet(inputs, targets, LAYOUT), kind, HIDDEN, CONFIG)
+    return train_recurrent(SupervisedSet(inputs, targets, STATE), kind, HIDDEN, CONFIG)
 
 
 def hexes(values) -> list[str]:

@@ -28,7 +28,7 @@ from drlearn.models import (
 )
 
 KERNELS = {"fnn": fnn_loss_and_grads, "rnn": rnn_loss_and_grads, "lstm": lstm_loss_and_grads}
-LAYOUT = ("price_lag1", "consumption_lag1", "hour_frac", "price")
+CFG = StateConfig(order=1)  # price_lag1, consumption_lag1, hour_frac, price
 SHAPES = [  # hidden sizes, batch, steps
     ([32], 32, 48),
     ([5, 3], 8, 12),
@@ -40,7 +40,7 @@ SHAPES = [  # hidden sizes, batch, steps
 
 def model_over(kind, params):
     """A model of kind over a copy of the flat list params."""
-    return model_from_params(kind, params, LAYOUT, identity_scaler(4), StateConfig(order=1))
+    return model_from_params(kind, params, identity_scaler(4), CFG)
 
 
 def problem(kind, hidden, batch, steps, seed):
@@ -115,7 +115,7 @@ def windows(seed):
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(40, 16, 4))
     targets = np.tanh(np.cumsum(inputs[..., 0], axis=1) / 3.0)
-    return SupervisedSet(inputs=inputs, targets=targets, feature_layout=LAYOUT)
+    return SupervisedSet(inputs=inputs, targets=targets, state_config=CFG)
 
 
 @pytest.mark.parametrize("kind", ["rnn", "lstm"])
