@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .eucsim import TimeSeriesDataset, check_series
-from .features import feature_rows
 from .ioutil import atomic_write_text
 from .models.common import model_class
 
@@ -89,10 +88,8 @@ def evaluate(model, dataset: TimeSeriesDataset, split: str) -> EvalReport:
             f"evaluation of {model.kind} needs more than {first} intervals, got {len(dataset)}"
         )
     with np.errstate(all="ignore"):
-        x = feature_rows(dataset, cfg.order, len(dataset), cfg)
-        model.scaler.transform_inputs(x, out=x)
-        outputs, _ = model.run(x[None], model.initial_state(1))
-        predicted = model.scaler.inverse_targets(outputs[0])[warmup:]
+        mwh, _ = model.predict(dataset, cfg.order, len(dataset), model.initial_state(1))
+        predicted = mwh[warmup:]
         actual = dataset.consumptions[first:]
         samples = ape_samples(actual, predicted)
         mape_pct, sdape_pct = float(np.mean(samples)), float(np.std(samples))

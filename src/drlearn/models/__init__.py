@@ -9,16 +9,14 @@ from .common import (
     minibatch_indices,
     model_from_params,
 )
-from .fnn import FnnModel, fnn_forward, fnn_loss_and_grads, train_fnn
+from .fnn import FnnModel, fnn_loss_and_grads, train_fnn
 from .gradcheck import gradient_check
 from .linear import LinearModel, linear_fit
 from .predict import Model, predict_one_step, rollout
 from .recurrent import (
     LstmModel,
     RnnModel,
-    lstm_forward,
     lstm_loss_and_grads,
-    rnn_forward,
     rnn_loss_and_grads,
     train_recurrent,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TrainConfig",
     "clip_global_norm",
-    "fnn_forward",
     "fnn_loss_and_grads",
     "glorot_uniform",
     "gradient_check",
@@ -42,12 +39,10 @@ __all__ = [
     "init_params",
     "linear_fit",
     "load_model",
-    "lstm_forward",
     "lstm_loss_and_grads",
     "minibatch_indices",
     "model_from_params",
     "predict_one_step",
-    "rnn_forward",
     "rnn_loss_and_grads",
     "rollout",
     "save_model",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import NumericalError
-from ..features import Scaler, StateConfig, feature_layout, identity_scaler
+from ..features import Scaler, StateConfig, feature_layout, feature_rows, identity_scaler
 from ..records import Bounded, bounded
 from . import adam
 
@@ -182,10 +182,19 @@ class ParamModel:
         minibatches of the given shape."""
         return Workspace(self, shape)
 
-    def step(self, x: np.ndarray, state: list) -> tuple[np.ndarray, list]:
-        """One time step for a (batch, features) input; returns (y, new state)."""
-        outputs, new_state = self.run(np.asarray(x, dtype=float)[:, None, :], state)
-        return outputs[:, 0], new_state
+    def predict(self, series, start: int, stop: int, state: list) -> tuple[np.ndarray, list]:
+        """Predictions in MWh for intervals [start, stop) of a TimeSeriesDataset,
+        run from state, and the state after the last of them: the rows
+        feature_rows builds over the model's state config, standardized in
+        place, run, and unstandardized. The one place a model meets raw data."""
+        x = feature_rows(series, start, stop, self.state_config)
+        outputs, state = self.run(self.scaler.transform_inputs(x, out=x)[None], state)
+        return self.scaler.inverse_targets(outputs[0]), state
+
+    def step(self, series, t: int, state: list) -> tuple[float, list]:
+        """predict over interval t alone: its prediction in MWh and the state after."""
+        mwh, state = self.predict(series, t, t + 1, state)
+        return float(mwh[0]), state
 
 
 def all_equal(a: list, b: list) -> bool:

@@ -70,18 +70,6 @@ class FnnModel(ParamModel):
         return loss, grads
 
 
-def fnn_forward(model: FnnModel, features: np.ndarray) -> float:
-    """Consumption prediction in MWh for one raw (unstandardized) feature row."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (len(model.feature_layout),):
-        raise ValueError(
-            f"expected {len(model.feature_layout)} features, got shape {features.shape}"
-        )
-    x = model.scaler.transform_inputs(features[None, :])
-    y = model.forward(x)
-    return float(model.scaler.inverse_targets(y)[0])
-
-
 fnn_loss_and_grads = FnnModel.loss_and_grads
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..eucsim import TimeSeriesDataset
-from ..features import StateConfig, feature_rows
+from ..features import StateConfig
 from ..records import require
 from .common import all_equal
 from .fnn import FnnModel
@@ -60,7 +60,7 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
     Resumes from the state the model's last replay left when that replay
     ended at or before start and every value it read is unchanged
     (array_equal, so a NaN never matches), and from the zero state
-    otherwise; then replays the rest with one run and keeps the result for
+    otherwise; then replays the rest with predict and keeps the result for
     the next call. Both starts give the same bits: run gives the same bits
     however a series is split, and feature_rows builds each row on its own.
     A direct model's state is empty, so it replays nothing.
@@ -79,8 +79,7 @@ def _replayed_state(model: Model, history: TimeSeriesDataset, start: int) -> lis
     ):
         resume, state = entry.n, entry.state
     if resume < start:
-        rows = model.scaler.transform_inputs(feature_rows(history, resume, start, cfg))
-        _, state = model.run(rows[None], state)
+        _, state = model.predict(history, resume, start, state)
         reads = [np.array(a) for a in _replay_reads(model, history, start)]
         model._replayed = _Replayed(start, cfg, reads, state)
     return state
@@ -120,9 +119,7 @@ def _serve(
     predictions = np.empty(horizon)
     for k in range(horizon):
         t = cfg.order + k
-        x = model.scaler.transform_inputs(feature_rows(series, t, t + 1, cfg))
-        y, state = model.step(x, state)
-        predictions[k] = model.scaler.inverse_targets(y)[0]
+        predictions[k], state = model.step(series, t, state)
         series.consumptions[t] = (
             predictions[k] if teacher_consumptions is None else teacher_consumptions[k]
         )

@@ -45,14 +45,15 @@ def _input_projection(x: np.ndarray, w_x: np.ndarray, b: np.ndarray) -> np.ndarr
 class _Recurrent(ParamModel):
     """Stacked recurrent layers served through one core, run.
 
-    Invariant: step, forward and run give bit-identical outputs and states
-    for the same inputs, however a series is split between calls. Per layer
-    and block of steps, run hoists the input projection out of the time
-    loop (elementwise, see _input_projection); each step then does one
-    (batch, units) @ (units, gates * units) matmul, the cell update, and
-    the readout matmul, on arrays of the same shapes whether the call holds
-    one step or many. The readout bias is added elementwise per block.
-    Batched prediction, one-step serving and rollouts all rely on this.
+    Invariant: run and forward, and so predict and step, give bit-identical
+    outputs and states for the same inputs, however a series is split
+    between calls. Per layer and block of steps, run hoists the input
+    projection out of the time loop (elementwise, see _input_projection);
+    each step then does one (batch, units) @ (units, gates * units) matmul,
+    the cell update, and the readout matmul, on arrays of the same shapes
+    whether the call holds one step or many. The readout bias is added
+    elementwise per block. Batched prediction, one-step serving and
+    rollouts all rely on this.
 
     Training runs one core too, loss_and_grads, on the same fused weights
     and the same _cell, over the tape of a Workspace (see workspace). Its
@@ -388,22 +389,6 @@ class LstmModel(_Recurrent):
         return np.multiply(dc, gates[0], out=carry)
 
 
-def rnn_forward(model: RnnModel | LstmModel, window: np.ndarray) -> np.ndarray:
-    """MWh predictions for one raw feature window, zero initial state."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != len(model.feature_layout):
-        raise ValueError(
-            f"expected (steps, {len(model.feature_layout)}) inputs, got shape"
-            f" {window.shape}"
-        )
-    if window.shape[0] == 0:
-        raise ValueError("window must contain at least one step")
-    x = model.scaler.transform_inputs(window)
-    y = model.forward(x[None, :, :])
-    return model.scaler.inverse_targets(y[0])
-
-
-lstm_forward = rnn_forward
 rnn_loss_and_grads = RnnModel.loss_and_grads
 lstm_loss_and_grads = LstmModel.loss_and_grads
 

@@ -25,12 +25,9 @@ from drlearn.models import (
     LinearModel,
     LstmModel,
     RnnModel,
-    fnn_forward,
     gradient_check,
     init_params,
     load_model,
-    lstm_forward,
-    rnn_forward,
     save_model,
 )
 from drlearn.pipeline import run_benchmark
@@ -318,16 +315,21 @@ def _round_trip_model(kind: str):
 
 
 def _predictions_on_random_inputs(model) -> np.ndarray:
+    """MWh for raw rows, scaled, run and unscaled as ParamModel.predict does:
+    the linear rows at once, the FNN rows one at a time, the windows each
+    from the zero state."""
     rng = np.random.default_rng(555)
+    scaler = model.scaler
     if model.kind in ("linear", "fnn"):
         rows = rng.normal(size=(100, 4))
-        if model.kind == "fnn":
-            return np.array([fnn_forward(model, row) for row in rows])
-        scaled = model.scaler.transform_inputs(rows)
-        return model.scaler.inverse_targets(model.forward(scaled))
+        batches = rows[:, None] if model.kind == "fnn" else [rows]
+        return np.concatenate(
+            [scaler.inverse_targets(model.forward(scaler.transform_inputs(b))) for b in batches]
+        )
     windows = rng.normal(size=(5, 20, 4))  # 100 step inputs in 5 windows
-    forward = rnn_forward if model.kind == "rnn" else lstm_forward
-    return np.concatenate([forward(model, window) for window in windows])
+    return np.concatenate(
+        [scaler.inverse_targets(model.forward(scaler.transform_inputs(w)[None])[0]) for w in windows]
+    )
 
 
 def test_c14_save_load_round_trip(tmp_path):

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from drlearn import cli, pipeline
 from drlearn.cli import main
-from drlearn.eucsim import read_dataset, write_dataset
+from drlearn.eucsim import TimeSeriesDataset, read_dataset, write_dataset
 from drlearn.models import load_model
 
+V1_LSTM = os.path.join(os.path.dirname(__file__), "data", "lstm_two_layer_v1.json")
 TINY_CONFIG = """\
 simulation:
   euc_count: 8
@@ -386,6 +388,19 @@ class TestEval:
         ])
         assert code == 2
         assert "intervals_per_day mismatch: model expects 24, data has 12" in capsys.readouterr().err
+
+    def test_series_shorter_than_the_train_split_exits_2(self, tmp_path, dataset_path, capsys):
+        # split's ValueError is a data error: the default config's train_len
+        # does not fit in 200 intervals
+        full, data = read_dataset(dataset_path), str(tmp_path / "short.csv")
+        head = TimeSeriesDataset(full.prices[:200], full.consumptions[:200], full.hours[:200])
+        write_dataset(head, data)
+        capsys.readouterr()
+        report_path = tmp_path / "r.json"
+        code = main(["eval", "--model", V1_LSTM, "--data", data, "--out", str(report_path)])
+        assert code == 2
+        assert "data error: train_len must be in (0, 200), got 7296" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_corrupt_model_exits_2(self, tmp_path, config_path, dataset_path, capsys):
         bad = tmp_path / "bad.json"

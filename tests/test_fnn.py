@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from drlearn.errors import NumericalError
+from drlearn.errors import DataError, NumericalError
+from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import (
     StateConfig,
     SupervisedSet,
@@ -18,7 +19,6 @@ from drlearn.models import (
     TrainConfig,
     clip_global_norm,
     flat_params,
-    fnn_forward,
     fnn_loss_and_grads,
     glorot_uniform,
     init_params,
@@ -43,12 +43,12 @@ class TestForward:
     def test_single_unit_hand_value(self):
         # z = 1 * 0.3 + (-1) * 0.1 + 0.5 = 0.7; y = 2 * 0.7 + 1.5 = 2.9
         model = make_model([[[1.0, -1.0]]], [[0.5]], [2.0], 1.5, 2)
-        assert fnn_forward(model, np.array([0.3, 0.1])) == pytest.approx(2.9, abs=1e-12)
+        assert model.forward(np.array([[0.3, 0.1]]))[0] == pytest.approx(2.9, abs=1e-12)
 
     def test_relu_gates_negative_preactivation(self):
         # z = -0.2 < 0, so the hidden unit contributes nothing.
         model = make_model([[[1.0, -1.0]]], [[-0.5]], [2.0], 1.5, 2)
-        assert fnn_forward(model, np.array([0.3, 0.0])) == 1.5
+        assert model.forward(np.array([[0.3, 0.0]]))[0] == 1.5
 
     def test_zero_parameters_predict_zero(self):
         model = make_model([np.zeros((4, 3))], [np.zeros(4)], np.zeros(4), 0.0, 3)
@@ -72,7 +72,8 @@ class TestForward:
             scaler=scaler,
             state_config=model.state_config,
         )
-        assert fnn_forward(model, ds.inputs[0]) == pytest.approx(
+        x = model.scaler.transform_inputs(ds.inputs[:1])
+        assert model.scaler.inverse_targets(model.forward(x))[0] == pytest.approx(
             ds.targets.mean(), rel=1e-12
         )
 
@@ -81,20 +82,26 @@ class TestForward:
         model = make_model(
             [[[0.5]], [[-1.0]]], [[0.0], [0.25]], [3.0], 0.5, 1
         )
-        assert fnn_forward(model, np.array([2.0])) == 0.5
+        assert model.forward(np.array([[2.0]]))[0] == 0.5
 
     def test_wrong_feature_count_rejected(self):
+        # 2 features: a one-hot hour over a day of one interval, and the price;
+        # a day of two intervals would give predict 3-wide rows
         model = make_model([[[1.0, -1.0]]], [[0.5]], [2.0], 1.5, 2)
-        with pytest.raises(ValueError, match="expected 2 features"):
-            fnn_forward(model, np.array([0.3, 0.1, 0.7]))
+        series = TimeSeriesDataset(
+            prices=np.array([0.7]), consumptions=np.array([0.1]), hours=np.array([1]),
+            intervals_per_day=2,
+        )
+        with pytest.raises(DataError, match="intervals_per_day mismatch"):
+            model.predict(series, 0, 1, [])
 
 
 class TestServingPair:
-    """A direct family serves through the same initial_state/run/step pair as
-    the recurrent ones: an empty state, and forward on the flattened rows."""
+    """A direct family serves through the same initial_state/run pair as the
+    recurrent ones: an empty state, and forward on the flattened rows."""
 
     @pytest.mark.parametrize("kind, hidden", [("linear", []), ("fnn", [5, 3])])
-    def test_run_and_step_match_forward(self, kind, hidden):
+    def test_run_and_one_step_run_match_forward(self, kind, hidden):
         rng = np.random.default_rng(4)
         params = [p + rng.normal(size=p.shape) for p in init_params(kind, 3, hidden, rng)]
         model = model_from_params(kind, params, identity_scaler(3), config_of_width(3))
@@ -103,8 +110,8 @@ class TestServingPair:
         outputs, state = model.run(inputs, model.initial_state(2))
         assert state == []
         assert np.array_equal(outputs, model.forward(inputs.reshape(14, 3)).reshape(2, 7))
-        y, state = model.step(inputs[:, 4], [])
-        assert state == [] and np.array_equal(y, model.forward(inputs[:, 4]))
+        y, state = model.run(inputs[:, 4:5], [])
+        assert state == [] and np.array_equal(y[:, 0], model.forward(inputs[:, 4]))
 
 
 class TestInit:
@@ -173,7 +180,10 @@ class TestTraining:
         scaler = fit_scaler(raw)
         cfg = TrainConfig(steps=3000, rng_seed=0)
         model, losses = train_fnn(apply_scaler(scaler, raw), [16], cfg, scaler=scaler)
-        preds = np.array([fnn_forward(model, row) for row in raw.inputs[:100]])
+        series = TimeSeriesDataset(
+            prices=prices, consumptions=raw.targets, hours=np.zeros(600, dtype=np.int64)
+        )
+        preds, _ = model.predict(series, 0, 100, [])
         mape = 100.0 * np.mean(np.abs(preds - raw.targets[:100]) / raw.targets[:100])
         assert mape < 0.5
         assert losses[-100:].mean() < losses[:100].mean()

@@ -9,6 +9,7 @@ import tomllib
 import pytest
 
 import drlearn
+import drlearn.models
 from drlearn.config import MODEL_KINDS
 from drlearn.models.common import MODEL_CLASSES
 
@@ -57,3 +58,10 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
 def test_model_kinds_match_the_registry_and_rnn_lstm_are_recurrent():
     assert set(MODEL_KINDS) == set(MODEL_CLASSES)
     assert {kind for kind in MODEL_KINDS if MODEL_CLASSES[kind].recurrent} == {"rnn", "lstm"}
+
+
+def test_every_name_the_models_package_exports_resolves():
+    # a name left in __all__ after its definition goes breaks `import *` only
+    missing = [name for name in drlearn.models.__all__ if not hasattr(drlearn.models, name)]
+    assert missing == []
+    assert len(set(drlearn.models.__all__)) == len(drlearn.models.__all__)

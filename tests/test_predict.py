@@ -30,12 +30,14 @@ from drlearn.features import (
     build_direct_dataset,
     build_sequence_dataset,
     feature_layout,
+    feature_rows,
     fit_scaler,
     identity_scaler,
     sequence_step_inputs,
     split,
 )
 from drlearn.metrics import evaluate
+from drlearn.models.common import all_equal
 from drlearn.models import (
     LinearModel,
     TrainConfig,
@@ -587,3 +589,91 @@ class TestSavedState:
         assert not any(thread.is_alive() for thread in threads)
         assert len(done) == 6
         assert mismatches == []
+
+
+def drawn_model_and_series(data, kind):
+    """A model of kind with seeded weights and scaler over a drawn state
+    config, and a 40-interval series whose day has that config's length."""
+    recurrent_kind = kind in ("rnn", "lstm")
+    cfg = StateConfig(
+        order=1 if recurrent_kind else data.draw(st.integers(0, 3), label="order"),
+        time_encoding=data.draw(st.sampled_from(TIME_ENCODINGS), label="encoding"),
+        intervals_per_day=data.draw(st.sampled_from([4, 24]), label="intervals_per_day"),
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    width = len(feature_layout(cfg))
+    hidden = {"linear": [], "fnn": [4, 3]}.get(kind, [5, 3])
+    params = [p + 0.3 * rng.normal(size=p.shape) for p in init_params(kind, width, hidden, rng)]
+    scaler = Scaler(
+        input_mean=rng.uniform(0.0, 40.0, width),
+        input_std=rng.uniform(5.0, 30.0, width),
+        target_mean=50.0,
+        target_std=20.0,
+    )
+    series = TimeSeriesDataset(
+        prices=rng.uniform(20.0, 50.0, 40),
+        consumptions=rng.uniform(10.0, 90.0, 40),
+        hours=(np.arange(40, dtype=np.int64) + seed) % cfg.intervals_per_day,
+        intervals_per_day=cfg.intervals_per_day,
+    )
+    return model_from_params(kind, params, scaler, cfg), series
+
+
+def drawn_span(data, model, series, label):
+    """[start, stop) with order <= start <= stop <= len(series)."""
+    start = data.draw(st.integers(model.state_config.order, len(series)), label=f"{label} start")
+    return start, data.draw(st.integers(start, len(series)), label=f"{label} stop")
+
+
+def layer_arrays(state):
+    return [a for layer in state for a in layer]
+
+
+class TestPredictSurface:
+    """ParamModel.predict is the one place a model turns a series into MWh:
+    feature_rows over its state config, scaled, run from a state, unscaled."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["linear", "fnn", "rnn", "lstm"]), data=st.data())
+    def test_predict_is_the_hand_composition_and_step_one_interval_of_it(self, kind, data):
+        model, series = drawn_model_and_series(data, kind)
+        scaler, cfg = model.scaler, model.state_config
+        start, stop = drawn_span(data, model, series, "span")
+        mwh, state = model.predict(series, start, stop, model.initial_state(1))
+        x = scaler.transform_inputs(feature_rows(series, start, stop, cfg))
+        raw = model.forward(x[None])[0] if model.recurrent else model.forward(x)
+        assert np.array_equal(mwh, scaler.inverse_targets(raw))
+        assert len(layer_arrays(state)) == len(layer_arrays(model.initial_state(1)))
+        if stop < len(series):  # the interval after the span, from the state it left
+            one, after = model.step(series, stop, state)
+            whole, whole_after = model.predict(series, stop, stop + 1, state)
+            assert isinstance(one, float) and one == whole[0]
+            assert all_equal(layer_arrays(after), layer_arrays(whole_after))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["rnn", "lstm"]), data=st.data())
+    def test_recurrent_predict_split_anywhere_matches_one_call(self, kind, data):
+        model, series = drawn_model_and_series(data, kind)
+        start, stop = drawn_span(data, model, series, "span")
+        k = data.draw(st.integers(start, stop), label="split")
+        whole, final = model.predict(series, start, stop, model.initial_state(1))
+        first, state = model.predict(series, start, k, model.initial_state(1))
+        second, state = model.predict(series, k, stop, state)
+        assert np.array_equal(np.concatenate([first, second]), whole)
+        assert all_equal(layer_arrays(state), layer_arrays(final))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["linear", "fnn", "rnn", "lstm"]), data=st.data())
+    def test_series_of_another_day_length_is_refused(self, kind, data):
+        model, series = drawn_model_and_series(data, kind)
+        other = 24 if model.state_config.intervals_per_day == 4 else 4
+        series = TimeSeriesDataset(
+            prices=series.prices,
+            consumptions=series.consumptions,
+            hours=series.hours % other,
+            intervals_per_day=other,
+        )
+        start, stop = drawn_span(data, model, series, "span")
+        with pytest.raises(DataError, match="intervals_per_day mismatch"):
+            model.predict(series, start, stop, model.initial_state(1))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from drlearn.errors import DataError
+from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import (
     StateConfig,
     SupervisedSet,
@@ -18,10 +20,8 @@ from drlearn.models import (
     TrainConfig,
     flat_params,
     init_params,
-    lstm_forward,
     lstm_loss_and_grads,
     model_from_params,
-    rnn_forward,
     rnn_loss_and_grads,
     train_recurrent,
 )
@@ -81,7 +81,7 @@ class TestRnnForward:
     def test_two_step_hand_recursion(self):
         model = scalar_rnn()
         xs = [0.2, -0.4]
-        outputs = rnn_forward(model, scalar_steps(xs))
+        outputs = model.forward(scalar_steps(xs)[None])[0]
         h = 0.0
         expected = []
         for x in xs:
@@ -91,7 +91,7 @@ class TestRnnForward:
 
     def test_zero_parameters_predict_zero(self):
         model = scalar_rnn(w_h=0.0, w_x=0.0, b=0.0, w_out=0.0, b_out=0.0)
-        outputs = rnn_forward(model, scalar_steps([0.7, -0.3, 5.0]))
+        outputs = model.forward(scalar_steps([0.7, -0.3, 5.0])[None])[0]
         assert np.all(outputs == 0.0)
 
     def test_hidden_state_stays_inside_tanh_range(self):
@@ -108,7 +108,7 @@ class TestRnnForward:
         )
         state = model.initial_state(2)
         for t in range(50):
-            _, state = model.step(rng.normal(size=(2, 4)) * 5.0, state)
+            _, state = model.run(rng.normal(size=(2, 1, 4)) * 5.0, state)
             # float64 tanh saturates to exactly 1.0 for large arguments
             assert np.all(np.abs(state[0]) <= 1.0)
 
@@ -128,22 +128,29 @@ class TestRnnForward:
         batch_out = model.forward(x)
         state = model.initial_state(3)
         for t in range(7):
-            y, state = model.step(x[:, t], state)
-            assert np.array_equal(batch_out[:, t], y)
+            y, state = model.run(x[:, t : t + 1], state)
+            assert np.array_equal(batch_out[:, t], y[:, 0])
 
     def test_window_shape_validation(self):
+        # predict builds its rows over the model's own state config: a series
+        # of another day length is refused, and an empty span predicts nothing
         model = scalar_rnn()
-        with pytest.raises(ValueError, match="expected"):
-            rnn_forward(model, np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="at least one step"):
-            rnn_forward(model, np.zeros((0, 3)))
+        series = TimeSeriesDataset(
+            prices=np.zeros(3), consumptions=np.zeros(3), hours=np.zeros(3, dtype=np.int64),
+            intervals_per_day=12,
+        )
+        with pytest.raises(DataError, match="intervals_per_day mismatch"):
+            model.predict(series, 1, 3, model.initial_state(1))
+        series = TimeSeriesDataset(prices=np.zeros(3), consumptions=np.zeros(3), hours=np.zeros(3))
+        outputs, state = model.predict(series, 1, 1, model.initial_state(1))
+        assert outputs.shape == (0,) and states_equal(state, model.initial_state(1))
 
 
 class TestLstmForward:
     def test_three_step_hand_trajectory(self):
         model = scalar_lstm()
         xs = [0.5, -1.0, 0.3]
-        outputs = lstm_forward(model, scalar_steps(xs))
+        outputs = model.forward(scalar_steps(xs)[None])[0]
 
         def sig(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -175,9 +182,9 @@ class TestLstmForward:
             state_config=SCALAR_CFG,
         )
         x = scalar_steps([2.0, -3.0, 4.0])
-        outputs = lstm_forward(model, x)
+        outputs = model.forward(x[None])[0]
         assert np.all(outputs == 0.0)
-        _, state = model.step(x[None, 0], model.initial_state(1))
+        _, state = model.run(x[None, :1], model.initial_state(1))
         h, c = state[0]
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
@@ -197,7 +204,7 @@ class TestLstmForward:
         )
         state = model.initial_state(2)
         for t in range(60):
-            _, state = model.step(rng.normal(size=(2, 4)) * 3.0, state)
+            _, state = model.run(rng.normal(size=(2, 1, 4)) * 3.0, state)
             h, _ = state[0]
             assert np.all(np.abs(h) < 1.0)
 
@@ -219,8 +226,8 @@ class TestLstmForward:
         batch_out = model.forward(x)
         state = model.initial_state(2)
         for t in range(6):
-            y, state = model.step(x[:, t], state)
-            assert np.array_equal(batch_out[:, t], y)
+            y, state = model.run(x[:, t : t + 1], state)
+            assert np.array_equal(batch_out[:, t], y[:, 0])
 
 
 def random_model(kind, hidden_sizes, n_features=4, seed=7):
@@ -276,8 +283,8 @@ class TestRun:
         batch_out = model.forward(x)
         state = model.initial_state(2)
         for t in range(8):
-            y, state = model.step(x[:, t], state)
-            assert np.array_equal(batch_out[:, t], y)
+            y, state = model.run(x[:, t : t + 1], state)
+            assert np.array_equal(batch_out[:, t], y[:, 0])
 
     @pytest.mark.parametrize("kind, arrays", [("rnn", 1), ("lstm", 2)])
     @pytest.mark.parametrize("hidden", [[5], [4, 3]])

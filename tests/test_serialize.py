@@ -20,13 +20,10 @@ from drlearn.models import (
     LstmModel,
     RnnModel,
     flat_params,
-    fnn_forward,
     init_params,
     load_model,
-    lstm_forward,
     model_from_params,
     predict_one_step,
-    rnn_forward,
     save_model,
 )
 
@@ -84,16 +81,21 @@ def make_model(kind, seed=0):
 
 
 def predictions(model, seed=123):
+    """MWh for raw rows, scaled, run and unscaled as ParamModel.predict does:
+    the linear rows at once, the FNN rows one at a time, the windows each
+    from the zero state."""
     rng = np.random.default_rng(seed)
+    scaler = model.scaler
     if model.kind in ("linear", "fnn"):
         rows = rng.normal(size=(100, 4))
-        if model.kind == "fnn":
-            return np.array([fnn_forward(model, row) for row in rows])
-        x = model.scaler.transform_inputs(rows)
-        return model.scaler.inverse_targets(model.forward(x))
+        batches = rows[:, None] if model.kind == "fnn" else [rows]
+        return np.concatenate(
+            [scaler.inverse_targets(model.forward(scaler.transform_inputs(b))) for b in batches]
+        )
     windows = rng.normal(size=(5, 20, 4))
-    forward = rnn_forward if model.kind == "rnn" else lstm_forward
-    return np.concatenate([forward(model, w) for w in windows])
+    return np.concatenate(
+        [scaler.inverse_targets(model.forward(scaler.transform_inputs(w)[None])[0]) for w in windows]
+    )
 
 
 @pytest.mark.parametrize("kind", ["linear", "fnn", "rnn", "lstm"])
