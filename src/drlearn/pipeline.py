@@ -5,6 +5,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import shutil
+import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ from .metrics import (
 from .models import LinearModel, linear_fit, save_model, train_fnn, train_recurrent
 from .models.common import model_class
 from .ioutil import atomic_write_text
+from .records import require_integer
 
 
 def simulate_from_config(config: RunConfig) -> TimeSeriesDataset:
@@ -209,22 +212,19 @@ class BenchmarkResult:
 def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> BenchmarkResult:
     """Train every configured model, then emit reports, tables, and violin data.
 
-    Any failure removes the files already written to out_dir and re-raises
-    with the failing stage named.
+    Every file goes into a staging directory inside out_dir and moves into
+    place, one rename each, only after the last stage: a failing stage
+    leaves out_dir as it found it and re-raises with the stage named.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    models_dir = os.path.join(out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
-    written: list[str] = []
+    require_integer("workers", workers, minimum=1)
+    os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)  # renames stay on one filesystem
     stage = "simulate"
     try:
+        os.mkdir(os.path.join(staging, "models"))
         dataset = simulate_from_config(config)
-        path = os.path.join(out_dir, "dataset.csv")
-        write_dataset(dataset, path)
-        written.append(path)
-        path = os.path.join(out_dir, "config.yaml")
-        atomic_write_text(path, dump_config(config))
-        written.append(path)
+        write_dataset(dataset, os.path.join(staging, "dataset.csv"))
+        atomic_write_text(os.path.join(staging, "config.yaml"), dump_config(config))
 
         jobs = benchmark_jobs(config)
         trained: list[TrainedModel] = []
@@ -247,17 +247,14 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
                 trained.append(train_model(config, dataset, kind, order))
         for entry in trained:
             stage = f"save {entry.name}"
-            path = os.path.join(models_dir, _file_name(entry.kind, entry.order) + ".json")
-            save_model(entry.model, path)
-            written.append(path)
+            file_name = _file_name(entry.kind, entry.order) + ".json"
+            save_model(entry.model, os.path.join(staging, "models", file_name))
 
         stage = "report"
         reports: list[EvalReport] = []
         for entry in trained:
             reports.extend([entry.train_report, entry.test_report])
-        report_path = os.path.join(out_dir, "report.json")
-        write_report_document(reports, report_path)
-        written.append(report_path)
+        write_report_document(reports, os.path.join(staging, "report.json"))
 
         tables: dict[str, str] = {}
         orders = config.benchmark.orders
@@ -273,26 +270,27 @@ def run_benchmark(config: RunConfig, out_dir: str, workers: int = 1) -> Benchmar
                 "Dynamic demand-response model, recurrent families", "", columns, reports
             )
         for tag, text in tables.items():
-            path = os.path.join(out_dir, f"table_{tag}.txt")
-            atomic_write_text(path, text)
-            written.append(path)
+            atomic_write_text(os.path.join(staging, f"table_{tag}.txt"), text)
 
         stage = "violin data"
         by_name = {entry.name: entry for entry in trained}
         violin_names = [model_name(k, max(orders)) for k in direct if orders] + recurrent
         violin_reports = [by_name[n].test_report for n in violin_names if n in by_name]
-        violin_path = os.path.join(out_dir, "violin.csv")
-        write_violin_csv(violin_reports, violin_path)
-        written.append(violin_path)
+        write_violin_csv(violin_reports, os.path.join(staging, "violin.csv"))
+
+        stage = "publish"
+        for folder, _, names in os.walk(staging):
+            for name in names:
+                staged = os.path.join(folder, name)
+                os.replace(staged, os.path.join(out_dir, os.path.relpath(staged, staging)))
     except BaseException as exc:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
         exc.args = (f"benchmark stage '{stage}' failed: {exc}",) + exc.args[1:]
         raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # never hides the stage's error
     return BenchmarkResult(
         trained=trained,
         tables=tables,
-        report_path=report_path,
-        violin_path=violin_path,
+        report_path=os.path.join(out_dir, "report.json"),
+        violin_path=os.path.join(out_dir, "violin.csv"),
     )

@@ -26,6 +26,7 @@ from drlearn.pipeline import (
     simulate_from_config,
     train_model,
 )
+from drlearn.records import RecordError
 
 TINY_DOC = {
     "simulation": {"euc_count": 8, "horizon": 480},
@@ -45,6 +46,20 @@ def tiny_config(**overrides):
     for section, values in overrides.items():
         doc[section].update(values)
     return parse_config(doc)
+
+
+def files_under(root) -> dict[str, bytes]:
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {
+        os.path.relpath(os.path.join(folder, name), root): pathlib.Path(folder, name).read_bytes()
+        for folder, _, names in os.walk(root)
+        for name in names
+    }
+
+
+# order 5 on a 10-interval train split leaves too few samples, so the linear fit
+# fails (linear only: config validation already rejects a 24-step window there)
+FAILING_DOC = {"benchmark": {"train_len": 10, "orders": [5], "kinds": ["linear"]}}
 
 
 class TestSimulateFromConfig:
@@ -214,16 +229,17 @@ class TestRunBenchmark:
                          "rnn_hidden": hidden, "lstm_hidden": hidden},
             "benchmark": {"train_len": 168, "orders": orders, "kinds": kinds},
         })
+        # each count runs twice into one directory: publishing over a finished run
+        # writes the same bytes
         with tempfile.TemporaryDirectory() as root:
             outputs = []
             for workers in (1, 2, 3):
                 out = os.path.join(root, str(workers))
-                run_benchmark(config, out, workers=workers)
-                files = [pathlib.Path(folder, name) for folder, _, names in os.walk(out)
-                         for name in names]
-                outputs.append({str(f.relative_to(out)): f.read_bytes() for f in files})
+                for _ in range(2):
+                    run_benchmark(config, out, workers=workers)
+                    outputs.append(files_under(out))
         assert "report.json" in outputs[0]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert all(output == outputs[0] for output in outputs[1:])
 
     def test_pool_models_keep_one_buffer(self, tmp_path):
         result = run_benchmark(tiny_config(), str(tmp_path / "bench"), workers=2)
@@ -237,34 +253,49 @@ class TestRunBenchmark:
             assert all(np.shares_memory(v, model.buffer) for v in views if v.size), entry.name
 
     def test_failure_names_stage_and_cleans_up(self, tmp_path):
-        # order 5 on a 10-interval train split leaves too few samples, so the
-        # linear fit fails; the benchmark must remove everything it wrote
-        # (linear only: config validation already rejects a 24-step window there)
-        config = tiny_config(benchmark={"train_len": 10, "orders": [5], "kinds": ["linear"]})
+        # a failed first run leaves only the models directory it made up front, empty
         out_dir = tmp_path / "bench"
         with pytest.raises(ValueError, match="benchmark stage 'train linear_n5' failed"):
-            run_benchmark(config, str(out_dir), workers=1)
-        assert not (out_dir / "dataset.csv").exists()
-        assert not (out_dir / "report.json").exists()
-        assert list((out_dir / "models").iterdir()) == []
+            run_benchmark(tiny_config(**FAILING_DOC), str(out_dir), workers=1)
+        assert os.listdir(out_dir) == ["models"]
+        assert os.listdir(out_dir / "models") == []
 
     def test_pool_failure_names_job_and_cleans_up(self, tmp_path):
         # the same failing job in a worker pool: the error names the job, not only the pool
-        config = tiny_config(benchmark={"train_len": 10, "orders": [5], "kinds": ["linear"]})
         out_dir = tmp_path / "bench"
         stage = r"'train linear_n5 \(worker pool\)'"
         with pytest.raises(ValueError, match=f"benchmark stage {stage} failed"):
-            run_benchmark(config, str(out_dir), workers=2)
-        assert not (out_dir / "dataset.csv").exists()
-        assert not (out_dir / "config.yaml").exists()
-        assert list((out_dir / "models").iterdir()) == []
+            run_benchmark(tiny_config(**FAILING_DOC), str(out_dir), workers=2)
+        assert os.listdir(out_dir) == ["models"]
+        assert os.listdir(out_dir / "models") == []
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_failed_rerun_leaves_a_finished_run_as_it_was(self, tmp_path, workers):
+        out_dir = tmp_path / "bench"
+        run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(out_dir), workers=workers)
+        finished, entries = files_under(out_dir), sorted(os.listdir(out_dir))
+        assert {"dataset.csv", "config.yaml", "report.json", "models/linear_n1.json"} <= set(finished)
+        with pytest.raises(ValueError, match="benchmark stage 'train linear_n5"):
+            run_benchmark(tiny_config(**FAILING_DOC), str(out_dir), workers=workers)
+        assert not any(name.startswith(".staging-") for name in entries)
+        assert sorted(os.listdir(out_dir)) == entries  # no .staging-* directory after the failure
+        assert files_under(out_dir) == finished
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
+    def test_workers_not_a_positive_integer_refused_before_any_directory(self, tmp_path, workers):
+        out_dir = tmp_path / "bench"
+        with pytest.raises(RecordError, match="^workers: must be"):
+            run_benchmark(tiny_config(), str(out_dir), workers=workers)
+        assert not out_dir.exists()
 
     def test_result_surfaces_tables_and_paths(self, tmp_path):
         config = tiny_config(benchmark={"kinds": ["linear"]})
-        result = run_benchmark(config, str(tmp_path / "bench"), workers=1)
+        out_dir = str(tmp_path / "bench")
+        result = run_benchmark(config, out_dir, workers=1)
         assert set(result.tables) == {"linear"}
-        assert os.path.exists(result.report_path)
-        assert os.path.exists(result.violin_path)
+        assert result.report_path == os.path.join(out_dir, "report.json")
+        assert result.violin_path == os.path.join(out_dir, "violin.csv")
+        assert os.path.exists(result.report_path) and os.path.exists(result.violin_path)
         assert [entry.name for entry in result.trained] == ["linear n=0", "linear n=1"]
 
 
