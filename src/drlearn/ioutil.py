@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import os
-import tempfile
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a stub."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a sibling temp file and rename, so readers never see a stub.
+
+    The temp file gets a new random name and is created with mode 0o666,
+    which the kernel masks by the process umask, so the file ends with the
+    mode a plain open() would give it."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

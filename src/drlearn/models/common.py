@@ -177,9 +177,13 @@ class ParamModel:
         outputs = self.forward(inputs.reshape(batch * steps, n_features))
         return outputs.reshape(batch, steps), state
 
-    def workspace(self, shape: tuple) -> Workspace:
+    def workspace(self, shape: tuple, dtype=float) -> Workspace:
         """A Workspace for loss_and_grads on this model's flat list and
-        minibatches of the given shape."""
+        minibatches of the given shape. A direct family's kernel computes on
+        the model's own float64 arrays, so dtype can only be float64 here;
+        the recurrent families build their tape in dtype."""
+        if np.dtype(dtype) != np.float64:
+            raise ValueError(f"{self.kind} computes in float64 only, got dtype {np.dtype(dtype)}")
         return Workspace(self, shape)
 
     def predict(self, series, start: int, stop: int, state: list) -> tuple[np.ndarray, list]:
@@ -227,10 +231,11 @@ def init_params(
     return params
 
 
-def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
-    """A new, unset buffer laid out as ParamModel describes, its blocks (per
-    layer, shape rule -> stacked block) and the flat list, all views of it.
-    The one walk that derives the layout from a family's declaration."""
+def new_buffer(kind: str, n_features: int, hidden_sizes: list[int], dtype=float):
+    """A new, unset buffer of dtype laid out as ParamModel describes, its
+    blocks (per layer, shape rule -> stacked block) and the flat list, all
+    views of it. The one walk that derives the layout from a family's
+    declaration."""
     rules = [f.metadata["shape"] for f in model_class(kind).layer_fields()]
     widths = [n_features, *hidden_sizes]
     stacks = []  # per layer and rule: (arrays of the rule, *the shape of each)
@@ -238,7 +243,7 @@ def new_buffer(kind: str, n_features: int, hidden_sizes: list[int]):
         dims = {"units": units, "fan_in": fan_in}
         stacks.append({r: (rules.count(r), *(dims[d] for d in r)) for r in (SQUARE, FAN_IN, BIAS)})
     sizes = [math.prod(shape) for layer in stacks for shape in layer.values()]
-    buffer = np.empty(sum(sizes) + widths[-1] + 1)
+    buffer = np.empty(sum(sizes) + widths[-1] + 1, dtype)
     chunks = iter(np.split(buffer, np.cumsum(sizes)))
     blocks, views = [], []
     for layer in stacks:
@@ -258,7 +263,9 @@ class Workspace:
     its flat list and a minibatch shape, (batch, features) or (batch,
     steps, features): the gradient vector grad, laid out like the parameter
     buffer, its blocks and its flat list of views, which the kernel returns.
-    The recurrent families add their tape (_Recurrent.workspace).
+    They are float64 whatever the precision of the kernel's arithmetic, so
+    clipping and Adam step the model's float64 buffer. The recurrent
+    families add their tape (_Recurrent.workspace).
 
     A kernel overwrites its workspace, so what a call returned holds until
     the next call with it. train_adam makes one per training call; two
@@ -327,7 +334,10 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler):
     the loss curve. Every step writes its gradient into one workspace, and
     Adam steps the model's buffer by the workspace's gradient vector;
     clipping sums the norm over the flat list. Both go through the adam
-    module, so a wrapper put there sees every call."""
+    module, so a wrapper put there sees every call. A recurrent family
+    computes its loss and gradient on a float32 tape (_Recurrent.workspace);
+    a step whose loss or gradient is not finite, as float32 gives past
+    about 3.4e38, raises a NumericalError naming it."""
     if not hidden_sizes:
         raise ValueError(f"{kind} needs at least one hidden layer, got hidden_sizes {hidden_sizes}")
     inputs = np.asarray(dataset.inputs, dtype=float)
@@ -338,13 +348,16 @@ def train_adam(kind: str, loss_and_grads, dataset, hidden_sizes, cfg, scaler):
     initial = init_params(kind, inputs.shape[-1], hidden_sizes, rng)
     model = model_from_params(kind, initial, scaler, dataset.state_config)
     params = flat_params(model)
-    workspace = model.workspace((min(cfg.batch_size, len(inputs)), *inputs.shape[1:]))
+    shape = (min(cfg.batch_size, len(inputs)), *inputs.shape[1:])
+    workspace = model.workspace(shape, np.float32 if model.recurrent else float)
     optimizer = adam.Adam([model.buffer], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     losses = np.empty(cfg.steps)
     for step, idx in enumerate(minibatch_indices(rng, len(inputs), cfg.batch_size, cfg.steps)):
         loss, grads = loss_and_grads(params, inputs[idx], targets[idx], workspace=workspace)
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss {loss} at training step {step}")
+        if not np.isfinite(workspace.grad).all():
+            raise NumericalError(f"non-finite gradient at training step {step}")
         losses[step] = loss
         if model.recurrent:
             adam.clip_global_norm(grads, cfg.gradient_clip_norm)

@@ -17,6 +17,7 @@ from .common import (
     TrainConfig,
     Workspace,
     layer_param,
+    new_buffer,
     readout_loss,
     train_adam,
 )
@@ -62,9 +63,10 @@ class _Recurrent(ParamModel):
     pre-activations, which nothing reads after _cell, and forms the weight
     gradients after the time loop with one matmul or sum each (Appleyard,
     Kocisky & Blunsom 2016). It rounds differently from run and makes no
-    bitwise promise.
+    bitwise promise; train_adam runs it in float32.
 
-    Both read the weights through _layers, views of the buffer's blocks.
+    run reads the weights through _layers, views of the buffer's blocks;
+    loss_and_grads reads the same views of the tape's copy of the buffer.
     A layer's state is a tuple of state_arrays (batch, units) arrays whose
     first is the layer's output h: (h,) for the RNN, (h, c) for the LSTM;
     initial_state gives one zero tuple per layer. Subclasses declare
@@ -140,22 +142,36 @@ class _Recurrent(ParamModel):
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per layer w_h (units, gates * units), w_x (fan_in, gates * units) and
         b (gates * units,): the buffer's blocks, transposed, not copied."""
-        return [(b[SQUARE].T, b[FAN_IN].T, b[BIAS]) for b in self.blocks]
+        return _fused(self.blocks)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Standardized predictions for (batch, steps, features) windows from zero state."""
         return self.run(inputs, self.initial_state(len(inputs)))[0]
 
-    def workspace(self, shape: tuple) -> Workspace:
+    def workspace(self, shape: tuple, dtype=float) -> Workspace:
         """A Workspace for loss_and_grads on this model's flat list and
-        (batch, steps, features) minibatches, holding the time-major inputs
-        x and the tape of every layer (_LayerTape)."""
-        workspace = super().workspace(shape)
+        (batch, steps, features) minibatches, whose kernel computes in dtype:
+        it holds the model's buffer (source) and, in dtype, a copy of it laid
+        out by new_buffer (weights, its blocks and its flat list), a gradient vector
+        laid out the same way (tape_grad, with tape_grads), the time-major
+        inputs x and targets y, and the tape of every layer (_LayerTape),
+        which reads its weights from the copy. The gradient the kernel
+        returns is the float64 vector of every Workspace."""
+        workspace = Workspace(self, shape)
         batch, steps, n_features = shape
-        workspace.x = layer_in = np.empty((steps, batch, n_features))
+        widths = self.hidden_sizes()
+        workspace.source = self.buffer
+        workspace.weights, blocks, workspace.weight_list = new_buffer(
+            self.kind, n_features, widths, dtype
+        )
+        workspace.tape_grad, grad_blocks, workspace.tape_grads = new_buffer(
+            self.kind, n_features, widths, dtype
+        )
+        workspace.x = layer_in = np.empty((steps, batch, n_features), dtype)
+        workspace.y = np.empty((steps, batch), dtype)
         workspace.tapes = []
-        for weights in self._layers():
-            workspace.tapes.append(_LayerTape(type(self), weights, layer_in, batch))
+        for weights, grads in zip(_fused(blocks), grad_blocks):
+            workspace.tapes.append(_LayerTape(type(self), weights, grads, layer_in, batch))
             layer_in = workspace.tapes[-1].states[0][1:]
         return workspace
 
@@ -164,12 +180,30 @@ class _Recurrent(ParamModel):
         cls, params: list[np.ndarray], inputs: np.ndarray, targets: np.ndarray, *, workspace
     ) -> tuple[float, list[np.ndarray]]:
         """MSE over every step of every window, and its gradient by full BPTT,
-        the flat list's views of one vector laid out like the parameter
-        buffer: the vector of workspace, which model.workspace(inputs.shape)
-        made for the model whose flat list params is. The core reads that
-        model's fused weights through the workspace's tape."""
+        the flat list's views of one float64 vector laid out like the
+        parameter buffer: the vector of workspace, which
+        model.workspace(inputs.shape, dtype) made for the model whose flat
+        list params is.
+
+        Each call copies that model's buffer and the minibatch onto the tape
+        in its dtype, runs the core there, and copies the gradient once into
+        the float64 vector; it writes nothing of the model. Values past the
+        dtype's range become inf or NaN without a warning: a saturated
+        float32 sigmoid gate, exp(-z) = inf, is exactly 0, and a loss or
+        gradient that overflows comes back non-finite for the caller to
+        refuse (train_adam does)."""
         workspace.check(cls.kind, params, inputs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = cls._tape_loss_and_grads(workspace, inputs, targets)
+        np.copyto(workspace.grad, workspace.tape_grad)
+        return loss, workspace.grads
+
+    @classmethod
+    def _tape_loss_and_grads(cls, workspace, inputs: np.ndarray, targets: np.ndarray) -> float:
+        """loss_and_grads on the tape, leaving the gradient in tape_grad."""
+        np.copyto(workspace.weights, workspace.source)
         np.copyto(workspace.x, np.transpose(inputs, (1, 0, 2)))  # time-major
+        np.copyto(workspace.y, np.transpose(targets))
         tapes = workspace.tapes
         steps, batch, _ = workspace.x.shape
         m = steps * batch
@@ -184,11 +218,11 @@ class _Recurrent(ParamModel):
 
         top = tapes[-1]
         loss, _ = readout_loss(
-            top.states[0][1:], *workspace.params[-2:], np.transpose(targets), workspace.grads,
+            top.states[0][1:], *workspace.weight_list[-2:], workspace.y, workspace.tape_grads,
             top.d_out,
         )
         for l in range(len(tapes) - 1, -1, -1):
-            tape, grad_blocks = tapes[l], workspace.grad_blocks[l]
+            tape = tapes[l]
             w_h_t, carry = tape.w_h.T, None
             for t in range(steps - 1, -1, -1):
                 _, dz, state, new_state, cache, d_out = tape.steps[t]  # dz over the gate views
@@ -199,20 +233,26 @@ class _Recurrent(ParamModel):
                     dh += d_out
                 carry = cls._cell_backward(dz, dh, carry, state, new_state, cache, tape.scratch)
             dz = tape.z.reshape(m, -1)
-            np.matmul(dz.T, tape.states[0][:-1].reshape(m, -1), out=grad_blocks[SQUARE])
-            np.matmul(dz.T, tape.x.reshape(m, -1), out=grad_blocks[FAN_IN])
-            dz.sum(axis=0, out=grad_blocks[BIAS])
+            np.matmul(dz.T, tape.states[0][:-1].reshape(m, -1), out=tape.grads[SQUARE])
+            np.matmul(dz.T, tape.x.reshape(m, -1), out=tape.grads[FAN_IN])
+            dz.sum(axis=0, out=tape.grads[BIAS])
             if l:
                 np.matmul(dz, tape.w_x.T, out=tapes[l - 1].d_out.reshape(m, -1))
-        return loss, workspace.grads
+        return loss
 
 
-def _empty(*shapes: tuple) -> list[np.ndarray]:
-    """A new array of each shape, all views of one buffer. One allocation
-    per tape: once a first one is freed, glibc's malloc serves the next of
-    that size from its heap instead of mapping fresh pages for every array."""
+def _fused(blocks: list[dict]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per layer of a buffer's blocks, its (w_h, w_x, b) as _Recurrent._layers describes."""
+    return [(b[SQUARE].T, b[FAN_IN].T, b[BIAS]) for b in blocks]
+
+
+def _empty(*shapes: tuple, dtype=float) -> list[np.ndarray]:
+    """A new array of dtype of each shape, all views of one buffer. One
+    allocation per tape: once a first one is freed, glibc's malloc serves
+    the next of that size from its heap instead of mapping fresh pages for
+    every array."""
     sizes = [math.prod(shape) for shape in shapes]
-    buffer, offset, arrays = np.empty(sum(sizes)), 0, []
+    buffer, offset, arrays = np.empty(sum(sizes), dtype), 0, []
     for shape, size in zip(shapes, sizes):
         arrays.append(buffer[offset : offset + size].reshape(shape))
         offset += size
@@ -221,8 +261,10 @@ def _empty(*shapes: tuple) -> list[np.ndarray]:
 
 class _LayerTape:
     """One layer's share of a recurrent Workspace, for minibatches of batch
-    windows of len(x) steps:
-    - w_h, w_x and b, the layer's weights as _layers gives them;
+    windows of len(x) steps, all in the dtype of x:
+    - w_h, w_x and b, the layer's weights as _layers gives them, views of
+      the workspace's copy of the buffer, and grads, the layer's blocks of
+      the tape's gradient vector;
     - x, the layer's time-major input (the layer below's outputs above the first);
     - z (steps, batch, gates * units), the pre-activations, over which the
       backward writes their gradient dz;
@@ -236,10 +278,10 @@ class _LayerTape:
       gate views, the states before and after, the cache and d_out[t].
     """
 
-    def __init__(self, cls: type, weights: tuple, x: np.ndarray, batch: int):
+    def __init__(self, cls: type, weights: tuple, grads: dict, x: np.ndarray, batch: int):
         self.w_h, self.w_x, self.b = weights
         units, steps = self.w_h.shape[0], len(x)
-        self.x = x
+        self.x, self.grads = x, grads
         self.z, self.d_out, self.z_h, self.dh, *arrays = _empty(
             (steps, batch, cls.gates * units),
             (steps, batch, units),
@@ -248,6 +290,7 @@ class _LayerTape:
             *[(steps + 1, batch, units)] * cls.state_arrays,
             *[(steps, *lead, batch, units) for lead in cls.cache_shapes],
             *[(*lead, batch, units) for lead in cls.scratch_shapes],
+            dtype=x.dtype,
         )
         self.states = arrays[: cls.state_arrays]
         for state in self.states:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per release criterion.
 
 Criteria 1-8 score the default full-scale benchmark, which runs once per
-session (roughly 90 seconds with four workers) and must finish within the
-30-minute budget; they are marked slow, so -m "not slow" skips that run.
+session (roughly 40 seconds with four workers on two cores) and must finish
+within the 30-minute budget; they are marked slow, so -m "not slow" skips
+that run.
 Criteria 9-14 are fast property checks: optimizer oracle agreement, gradient
 checks, byte-level determinism, metric identities, feature-construction
 laws, and serialization round-trips. Each test appends a pass/fail summary

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -204,15 +205,16 @@ class TestTrain:
         assert first.read_bytes() == second.read_bytes()
 
     def test_lstm_model_bytes_pinned(self, tmp_path, config_path, dataset_path):
-        # the digest of this build's file (numpy 2.x, OpenBLAS 0.3.31): the
-        # config checks run before training and must not move a trained bit
+        # the digest of this build's file (numpy 2.x, OpenBLAS 0.3.31, a float32
+        # training tape): the config checks run before training and must not
+        # move a trained bit
         out = tmp_path / "lstm.json"
         assert main([
             "train", "--config", config_path, "--data", dataset_path,
             "--model", "lstm", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "a34c44cb0e6f6f26f8747619bb6f483418855ab11d6d651bd1baf201c6e0be35"
+            "dd047fc4e48b0adb64b09cb13d154b86bdca53ab0469801b61476bd740abea2c"
         )
 
     @pytest.mark.parametrize(
@@ -332,6 +334,25 @@ class TestTrain:
         ])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_loss_past_the_float32_range_exits_3_without_a_warning(
+        self, tmp_path, dataset_path, capsys, kind
+    ):
+        # one Adam step of 1e20 leaves weights of about 1e20, so the squared
+        # residual of the next step overflows the float32 training tape
+        config = tmp_path / "explode.yaml"
+        config.write_text(TINY_CONFIG.replace("steps: 30", "steps: 30\n  learning_rate: 1.0e+20"))
+        out = tmp_path / "m.json"
+        argv = ["train", "--config", str(config), "--data", dataset_path, "--model", kind,
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: non-finite loss inf at training step 1")
+        assert "Warning" not in err
+        assert not out.exists()
 
 
 class TestEval:

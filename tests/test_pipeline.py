@@ -281,6 +281,17 @@ class TestRunBenchmark:
         assert sorted(os.listdir(out_dir)) == entries  # no .staging-* directory after the failure
         assert files_under(out_dir) == finished
 
+    def test_published_files_get_the_mode_a_plain_open_gives(self, tmp_path):
+        # open() creates a file at 0o666 & ~umask; reading the umask by setting
+        # it would change it for every thread of the process
+        probe = tmp_path / "probe"
+        probe.write_text("")
+        expected = probe.stat().st_mode & 0o777
+        out_dir = tmp_path / "bench"
+        run_benchmark(tiny_config(benchmark={"kinds": ["linear"]}), str(out_dir), workers=1)
+        for name in ("dataset.csv", "config.yaml", "report.json", "models/linear_n1.json"):
+            assert oct((out_dir / name).stat().st_mode & 0o777) == oct(expected), name
+
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
     def test_workers_not_a_positive_integer_refused_before_any_directory(self, tmp_path, workers):
         out_dir = tmp_path / "bench"

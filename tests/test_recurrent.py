@@ -1,11 +1,12 @@
 """Recurrent model tests: hand-checked recursions, gates, training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from drlearn.errors import DataError
+from drlearn.errors import DataError, NumericalError
 from drlearn.eucsim import TimeSeriesDataset
 from drlearn.features import (
     StateConfig,
@@ -379,12 +380,12 @@ class TestLossAndGrads:
             assert g.shape == p.shape
 
 
-def assert_close_to(reference, value):
-    """Within 1e-12 of the reference, relative to its largest entry."""
+def assert_close_to(reference, value, tolerance=1e-12):
+    """Within tolerance of the reference, relative to its largest entry."""
     reference, value = np.asarray(reference), np.asarray(value)
     assert value.shape == reference.shape
     scale = max(float(np.max(np.abs(reference), initial=0.0)), np.finfo(float).tiny)
-    assert np.max(np.abs(value - reference), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(value - reference), initial=0.0) <= tolerance * scale
 
 
 class TestSharedCoreMatchesReference:
@@ -412,6 +413,44 @@ class TestSharedCoreMatchesReference:
             assert_close_to(ref, got)
 
     @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    @pytest.mark.parametrize("hidden", [[32], [5, 3]], ids=["one", "two"])
+    def test_float32_tape_agrees_with_the_float64_tape(self, kind, hidden):
+        # float32 keeps 24 bits (about 6e-8 relative per operation); over 48
+        # steps of BPTT the loss and every gradient stay within 1e-4 of the
+        # float64 core's, relative to each array's largest entry
+        rng = np.random.default_rng(len(hidden) * 1000 + 77)
+        params = [
+            p + 0.1 * rng.normal(size=p.shape) for p in init_params(kind, 4, hidden, rng)
+        ]
+        model = model_over(kind, params)
+        inputs = rng.normal(size=(32, 48, 4))
+        targets = rng.normal(size=(32, 48))
+        before = model.buffer.copy()
+        loss, grads = loss_and_grads(model, inputs, targets)
+        grads = [g.copy() for g in grads]
+        workspace = model.workspace(inputs.shape, np.float32)
+        loss32, grads32 = type(model).loss_and_grads(
+            flat_params(model), inputs, targets, workspace=workspace
+        )
+        assert type(loss32) is float
+        assert_close_to(loss, loss32, 1e-4)
+        assert len(grads32) == len(grads)
+        for ref, got in zip(grads, grads32):
+            assert got.dtype == np.float64 and np.shares_memory(got, workspace.grad)
+            assert_close_to(ref, got, 1e-4)
+        assert workspace.grad.dtype == np.float64 and workspace.weights.dtype == np.float32
+        assert model.buffer.tobytes() == before.tobytes()
+
+    def test_the_fnn_refuses_a_float32_workspace(self):
+        # its kernel computes on the model's own float64 arrays
+        fnn = model_from_params(
+            "fnn", init_params("fnn", 3, [4], np.random.default_rng(0)), identity_scaler(3),
+            SCALAR_CFG,
+        )
+        with pytest.raises(ValueError, match="fnn computes in float64 only, got dtype float32"):
+            fnn.workspace((8, 3), np.float32)
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
     def test_parameters_and_inputs_left_unchanged(self, kind):
         rng = np.random.default_rng(5)
         model = model_over(kind, init_params(kind, 4, [3, 2], rng))
@@ -421,6 +460,58 @@ class TestSharedCoreMatchesReference:
         before = [p.copy() for p in params] + [inputs.copy(), targets.copy()]
         loss_and_grads(model, inputs, targets)
         assert all(np.array_equal(a, b) for a, b in zip(before, params + [inputs, targets]))
+
+
+class TestFloat32Range:
+    """train_adam trains the recurrent families on a float32 tape: exp
+    overflows past z of about 88.7, and every value past about 3.4e38."""
+
+    @staticmethod
+    def windows(inputs, targets):
+        return SupervisedSet(inputs=inputs, targets=targets, state_config=StateConfig(order=1))
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_saturating_preactivations_train_without_a_warning(self, kind):
+        rng = np.random.default_rng(12)
+        inputs = 1e3 * rng.normal(size=(16, 8, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, losses = train_recurrent(
+                self.windows(inputs, rng.normal(size=(16, 8))), kind, [4], TrainConfig(steps=20)
+            )
+        assert np.isfinite(losses).all() and np.isfinite(model.buffer).all()
+        # the first layer's input projection alone is far past exp's float32 range
+        assert np.max(np.abs(inputs @ model.blocks[0][recurrent.FAN_IN].T)) > 200
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_a_loss_past_the_float32_range_is_a_numerical_error(self, kind):
+        rng = np.random.default_rng(13)
+        inputs, targets = rng.normal(size=(16, 8, 4)), np.full((16, 8), 1e20)
+        # a float64 tape squares the residual of about 1e20 to a finite 1e40
+        model = model_over(kind, init_params(kind, 4, [4], rng))
+        loss, _ = loss_and_grads(model, inputs, targets)
+        assert 1e39 < loss < 1e41
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^non-finite loss inf at training step 0$"):
+                train_recurrent(self.windows(inputs, targets), kind, [4], TrainConfig(steps=5))
+
+    def test_a_non_finite_gradient_is_refused_before_adam_steps_by_it(self, monkeypatch):
+        kernel, stepped = recurrent.lstm_loss_and_grads, []
+
+        def overflowing(params, inputs, targets, *, workspace):
+            loss, grads = kernel(params, inputs, targets, workspace=workspace)
+            if len(stepped) == 2:
+                workspace.grad[-1] = np.inf
+            stepped.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(recurrent, "lstm_loss_and_grads", overflowing)
+        rng = np.random.default_rng(14)
+        data = self.windows(rng.normal(size=(16, 8, 4)), rng.normal(size=(16, 8)))
+        with pytest.raises(NumericalError, match="^non-finite gradient at training step 2$"):
+            train_recurrent(data, "lstm", [4], TrainConfig(steps=5))
+        assert len(stepped) == 3
 
 
 class TestTraining:
